@@ -11,13 +11,12 @@ from .errors import (BiharmError, DimensionTooLarge, NonConvergence,
                      UnsupportedDimension)
 from .kernels import (BasisOrder, Dimension, GridSpec, PotentialSample,
                       RadialProfile, direct_cubature, phi2, phi2M, radial_eta2M)
-from .quad import (DEFAULT_RULE, DENode, DEQuadrature, de_transform,
-                   integral_phi2, qm_poly, rm_poly, tensor_weight)
+from .quad import (DEFAULT_RULE, DEQuadrature, integral_phi2, qm_poly, rm_poly,
+                   tensor_weight)
 from .engine import (AxisPoint, IsotropicGaussianPolyDensity, SaturationReport,
                      SeparatedDensity, build_test_density, conv1d, evaluate,
                      evaluate_symmetric, saturation_epsilon0)
-from .specfun import (EvalAccuracy, erf, exp_integral_e1, gen_laguerre, hermite,
-                      kummer_1f1, lower_incomplete_gamma)
+from .specfun import gen_laguerre
 
 __version__ = "0.1.0"
 
@@ -26,12 +25,11 @@ __all__ = [
     "RankBudgetExceeded", "SupportTruncated", "UnsupportedDimension",
     "BasisOrder", "Dimension", "GridSpec", "PotentialSample", "RadialProfile",
     "direct_cubature", "phi2", "phi2M", "radial_eta2M",
-    "DEFAULT_RULE", "DENode", "DEQuadrature", "de_transform", "integral_phi2",
-    "qm_poly", "rm_poly", "tensor_weight",
+    "DEFAULT_RULE", "DEQuadrature", "integral_phi2", "qm_poly", "rm_poly",
+    "tensor_weight",
     "AxisPoint", "IsotropicGaussianPolyDensity", "SaturationReport",
     "SeparatedDensity", "build_test_density", "conv1d", "evaluate",
     "evaluate_symmetric", "saturation_epsilon0",
-    "EvalAccuracy", "erf", "exp_integral_e1", "gen_laguerre", "hermite",
-    "kummer_1f1", "lower_incomplete_gamma",
+    "gen_laguerre",
     "__version__",
 ]

@@ -1,8 +1,5 @@
 """Benchmark harness reproducing the accuracy tables for the Gaussian test
 density, plus a self-verification mode cross-checking the numerical layers.
-
-Heavy imports happen inside functions so that --threads can pin the BLAS and
-OpenMP pool sizes before numpy first loads.
 """
 
 from __future__ import annotations
@@ -10,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -32,7 +28,7 @@ _TABLE_STEPS = {"1": (40,), "2": _REFINEMENT, "3": _REFINEMENT, "4": _REFINEMENT
 _TABLE1_X1 = (0.0, 1.0, 2.0, 3.0, 4.0)
 
 _CONFIG_KEYS = ("dims", "orders", "steps", "delta", "quad_a", "quad_b",
-                "quad_tau", "quad_nodes", "out", "plot_out", "threads")
+                "quad_tau", "quad_nodes", "out", "plot_out")
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ class RunConfig:
     quad_nodes: int = 300
     out: str | None = None
     plot_out: str | None = None
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.table not in ("1", "2", "3", "4", "custom"):
@@ -67,8 +62,6 @@ class RunConfig:
             raise ValueError("delta and quadrature parameters must be positive")
         if self.quad_nodes < 1:
             raise ValueError("quad_nodes must be at least 1")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -213,10 +206,14 @@ def _verify_checks(level: str):
     dev = max(rel_dev(a, b) for a, b in anchors)
     yield "phi2 closed-form anchors", dev <= 1e-13, f"max_rel={dev:.2e} tol=1e-13"
 
-    t0, tp0 = quad.de_transform(0.0, 6.0, 5.0)
+    # node u = 0 of the default rule (a = 6, b = 5): Phi and Phi'/Phi, with
+    # Phi' recovered from the weight tau * Phi * Phi'
+    nodes = rule.arrays()
+    t0 = nodes.t[0]
     ref_t0 = math.exp(-30.0 + 6.0 * math.exp(-5.0))
     ref_ratio = 60.0 * (1.0 + math.exp(-5.0))
-    dev = max(abs(t0 / ref_t0 - 1.0), abs(tp0 / t0 / ref_ratio - 1.0))
+    dev = max(abs(t0 / ref_t0 - 1.0),
+              abs(nodes.weight[0] / (rule.tau * t0 * t0) / ref_ratio - 1.0))
     yield "double-exponential transform anchor", dev <= 1e-13, f"max_rel={dev:.2e} tol=1e-13"
 
     rs = [0.0, 0.5, 1.0, 2.0, 4.0]
@@ -265,11 +262,11 @@ def _verify_checks(level: str):
         yield (f"lattice weight at zero offset, n={n}", dev <= 1e-13,
                f"max_rel={dev:.2e} tol=1e-13")
 
-    node = rule.nodes()[40]
+    t = nodes.t[40]
     samples = np.zeros(21)
     samples[10 + 3] = 1.0
-    got = engine.conv1d(samples, node, 5.0, 1, k=3)
-    ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + node.t))
+    got = engine.conv1d(samples, t, 5.0, 1, k=3)
+    ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + t))
     dev = rel_dev(got, ref)
     yield "convolution of a lattice delta", dev <= 1e-14, f"max_rel={dev:.2e} tol=1e-14"
 
@@ -396,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-nodes", type=int, help="number of quadrature nodes (default 300)")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.add_argument("--plot-out", help="also write (h, abs_err) blocks for log-log plots")
-    p.add_argument("--threads", type=int, help="pin BLAS/OpenMP thread count")
     p.add_argument("--config",
                    help="JSON file with defaults for the parameter flags "
                         "(not --table/--verify)")
@@ -417,14 +413,6 @@ def main(argv=None) -> int:
             return flag_value
         return file_cfg.get(key, fallback)
 
-    threads = pick(args.threads, "threads", None)
-    if threads is None and os.environ.get("BIHARM_THREADS"):
-        threads = int(os.environ["BIHARM_THREADS"])
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
     if args.verify is not None:
         ok, lines = run_verify(args.verify)
         print("\n".join(lines))
@@ -444,7 +432,6 @@ def main(argv=None) -> int:
             quad_nodes=pick(args.quad_nodes, "quad_nodes", 300),
             out=pick(args.out, "out", None),
             plot_out=pick(args.plot_out, "plot_out", None),
-            threads=threads,
         )
         if table == "1" and (args.steps or args.orders):
             raise ValueError("table 1 is defined at fixed h = 0.025, M = 4; "

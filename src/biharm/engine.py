@@ -3,9 +3,9 @@ cubature from one-dimensional discrete convolutions.
 
 Every per-dimension convolution sum carries its own (pi D (1+t))^{-1/2}
 normalization, so the n-fold per-node products stay O(1) and can be formed as
-exp of a log sum without overflow even at n = 1e7.  Node sums accumulate in
-ascending node order with compensated summation; the p-then-s-then-j loop
-order is fixed, making results reproducible bit for bit.
+exp of a log sum without overflow even at n = 1e7.  Node sums are exactly
+rounded (math.fsum) and certified against the quadrature tail; the
+p-then-s-then-j loop order is fixed, making results reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import RankBudgetExceeded, SupportTruncated, UnsupportedDimension
 from .kernels import GridSpec, PotentialSample, dim_value, order_value
-from .quad import DEFAULT_RULE, DENode, DEQuadrature, qm_poly, rm_poly
+from .quad import (DEFAULT_RULE, DEQuadrature, _exp_nodes, _log1p, _node_sum,
+                   qm_poly, rm_poly)
 
 __all__ = [
     "SeparatedDensity",
@@ -147,16 +148,8 @@ def _sigma_tables(vec: np.ndarray, m_lo: int, k: int, D: float, M: int,
     return norm * sums
 
 
-def _node_arrays(rule: DEQuadrature):
-    _, t, log_t, log_weight, weight, _ = rule.arrays()
-    log1pt = np.log1p(t)
-    inf = ~np.isfinite(t)
-    log1pt[inf] = log_t[inf]
-    return t, log1pt, log_weight, weight
-
-
-def conv1d(samples, node: DENode, D: float, M, k: int, m_lo: int | None = None) -> float:
-    """One normalized convolution sum at a single quadrature node.
+def conv1d(samples, t: float, D: float, M, k: int, m_lo: int | None = None) -> float:
+    """One normalized convolution sum at a single quadrature node value t >= 0.
 
     ``samples`` holds density values at x = h*m for consecutive m starting at
     m_lo (defaults to a window centered at m = 0, requiring odd length).
@@ -170,27 +163,13 @@ def conv1d(samples, node: DENode, D: float, M, k: int, m_lo: int | None = None) 
         m_lo = -(len(samples) // 2)
     if not D > 0.0:
         raise ValueError("shape parameter D must be positive")
+    if not t >= 0.0:
+        raise ValueError("node value t must be nonnegative")
     M = order_value(M)
-    t = np.asarray([node.t])
-    log1pt = np.asarray([math.log1p(node.t) if math.isfinite(node.t) else math.log(node.t)])
-    return float(_sigma_tables(samples, m_lo, k, D, M, t, log1pt, qm_poly)[0])
-
-
-def _signed_log_products(sigmas: list) -> tuple[np.ndarray, np.ndarray]:
-    """Product over a list of node vectors, as (sign, log magnitude)."""
-    sign = np.ones_like(sigmas[0])
-    log_mag = np.zeros_like(sigmas[0])
+    t = np.array([t], dtype=float)
     with np.errstate(divide="ignore"):
-        for s in sigmas:
-            sign *= np.sign(s)
-            log_mag += np.log(np.abs(s))
-    return sign, log_mag
-
-
-def _log_form_contrib(log_weight: np.ndarray, sigmas: list) -> np.ndarray:
-    sign, log_mag = _signed_log_products(sigmas)
-    expo = log_weight + log_mag
-    return np.where(expo > -745.0, sign * np.exp(np.minimum(expo, 709.0)), 0.0)
+        log1pt = _log1p(t, np.log(t))
+    return float(_sigma_tables(samples, m_lo, k, D, M, t, log1pt, qm_poly)[0])
 
 
 def evaluate(density: SeparatedDensity, points, n, grid: GridSpec, M,
@@ -205,22 +184,22 @@ def evaluate(density: SeparatedDensity, points, n, grid: GridSpec, M,
     M = order_value(M)
     if density.ndim != n:
         raise ValueError(f"density has {density.ndim} factor dimensions, expected {n}")
-    t, log1pt, log_weight, weight = _node_arrays(rule)
-    weight_finite = bool(np.all(np.isfinite(weight)))
+    nodes = rule.arrays()
+    t = nodes.t
+    weight_finite = bool(np.all(np.isfinite(nodes.weight)))
     D = grid.delta
     pref = (grid.h * math.sqrt(grid.delta)) ** 4 / 16.0
     if n == 3:
         pref = -(grid.h ** 4) * grid.delta ** 2 / 8.0
         # the n = 3 bracket needs tau * Phi' and Phi separately
-        log_t = rule.arrays()[2]
         with np.errstate(over="ignore"):
-            tau_phiprime = np.exp(log_weight - log_t)
+            tau_phiprime = np.exp(nodes.log_weight - nodes.log_t)
     cache: dict = {}
 
     def sigma(vec: np.ndarray, k: int, poly) -> np.ndarray:
         key = (id(vec), k, poly is rm_poly)
         if key not in cache:
-            cache[key] = _sigma_tables(vec, density.m_lo, k, D, M, t, log1pt, poly)
+            cache[key] = _sigma_tables(vec, density.m_lo, k, D, M, t, nodes.log1pt, poly)
         return cache[key]
 
     out = []
@@ -228,7 +207,7 @@ def evaluate(density: SeparatedDensity, points, n, grid: GridSpec, M,
         point = tuple(int(c) for c in point)
         if len(point) != n:
             raise ValueError(f"evaluation point must have {n} coordinates")
-        per_term = []
+        contribs = []
         for p in range(density.rank):
             vecs = density.factors[p]
             if n == 3:
@@ -240,15 +219,18 @@ def evaluate(density: SeparatedDensity, points, n, grid: GridSpec, M,
                 with np.errstate(invalid="ignore", over="ignore"):
                     contrib = tau_phiprime * bracket
                 contrib = np.where((bracket == 0.0) & ~np.isfinite(contrib), 0.0, contrib)
-                per_term.append(density.weights[p] * math.fsum(contrib))
             else:
                 sq = [sigma(vecs[j], point[j], qm_poly) for j in range(n)]
                 if n > _LOG_PRODUCT_DIM or not weight_finite:
-                    contrib = _log_form_contrib(log_weight, sq)
+                    # the n-fold product as a signed exp of a log sum
+                    sign = reduce(np.multiply, map(np.sign, sq))
+                    with np.errstate(divide="ignore"):
+                        log_mag = sum(np.log(np.abs(s)) for s in sq)
+                    contrib = _exp_nodes(nodes.log_weight + log_mag, sign)
                 else:
-                    contrib = weight * reduce(np.multiply, sq)
-                per_term.append(density.weights[p] * math.fsum(contrib))
-        value = pref * math.fsum(per_term)
+                    contrib = nodes.weight * reduce(np.multiply, sq)
+            contribs.append(contrib)
+        value = pref * _node_sum(contribs, density.weights)
         out.append(PotentialSample(point=point, value=value, method="tensor",
                                    M=M, h=grid.h, delta=grid.delta))
     return out
@@ -306,13 +288,13 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, point: AxisPoint,
     if n < 5:
         raise UnsupportedDimension("the symmetric fast path requires n >= 5")
     M = order_value(M)
-    t, log1pt, log_weight, _ = _node_arrays(rule)
+    nodes = rule.arrays()
     D = grid.delta
     m_lo, g0, g2, g4 = _gaussian_factor_vectors(grid)
     k1 = point.k1
 
     def sig(vec, k):
-        return _sigma_tables(vec, m_lo, k, D, M, t, log1pt, qm_poly)
+        return _sigma_tables(vec, m_lo, k, D, M, nodes.t, nodes.log1pt, qm_poly)
 
     a1, b1, c1v = sig(g0, k1), sig(g2, k1), sig(g4, k1)
     if k1 == 0:
@@ -337,12 +319,10 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, point: AxisPoint,
         )
     )
     sign = np.sign(g) * np.where((a0 < 0.0) & ((n - 1) % 2 == 1), -1.0, 1.0)
+    # dead nodes (a0 = 0 or g = 0) have expo = -inf and contribute nothing
     with np.errstate(divide="ignore", invalid="ignore"):
-        expo = log_weight + (big - 1.0) * np.log(np.abs(a0)) + np.log(np.abs(g))
-    contrib = np.zeros_like(a0)
-    ok = live & (g != 0.0) & (expo > -745.0)
-    contrib[ok] = sign[ok] * np.exp(np.minimum(expo[ok], 709.0))
-    value = (grid.h * math.sqrt(D)) ** 4 / 16.0 * math.fsum(contrib)
+        expo = nodes.log_weight + (big - 1.0) * np.log(np.abs(a0)) + np.log(np.abs(g))
+    value = (grid.h * math.sqrt(D)) ** 4 / 16.0 * _node_sum([_exp_nodes(expo, sign)])
     return PotentialSample(point=(k1,), value=value, method="symmetric",
                            M=M, h=grid.h, delta=grid.delta)
 

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
-from scipy.signal import fftconvolve
 
 from .errors import DimensionTooLarge, NonConvergence
 from . import specfun
@@ -288,29 +287,19 @@ def radial_eta2M(n, M, r):
 def _shell_counts(dim: int, vmax: int) -> np.ndarray:
     """Number of lattice points of Z^dim with squared norm v, for v = 0..vmax.
 
-    Built by iterated convolution of the one-dimensional counts; intermediate
-    FFT errors are orders of magnitude below 0.5, so rounding restores the
-    exact integers.
+    Exact int64 counts, built by convolving dim times with the one-dimensional
+    counts (1 at v = 0, 2 at each nonzero square): one shifted add per square,
+    O(vmax^1.5) per dimension.
     """
-    r1 = np.zeros(vmax + 1)
-    roots = np.arange(1, int(math.isqrt(vmax)) + 1)
-    r1[0] = 1.0
-    r1[roots * roots] = 2.0
-    counts = r1
-    for _ in range(dim - 1):
-        counts = np.rint(fftconvolve(counts, r1)[: vmax + 1])
+    counts = np.zeros(vmax + 1, dtype=np.int64)
+    counts[0] = 1
+    for _ in range(dim):
+        nxt = counts.copy()
+        for root in range(1, math.isqrt(vmax) + 1):
+            sq = root * root
+            nxt[sq:] += 2 * counts[: vmax + 1 - sq]
+        counts = nxt
     return counts
-
-
-def _kahan_sum(terms: np.ndarray) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in terms:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 def _direct_sparse(samples: Mapping, grid: GridSpec, n: int, M: int,
@@ -321,17 +310,14 @@ def _direct_sparse(samples: Mapping, grid: GridSpec, n: int, M: int,
         )
     if not samples:
         return 0.0
-    keys = sorted(samples.keys())
-    idx = np.array(keys, dtype=float)
-    vals = np.array([samples[k] for k in keys], dtype=float)
+    idx = np.array(list(samples.keys()), dtype=float)
+    vals = np.fromiter(samples.values(), dtype=float, count=len(samples))
     dist2 = np.sum((x[None, :] - grid.h * idx) ** 2, axis=1)
     scaled = np.sqrt(dist2) / (grid.h * math.sqrt(grid.delta))
     terms = vals * phi2M(n, M, scaled)
-    # canonical summation order: ascending squared distance, then sample value;
-    # intrinsic to the geometry, hence bitwise invariant under permutations
-    # and sign flips of the coordinates
-    order = np.lexsort((vals, dist2))
-    return _kahan_sum(terms[order])
+    # exactly rounded, so independent of the term order: bitwise invariant
+    # under permutations and sign flips of the coordinates
+    return math.fsum(terms)
 
 
 def _direct_radial(density: RadialProfile, grid: GridSpec, n: int, M: int,

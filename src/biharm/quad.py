@@ -6,12 +6,15 @@ with doubly exponentially decaying integrands, so the plain trapezoidal rule
 with a few hundred nodes reaches near machine accuracy.  Node tables are
 immutable; log-magnitude companions of every node quantity are kept because
 the high-dimensional assembly must form n-fold products in the log domain.
+Every node sum of the package, here and in the engine, goes through
+_node_sum, which refuses a rule whose last node still carries weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,36 +23,27 @@ from .kernels import dim_value, order_value
 
 __all__ = [
     "DEQuadrature",
-    "DENode",
-    "de_transform",
+    "NodeTable",
     "qm_poly",
     "rm_poly",
     "integral_phi2",
     "tensor_weight",
 ]
 
+# e^x is zero in binary64 below the cutoff and overflows above the clamp
+_LOG_UNDERFLOW = -745.0
 _LOG_FLOAT_MAX = 709.0
 
 # Tail contributions are compared against this fraction of the accumulated sum.
 _TAIL_TOL = 1e-16
 
 
-@dataclass(frozen=True)
-class DENode:
-    """One trapezoidal node after the double-exponential substitution.
-
-    weight is the t*dt measure element tau * Phi(u) * Phi'(u); damp is the
-    per-dimension factor (1 + t)^{-1/2}.
-    """
-
-    u: float
-    t: float
-    weight: float
-    damp: float
-
-
 def _log_transform(u, a: float, b: float):
-    """Return (log Phi(u), log Phi'(u)) elementwise; never overflows."""
+    """Return (log Phi(u), log Phi'(u)) elementwise; never overflows.
+
+    Phi(u) = exp(ab(u - e^{-u}) + a exp(b(u - e^{-u}))),
+    Phi'(u) = Phi(u) ab (1 + e^{-u}) (1 + exp(b(u - e^{-u}))).
+    """
     u = np.asarray(u, dtype=float)
     inner = b * (u - np.exp(-u))
     log_t = a * b * (u - np.exp(-u)) + a * np.exp(inner)
@@ -58,19 +52,28 @@ def _log_transform(u, a: float, b: float):
     return log_t, log_tprime
 
 
-def de_transform(u: float, a: float, b: float) -> tuple[float, float]:
-    """Substitution t = Phi(u) and its derivative.
+def _log1p(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+    """log(1 + t) per node; where t overflowed to +inf the finite log t stands
+    in, which equals log(1 + t) to working precision there."""
+    out = np.log1p(t)
+    inf = np.isinf(t)
+    out[inf] = log_t[inf]
+    return out
 
-    Phi(u) = exp(ab(u - e^{-u}) + a exp(b(u - e^{-u}))),
-    Phi'(u) = Phi(u) ab (1 + e^{-u}) (1 + exp(b(u - e^{-u}))).
 
-    Values beyond the binary64 range are clamped to +inf; callers must treat
-    such nodes as zero-contribution after damping.
+class NodeTable(NamedTuple):
+    """Per-node arrays of a rule, in ascending node order.
+
+    t = Phi(u) and weight = tau * Phi * Phi' may be +inf beyond the binary64
+    range; log_t, log1pt = log(1 + t) and log_weight are always finite.
     """
-    log_t, log_tprime = _log_transform(u, a, b)
-    t = math.exp(log_t) if log_t <= _LOG_FLOAT_MAX else math.inf
-    tprime = math.exp(log_tprime) if log_tprime <= _LOG_FLOAT_MAX else math.inf
-    return t, tprime
+
+    u: np.ndarray
+    t: np.ndarray
+    log_t: np.ndarray
+    log1pt: np.ndarray
+    log_weight: np.ndarray
+    weight: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,29 +97,18 @@ class DEQuadrature:
     def node_count(self) -> int:
         return self.s_end - self.s_begin
 
-    def arrays(self):
-        """Node table as arrays: (u, t, log_t, log_weight, weight, damp).
-
-        weight = tau * Phi * Phi' (may be +inf); log_weight is always finite.
-        Cached; treat the returned arrays as read-only.
-        """
+    def arrays(self) -> NodeTable:
+        """The node table.  Cached; treat the returned arrays as read-only."""
         if "arrays" not in self._cache:
             u = self.tau * np.arange(self.s_begin, self.s_end, dtype=float)
             log_t, log_tprime = _log_transform(u, self.a, self.b)
-            with np.errstate(over="ignore"):
-                t = np.exp(log_t)
             log_weight = math.log(self.tau) + log_t + log_tprime
             with np.errstate(over="ignore"):
+                t = np.exp(log_t)
                 weight = np.exp(log_weight)
-            damp = np.exp(-0.5 * np.log1p(t))
-            damp[~np.isfinite(t)] = 0.0
-            self._cache["arrays"] = (u, t, log_t, log_weight, weight, damp)
+            self._cache["arrays"] = NodeTable(u, t, log_t, _log1p(t, log_t),
+                                              log_weight, weight)
         return self._cache["arrays"]
-
-    def nodes(self) -> list[DENode]:
-        u, t, _, _, weight, damp = self.arrays()
-        return [DENode(float(ui), float(ti), float(wi), float(di))
-                for ui, ti, wi, di in zip(u, t, weight, damp)]
 
 
 DEFAULT_RULE = DEQuadrature()
@@ -174,6 +166,30 @@ def rm_poly(M, x, t):
     return float(total) if scalar else total
 
 
+def _exp_nodes(expo: np.ndarray, factor=1.0) -> np.ndarray:
+    """factor * e^expo per node: zero below the underflow cutoff, the exponent
+    clamped at the overflow limit."""
+    return np.where(expo > _LOG_UNDERFLOW,
+                    factor * np.exp(np.minimum(expo, _LOG_FLOAT_MAX)), 0.0)
+
+
+def _node_sum(contribs, weights=(1.0,)) -> float:
+    """Certified node sum fsum_p weights[p] * fsum_s contribs[p][s].
+
+    The rule is trusted only if the last node's share of the combined sum
+    sum_p weights[p] * contribs[p] stays within _TAIL_TOL; otherwise the
+    integrand has not decayed by the end of the node range.
+    """
+    total = math.fsum(w * math.fsum(c) for w, c in zip(weights, contribs))
+    tail = math.fsum(w * c[-1] for w, c in zip(weights, contribs))
+    if abs(tail) > _TAIL_TOL * abs(total):
+        raise QuadratureDivergence(
+            f"final-node contribution {tail:.3e} exceeds {_TAIL_TOL:.0e} of the "
+            f"accumulated value {total:.3e}; extend the node range"
+        )
+    return total
+
+
 def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     """Potential of the unit Gaussian at radius r via the one-dimensional
     integral representation, evaluated with the given quadrature rule.
@@ -184,32 +200,19 @@ def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     n = dim_value(n)
     if n == 4:
         raise ValueError("the integral representation covers n = 3 and n >= 5 only")
-    _, t, log_t, log_weight, _, _ = rule.arrays()
+    nodes = rule.arrays()
+    log1pt = nodes.log1pt
     r2 = float(r) * float(r)
-    log1pt = np.log1p(t)
-    log1pt[~np.isfinite(t)] = log_t[~np.isfinite(t)]
     if n >= 5:
         # tau * Phi * Phi' * e^{-r^2/(1+t)} (1+t)^{-n/2}, all in log form
-        expo = log_weight - r2 * np.exp(-log1pt) - 0.5 * n * log1pt
-        contrib = np.where(expo > -745.0, np.exp(np.minimum(expo, 700.0)), 0.0)
-        total = math.fsum(contrib) / 16.0
-        tail = contrib[-1] / 16.0
-    else:
-        # tau * Phi' * e^{-r^2/(1+t)} [(1+t)^{-3/2} + t r^2 (1+t)^{-5/2}]
-        log_phiprime = log_weight - log_t  # log(tau * Phi') = log_weight - log Phi
-        base = log_phiprime - r2 * np.exp(-log1pt)
-        first = np.where(base - 1.5 * log1pt > -745.0, np.exp(base - 1.5 * log1pt), 0.0)
-        second_expo = base + log_t - 2.5 * log1pt
-        second = np.where(second_expo > -745.0, r2 * np.exp(second_expo), 0.0)
-        contrib = first + second
-        total = -math.fsum(contrib) / 8.0
-        tail = -contrib[-1] / 8.0
-    if abs(tail) > _TAIL_TOL * abs(total):
-        raise QuadratureDivergence(
-            f"final-node contribution {tail:.3e} exceeds {_TAIL_TOL:.0e} of the "
-            f"accumulated value {total:.3e}; extend the node range"
-        )
-    return total
+        expo = nodes.log_weight - r2 * np.exp(-log1pt) - 0.5 * n * log1pt
+        return _node_sum([_exp_nodes(expo)]) / 16.0
+    # tau * Phi' * e^{-r^2/(1+t)} [(1+t)^{-3/2} + t r^2 (1+t)^{-5/2}]
+    log_phiprime = nodes.log_weight - nodes.log_t  # log(tau * Phi')
+    base = log_phiprime - r2 * np.exp(-log1pt)
+    contrib = (_exp_nodes(base - 1.5 * log1pt)
+               + _exp_nodes(base + nodes.log_t - 2.5 * log1pt, r2))
+    return -_node_sum([contrib]) / 8.0
 
 
 def tensor_weight(k, M, D: float, rule: DEQuadrature = DEFAULT_RULE, n=None) -> float:
@@ -229,23 +232,12 @@ def tensor_weight(k, M, D: float, rule: DEQuadrature = DEFAULT_RULE, n=None) -> 
     M = order_value(M)
     if not D > 0.0:
         raise ValueError("shape parameter D must be positive")
-    _, t, log_t, log_weight, _, _ = rule.arrays()
-    log1pt = np.log1p(t)
-    log1pt[~np.isfinite(t)] = log_t[~np.isfinite(t)]
-    inv1pt = np.exp(-log1pt)
+    nodes = rule.arrays()
     # per-node product over dimensions, in log-magnitude/sign form
-    q = qm_poly(M, k[:, None] / math.sqrt(D), t[None, :])
-    gauss_expo = -(k * k)[:, None] / D * inv1pt[None, :]
+    q = qm_poly(M, k[:, None] / math.sqrt(D), nodes.t[None, :])
+    gauss_expo = -(k * k)[:, None] / D * np.exp(-nodes.log1pt)[None, :]
     sign = np.prod(np.sign(q), axis=0)
     with np.errstate(divide="ignore"):
         log_prod = np.sum(gauss_expo + np.log(np.abs(q)), axis=0)
-    expo = log_weight - 0.5 * n * log1pt + log_prod
-    contrib = np.where(expo > -745.0, sign * np.exp(np.minimum(expo, 700.0)), 0.0)
-    total = math.fsum(contrib)
-    tail = contrib[-1]
-    if abs(tail) > _TAIL_TOL * abs(total):
-        raise QuadratureDivergence(
-            f"final-node contribution {tail:.3e} exceeds {_TAIL_TOL:.0e} of the "
-            f"accumulated value {total:.3e}; extend the node range"
-        )
-    return total * (math.pi * D) ** (-0.5 * n)
+    expo = nodes.log_weight - 0.5 * n * nodes.log1pt + log_prod
+    return _node_sum([_exp_nodes(expo, sign)]) * (math.pi * D) ** (-0.5 * n)

@@ -1,143 +1,14 @@
-"""Scalar special functions backing the closed-form potential kernels.
+"""Orthogonal-polynomial recurrence backing the higher-order potential kernels.
 
-erf, E1 and the lower incomplete gamma wrap scipy.special because the kernel
-routines call them on large sample arrays; the confluent hypergeometric series
-and the orthogonal-polynomial recurrences are implemented here since callers
-rely on specific algorithmic guarantees (positive-term series after the Kummer
-transformation, array-valued three-term recurrences).
-
-All functions accept scalars or ndarrays and preserve scalar-in, scalar-out.
+The kernels evaluate the generalized Laguerre polynomials on large sample
+arrays, so the recurrence is array-valued and keeps scalar-in, scalar-out.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import special as _sp
 
-from .errors import NonConvergence
-
-__all__ = [
-    "EvalAccuracy",
-    "DEFAULT_ACCURACY",
-    "erf",
-    "exp_integral_e1",
-    "lower_incomplete_gamma",
-    "kummer_1f1",
-    "hermite",
-    "gen_laguerre",
-]
-
-
-@dataclass(frozen=True)
-class EvalAccuracy:
-    """Termination control for series evaluations.
-
-    Parameters
-    ----------
-    rel_tol : float
-        Relative tolerance; a series stops once two consecutive terms fall
-        below ``rel_tol`` times the accumulated sum.
-    max_terms : int
-        Hard cap on the number of series terms.
-    """
-
-    rel_tol: float = 1e-15
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_ACCURACY = EvalAccuracy()
-
-
-def _restore(out: np.ndarray, scalar: bool):
-    return float(out[()]) if scalar else out
-
-
-def erf(x):
-    """Error function, odd in x with values in (-1, 1)."""
-    x = np.asarray(x, dtype=float)
-    return _restore(_sp.erf(x), x.ndim == 0)
-
-
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf e^{-t}/t dt for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("exp_integral_e1 requires x > 0")
-    return _restore(_sp.exp1(x), x.ndim == 0)
-
-
-def lower_incomplete_gamma(a: float, x):
-    """Lower incomplete gamma gamma(a, x) = int_0^x t^{a-1} e^{-t} dt.
-
-    Requires a > 0 and x >= 0.  Computed as the regularized function P(a, x)
-    times Gamma(a), which keeps full relative accuracy for small x.
-    """
-    if not a > 0.0:
-        raise ValueError("lower_incomplete_gamma requires a > 0")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("lower_incomplete_gamma requires x >= 0")
-    return _restore(_sp.gammainc(a, x) * _sp.gamma(a), x.ndim == 0)
-
-
-def _kummer_series(a: float, c: float, z: float, acc: EvalAccuracy) -> float:
-    """Ascending series sum_k (a)_k z^k / ((c)_k k!)."""
-    term = 1.0
-    total = 1.0
-    small = 0
-    for k in range(acc.max_terms):
-        term *= (a + k) * z / ((c + k) * (k + 1))
-        total += term
-        if abs(term) <= acc.rel_tol * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise NonConvergence(
-        f"1F1({a}, {c}, {z}) series did not converge within {acc.max_terms} terms"
-    )
-
-
-def kummer_1f1(a: float, c: float, z: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
-    """Confluent hypergeometric function 1F1(a, c, z).
-
-    Negative arguments are routed through the Kummer transformation
-    1F1(a, c, z) = e^z 1F1(c - a, c, -z), so the series argument is never
-    negative; for the in-scope kernel calls (c - a = 2) all terms are then
-    positive and no cancellation occurs.
-    """
-    if c <= 0.0 and c == math.floor(c):
-        raise ValueError("kummer_1f1 requires c not a nonpositive integer")
-    if z == 0.0:
-        return 1.0
-    if z < 0.0:
-        return math.exp(z) * _kummer_series(c - a, c, -z, acc)
-    return _kummer_series(a, c, z, acc)
-
-
-def hermite(k: int, x):
-    """Physicists' Hermite polynomial H_k(x) via H_{j+1} = 2x H_j - 2j H_{j-1}."""
-    if k < 0:
-        raise ValueError("hermite requires k >= 0")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return _restore(h_prev, scalar)
-    h = 2.0 * x
-    for j in range(1, k):
-        h, h_prev = 2.0 * x * h - 2.0 * j * h_prev, h
-    return _restore(h, scalar)
+__all__ = ["gen_laguerre"]
 
 
 def gen_laguerre(k: int, gamma: float, y):
@@ -154,8 +25,8 @@ def gen_laguerre(k: int, gamma: float, y):
     scalar = y.ndim == 0
     l_prev = np.ones_like(y)
     if k == 0:
-        return _restore(l_prev, scalar)
+        return float(l_prev[()]) if scalar else l_prev
     l = 1.0 + gamma - y
     for j in range(1, k):
         l, l_prev = ((2.0 * j + 1.0 + gamma - y) * l - (j + gamma) * l_prev) / (j + 1.0), l
-    return _restore(l, scalar)
+    return float(l[()]) if scalar else l

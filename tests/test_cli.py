@@ -102,6 +102,17 @@ def test_plot_data_single_series_has_no_blank_line(tmp_path, capsys):
     assert "\n\n" not in plot.read_text().strip("\n")
 
 
+def test_short_quadrature_rule_is_a_config_error(capsys):
+    # 150 of the 300 default nodes end while the node sums are still large;
+    # the values would be ~100% wrong, so no CSV may be printed
+    rc, out, err = _run(capsys, ["--table", "custom", "--dims", "5", "3",
+                                 "--orders", "4", "--steps", "20",
+                                 "--quad-nodes", "150"])
+    assert rc == 2
+    assert out == ""
+    assert "final-node contribution" in err
+
+
 def test_unsupported_dimension_is_a_config_error(capsys):
     rc, _, err = _run(capsys, ["--table", "custom", "--dims", "4",
                                "--orders", "1", "--steps", "10"])
@@ -110,10 +121,11 @@ def test_unsupported_dimension_is_a_config_error(capsys):
 
 
 def test_argparse_rejects_unknown_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--table", "4", "--bogus"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for extra in (["--bogus"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--table", "4", *extra])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 def test_mode_flag_is_required(capsys):
@@ -175,10 +187,11 @@ def test_flag_overrides_config(tmp_path, capsys):
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    rc, _, err = _run(capsys, ["--table", "4", "--config", str(cfg)])
-    assert rc == 2
-    assert "bogus" in err
+    for key in ("bogus", "threads"):
+        cfg.write_text(json.dumps({key: 1}))
+        rc, _, err = _run(capsys, ["--table", "4", "--config", str(cfg)])
+        assert rc == 2
+        assert key in err
 
 
 def test_config_rejects_malformed_json(tmp_path, capsys):

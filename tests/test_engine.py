@@ -18,10 +18,10 @@ import pytest
 from biharm.engine import (AxisPoint, IsotropicGaussianPolyDensity,
                            SeparatedDensity, build_test_density, conv1d,
                            evaluate, evaluate_symmetric, saturation_epsilon0)
-from biharm.errors import (RankBudgetExceeded, SupportTruncated,
-                           UnsupportedDimension)
+from biharm.errors import (QuadratureDivergence, RankBudgetExceeded,
+                           SupportTruncated, UnsupportedDimension)
 from biharm.kernels import GridSpec, direct_cubature
-from biharm.quad import qm_poly
+from biharm.quad import DEQuadrature, qm_poly
 
 
 def _padded_random_vectors(rng, count, m_half):
@@ -51,16 +51,16 @@ def _dense_mapping(dens):
 
 
 def test_conv1d_zero_samples(rule):
-    node = rule.nodes()[80]
-    assert conv1d(np.zeros(9), node, 5.0, 2, 0) == 0.0
+    t = rule.arrays().t[80]
+    assert conv1d(np.zeros(9), t, 5.0, 2, 0) == 0.0
 
 
 def test_conv1d_unit_sample(rule):
-    node = rule.nodes()[120]
+    t = rule.arrays().t[120]
     samples = np.zeros(21)
     samples[10 + 3] = 1.0
-    want = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + node.t))
-    assert conv1d(samples, node, 5.0, 1, 3) == pytest.approx(want, rel=1e-15)
+    want = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + t))
+    assert conv1d(samples, t, 5.0, 1, 3) == pytest.approx(want, rel=1e-15)
 
 
 def test_conv1d_matches_brute_force(rule):
@@ -68,34 +68,34 @@ def test_conv1d_matches_brute_force(rule):
     m = np.arange(-65, 66)
     samples = np.exp(-(h * m) ** 2)
     for s in (40, 120, 260):
-        node = rule.nodes()[s]
+        t = float(rule.arrays().t[s])
         for M in (1, 3):
-            got = conv1d(samples, node, D, M, k)
+            got = conv1d(samples, t, D, M, k)
             brute = math.fsum(
-                float(samples[i]) * math.exp(-(k - mi) ** 2 / (D * (1.0 + node.t)))
-                * float(qm_poly(M, (k - mi) / math.sqrt(D), node.t))
-                for i, mi in enumerate(m)) / math.sqrt(math.pi * D * (1.0 + node.t))
+                float(samples[i]) * math.exp(-(k - mi) ** 2 / (D * (1.0 + t)))
+                * float(qm_poly(M, (k - mi) / math.sqrt(D), t))
+                for i, mi in enumerate(m)) / math.sqrt(math.pi * D * (1.0 + t))
             assert got == pytest.approx(brute, rel=1e-14), (s, M)
 
 
 def test_conv1d_index_origin(rule):
-    node = rule.nodes()[100]
+    t = rule.arrays().t[100]
     # zero ends keep the window legitimate for the truncation guard
     samples = np.zeros(13)
     samples[3:10] = np.exp(-np.linspace(-1.5, 1.5, 7) ** 2)
-    centered = conv1d(samples, node, 5.0, 2, 1)
-    explicit = conv1d(samples, node, 5.0, 2, 1, m_lo=-6)
+    centered = conv1d(samples, t, 5.0, 2, 1)
+    explicit = conv1d(samples, t, 5.0, 2, 1, m_lo=-6)
     assert centered == explicit
     with pytest.raises(ValueError):
-        conv1d(samples[:-1], node, 5.0, 2, 1)
+        conv1d(samples[:-1], t, 5.0, 2, 1)
 
 
 def test_conv1d_flags_truncated_support(rule):
     # the window ends right at the kernel center, so the boundary term is
     # the largest one
-    node = rule.nodes()[100]
+    t = rule.arrays().t[100]
     with pytest.raises(SupportTruncated):
-        conv1d(np.ones(11), node, 5.0, 1, 5)
+        conv1d(np.ones(11), t, 5.0, 1, 5)
 
 
 # --- tensor assembly ---
@@ -253,6 +253,20 @@ def test_symmetric_extreme_dimension():
     value = evaluate_symmetric(dens, AxisPoint(0), GridSpec(0.025), 4).value
     rel = abs(value - 1.0)
     assert 1.29e-7 < rel < 5.2e-7
+
+
+def test_short_rule_is_refused():
+    # half the default node range stops while the integrand is still large:
+    # the values would be ~100% wrong, so neither path may return them
+    short = DEQuadrature(s_end=150)
+    grid = GridSpec(1.0 / 20)
+    for n, point in ((3, (20, 20, 20)), (5, (20, 0, 0, 0, 0))):
+        dens = build_test_density(n, grid)
+        with pytest.raises(QuadratureDivergence):
+            evaluate(dens, [point], n, grid, 4, short)
+    dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(5), 5)
+    with pytest.raises(QuadratureDivergence):
+        evaluate_symmetric(dens, AxisPoint(20), grid, 4, short)
 
 
 def test_symmetric_sample_metadata():

@@ -7,15 +7,20 @@ transcription is validated in-test against the defining property that the
 radial bilaplacian of the profile returns the unit Gaussian.
 """
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import biharm
 from biharm.errors import DimensionTooLarge
-from biharm.kernels import (GridSpec, RadialProfile, direct_cubature, phi2,
-                            phi2M, radial_eta2M)
+from biharm.kernels import (GridSpec, RadialProfile, _shell_counts, direct_cubature,
+                            phi2, phi2M, radial_eta2M)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -196,6 +201,29 @@ def test_direct_cubature_radial_density_symmetries():
     base = direct_cubature(mapping, grid, 2, (1.0, 0.5, 0.0), 3).value
     for x in ((0.5, 1.0, 0.0), (0.0, 0.5, 1.0), (1.0, -0.5, 0.0), (-1.0, 0.5, 0.0)):
         assert direct_cubature(mapping, grid, 2, x, 3).value == base
+
+
+def test_shell_counts_match_enumeration():
+    for dim, vmax in ((1, 30), (2, 50), (3, 40), (4, 30), (5, 20)):
+        reach = math.isqrt(vmax)
+        want = [0] * (vmax + 1)
+        for m in itertools.product(range(-reach, reach + 1), repeat=dim):
+            v = sum(c * c for c in m)
+            if v <= vmax:
+                want[v] += 1
+        got = _shell_counts(dim, vmax)
+        assert got.dtype == np.int64
+        assert got.tolist() == want, (dim, vmax)
+
+
+def test_import_leaves_out_scipy_signal():
+    # a fresh interpreter that finds the same biharm as this one
+    src = os.path.dirname(os.path.dirname(biharm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, biharm; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 def test_direct_cubature_scaling():

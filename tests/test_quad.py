@@ -12,8 +12,8 @@ import pytest
 
 from biharm.errors import QuadratureDivergence
 from biharm.kernels import phi2
-from biharm.quad import (DEQuadrature, de_transform, integral_phi2, qm_poly,
-                         rm_poly, tensor_weight)
+from biharm.quad import (DEQuadrature, integral_phi2, qm_poly, rm_poly,
+                         tensor_weight)
 
 
 def _q_ref(M, x, t):
@@ -45,20 +45,41 @@ def _r_ref(M, x, t):
     return r
 
 
-def test_de_transform_at_origin():
-    t, tprime = de_transform(0.0, 6.0, 5.0)
+def _transform(u, a, b):
+    """Phi(u) and Phi'(u) straight from their defining formulas."""
+    inner = b * (u - math.exp(-u))
+    t = math.exp(a * b * (u - math.exp(-u)) + a * math.exp(inner))
+    return t, t * a * b * (1.0 + math.exp(-u)) * (1.0 + math.exp(inner))
+
+
+def _u_grid_rule():
+    # a = 6, b = 5 with u = -40, -39.5, ..., 2
+    return DEQuadrature(a=6.0, b=5.0, tau=0.5, s_begin=-80, s_end=5)
+
+
+def test_de_transform_at_origin(rule):
+    nodes = rule.arrays()
+    assert nodes.u[0] == 0.0
+    t = nodes.t[0]
     assert t == pytest.approx(math.exp(-30.0 + 6.0 * math.exp(-5.0)), rel=1e-15)
     assert 9.7e-14 < t < 9.8e-14
-    assert tprime / t == pytest.approx(60.0 * (1.0 + math.exp(-5.0)), rel=1e-14)
+    # the weight is tau * Phi * Phi'
+    ratio = nodes.weight[0] / (rule.tau * t * t)
+    assert ratio == pytest.approx(60.0 * (1.0 + math.exp(-5.0)), rel=1e-14)
 
 
 def test_de_transform_decay_and_overflow():
-    assert de_transform(-40.0, 6.0, 5.0)[0] == 0.0
-    ts = [de_transform(u, 6.0, 5.0)[0] for u in (-3.0, -1.0, 0.0, 0.5)]
+    nodes = _u_grid_rule().arrays()
+    at = {float(u): s for s, u in enumerate(nodes.u)}
+    assert nodes.t[at[-40.0]] == 0.0
+    ts = [nodes.t[at[u]] for u in (-3.0, -1.0, 0.0, 0.5)]
     assert ts == sorted(ts)
-    # beyond the binary64 range both returns are the documented +inf markers
-    t, tprime = de_transform(2.0, 6.0, 5.0)
-    assert math.isinf(t) and math.isinf(tprime)
+    # beyond the binary64 range t and the weight are +inf while their logs,
+    # and log(1 + t), stay finite
+    s = at[2.0]
+    assert math.isinf(nodes.t[s]) and math.isinf(nodes.weight[s])
+    assert np.all(np.isfinite(nodes.log_t)) and np.all(np.isfinite(nodes.log_weight))
+    assert nodes.log1pt[s] == nodes.log_t[s]
 
 
 def test_rule_validation():
@@ -71,16 +92,15 @@ def test_rule_validation():
 
 
 def test_rule_node_table(rule):
-    nodes = rule.nodes()
-    assert len(nodes) == 300
-    assert nodes[0].u == 0.0
+    nodes = rule.arrays()
+    assert all(len(col) == 300 for col in nodes)
+    assert nodes.u[0] == 0.0
     for s in (0, 57, 200, 299):
-        node = nodes[s]
-        t, tprime = de_transform(node.u, rule.a, rule.b)
-        assert node.t == pytest.approx(t, rel=1e-14)
+        t, tprime = _transform(nodes.u[s], rule.a, rule.b)
+        assert nodes.t[s] == pytest.approx(t, rel=1e-14)
         if math.isfinite(t * tprime):
-            assert node.weight == pytest.approx(rule.tau * t * tprime, rel=1e-13)
-        assert node.damp == pytest.approx(1.0 / math.sqrt(1.0 + t), rel=1e-14)
+            assert nodes.weight[s] == pytest.approx(rule.tau * t * tprime, rel=1e-13)
+        assert nodes.log1pt[s] == pytest.approx(math.log1p(t), rel=1e-14)
 
 
 def test_qm_poly_low_order_values():

@@ -1,145 +1,10 @@
-"""Special-function wrappers against 40-digit mpmath oracles."""
-
-import math
+"""Generalized Laguerre recurrence against 40-digit mpmath oracles."""
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from biharm.errors import NonConvergence
-from biharm.specfun import (EvalAccuracy, erf, exp_integral_e1, gen_laguerre,
-                            hermite, kummer_1f1, lower_incomplete_gamma)
-
-EULER_GAMMA = 0.5772156649015329
-
-
-def test_erf_anchor():
-    assert erf(1.0) == pytest.approx(0.8427007929497149, rel=1e-15)
-
-
-def test_erf_matches_mpmath():
-    xs = np.linspace(-6.0, 6.0, 49)
-    got = erf(xs)
-    for x, g in zip(xs, got):
-        assert g == pytest.approx(float(mp.erf(x)), rel=1e-14, abs=1e-300)
-
-
-def test_erf_odd_and_saturating():
-    assert erf(0.0) == 0.0
-    assert erf(-2.3) == -erf(2.3)
-    assert erf(6.0) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_exp_integral_e1_anchor():
-    assert exp_integral_e1(1.0) == pytest.approx(0.21938393439552029, rel=1e-14)
-
-
-def test_exp_integral_e1_bracketing():
-    # classic two-sided bound e^-x/(x+1) < E1(x) < e^-x/x
-    x = 5.0
-    v = exp_integral_e1(x)
-    assert math.exp(-x) / (x + 1.0) < v < math.exp(-x) / x
-
-
-def test_exp_integral_e1_log_singularity():
-    x = 1e-8
-    assert exp_integral_e1(x) == pytest.approx(-EULER_GAMMA - math.log(x), abs=1e-7)
-
-
-def test_exp_integral_e1_matches_mpmath():
-    for x in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0):
-        assert exp_integral_e1(x) == pytest.approx(float(mp.e1(x)), rel=1e-14)
-
-
-def test_lower_incomplete_gamma_half_order():
-    # gamma(1/2, x^2) = sqrt(pi) * erf(x)
-    x = 0.7
-    got = lower_incomplete_gamma(0.5, x * x)
-    assert got == pytest.approx(math.sqrt(math.pi) * erf(x), rel=1e-14)
-
-
-def test_lower_incomplete_gamma_integer_order():
-    # gamma(3, 2) = 2! * (1 - e^-2 (1 + 2 + 2^2/2))
-    want = 2.0 * (1.0 - math.exp(-2.0) * (1.0 + 2.0 + 2.0))
-    assert lower_incomplete_gamma(3.0, 2.0) == pytest.approx(want, rel=1e-14)
-
-
-def test_lower_incomplete_gamma_endpoints():
-    assert lower_incomplete_gamma(1.7, 0.0) == 0.0
-    # far in the tail the normalized function saturates at Gamma(a)
-    assert lower_incomplete_gamma(0.5, 36.0) / math.sqrt(math.pi) == pytest.approx(
-        1.0, rel=1e-15)
-
-
-def test_lower_incomplete_gamma_matches_mpmath():
-    for a in (0.5, 1.0, 1.5, 2.5, 4.0):
-        for x in (0.01, 0.3, 1.0, 4.0, 9.0):
-            want = float(mp.gammainc(a, 0, x))
-            assert lower_incomplete_gamma(a, x) == pytest.approx(want, rel=1e-13)
-
-
-def test_kummer_matches_mpmath_on_random_arguments():
-    rng = np.random.default_rng(1844)
-    for _ in range(60):
-        a = rng.uniform(-2.0, 2.0)
-        c = rng.uniform(1.0, 6.0)
-        z = rng.uniform(-10.0, 10.0)
-        want = float(mp.hyp1f1(a, c, z))
-        assert kummer_1f1(a, c, z) == pytest.approx(want, rel=1e-12)
-
-
-def test_kummer_transform_identity():
-    # 1F1(a, c, z) = e^z 1F1(c - a, c, -z)
-    rng = np.random.default_rng(92)
-    for _ in range(30):
-        a = rng.uniform(-2.0, 2.0)
-        c = rng.uniform(1.0, 6.0)
-        z = rng.uniform(-10.0, 10.0)
-        lhs = kummer_1f1(a, c, z)
-        rhs = math.exp(z) * kummer_1f1(c - a, c, -z)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
-
-
-def test_kummer_erf_identity():
-    # 1F1(1/2, 3/2, -x^2) = sqrt(pi) erf(x) / (2x)
-    want = math.sqrt(math.pi) * erf(1.0) / 2.0
-    assert kummer_1f1(0.5, 1.5, -1.0) == pytest.approx(want, rel=1e-14)
-
-
-def test_kummer_trivial_cases():
-    assert kummer_1f1(0.0, 2.0, 3.7) == 1.0
-    assert kummer_1f1(1.3, 2.4, 0.0) == 1.0
-
-
-def test_kummer_reports_nonconvergence():
-    with pytest.raises(NonConvergence):
-        kummer_1f1(0.5, 1.5, 80.0, EvalAccuracy(max_terms=5))
-
-
-def test_hermite_explicit_low_orders():
-    xs = np.array([-1.7, -0.3, 0.0, 0.9, 2.2])
-    assert np.array_equal(hermite(0, xs), np.ones_like(xs))
-    assert hermite(1, xs) == pytest.approx(2 * xs, rel=1e-15)
-    assert hermite(2, xs) == pytest.approx(4 * xs**2 - 2, rel=1e-15)
-    assert hermite(3, xs) == pytest.approx(8 * xs**3 - 12 * xs, rel=1e-15)
-    assert hermite(4, xs) == pytest.approx(16 * xs**4 - 48 * xs**2 + 12, rel=1e-14)
-
-
-def test_hermite_matches_mpmath():
-    for k in range(9):
-        for x in (-2.1, -0.4, 0.6, 1.9):
-            assert hermite(k, x) == pytest.approx(float(mp.hermite(k, x)), rel=1e-13)
-
-
-def test_hermite_derivative_recurrence():
-    # H_k'(x) = 2k H_{k-1}(x), checked with central differences
-    step = 1e-5
-    for k in range(1, 9):
-        for x in (-1.3, 0.2, 0.8, 1.7):
-            fd = (hermite(k, x + step) - hermite(k, x - step)) / (2 * step)
-            want = 2.0 * k * hermite(k - 1, x)
-            scale = max(abs(want), 1.0)
-            assert abs(fd - want) / scale < 1e-7
+from biharm.specfun import gen_laguerre
 
 
 def test_gen_laguerre_anchors():
@@ -160,13 +25,3 @@ def test_gen_laguerre_binomial_sum():
                 (-1) ** i * mp.binomial(k + g, k - i) * mp.mpf(y) ** i / mp.factorial(i)
                 for i in range(k + 1)))
             assert gen_laguerre(k, g, y) == pytest.approx(want, rel=1e-12, abs=1e-14)
-
-
-def test_eval_accuracy_validation():
-    with pytest.raises(ValueError):
-        EvalAccuracy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        EvalAccuracy(max_terms=0)
-    acc = EvalAccuracy()
-    assert acc.rel_tol == 1e-15
-    assert acc.max_terms == 500
