@@ -9,8 +9,8 @@ double-exponential quadrature, which keeps dimensions up to 1e8 tractable.
 from .errors import (BiharmError, DimensionTooLarge, NonConvergence,
                      QuadratureDivergence, RankBudgetExceeded, SupportTruncated,
                      UnsupportedDimension)
-from .kernels import (BasisOrder, Dimension, GridSpec, PotentialSample,
-                      RadialProfile, direct_cubature, phi2, phi2M, radial_eta2M)
+from .kernels import (GridSpec, PotentialSample, RadialProfile, direct_cubature,
+                      phi2, phi2M)
 from .quad import (DEFAULT_RULE, DEQuadrature, integral_phi2, qm_poly, rm_poly,
                    tensor_weight)
 from .engine import (AxisPoint, IsotropicGaussianPolyDensity, SaturationReport,
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BiharmError", "DimensionTooLarge", "NonConvergence", "QuadratureDivergence",
     "RankBudgetExceeded", "SupportTruncated", "UnsupportedDimension",
-    "BasisOrder", "Dimension", "GridSpec", "PotentialSample", "RadialProfile",
-    "direct_cubature", "phi2", "phi2M", "radial_eta2M",
+    "GridSpec", "PotentialSample", "RadialProfile",
+    "direct_cubature", "phi2", "phi2M",
     "DEFAULT_RULE", "DEQuadrature", "integral_phi2", "qm_poly", "rm_poly",
     "tensor_weight",
     "AxisPoint", "IsotropicGaussianPolyDensity", "SaturationReport",

@@ -5,6 +5,7 @@ density, plus a self-verification mode cross-checking the numerical layers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -173,6 +174,40 @@ def emit_plot_data(rows: list, path) -> None:
         raise OSError(f"cannot write plot data to {path}: {exc}") from exc
 
 
+def _printed_node_polys(x, t):
+    """The hand-expanded node polynomials Q_M(x, t) and R_M(x, t), M = 1..4.
+
+    Returns the tuples (Q_1..Q_4) and (R_1..R_4) as printed in the paper,
+    written out term by term so that they share no code with the Hermite
+    recurrence of quad.qm_poly / quad.rm_poly.
+    """
+    import numpy as np
+
+    u = 1.0 + t
+    q1 = np.ones_like(x)
+    q2 = -x**2 / u**2 + 0.5 / u + 1.0
+    q3 = q2 + x**4 / (2 * u**4) - 1.5 * x**2 / u**3 + 3.0 / (8 * u**2)
+    q4 = (q3 - x**6 / (6 * u**6) + 1.25 * x**4 / u**5 - 15 * x**2 / (8 * u**4)
+          + 5.0 / (16 * u**3))
+    r1 = x**2 / u
+    r2 = (-x**4 / u**3 + x**2 / u + 2.5 * x**2 / u**2 - 0.5 / u)
+    r3 = (r2 + x**6 / (2 * u**5) - 3.5 * x**4 / u**4 + 39 * x**2 / (8 * u**3)
+          - 0.75 / u**2)
+    r4 = (r3 - x**8 / (6 * u**7) + 2.25 * x**6 / u**6 - 65 * x**4 / (8 * u**5)
+          + 125 * x**2 / (16 * u**4) - 15.0 / (16 * u**3))
+    return (q1, q2, q3, q4), (r1, r2, r3, r4)
+
+
+# benchmark anchors of --verify: (name, full level only, n, 1/h, x1, error
+# label, frozen error); each passes within a factor of 2 of its frozen error
+_ANCHORS = (
+    ("n=5 benchmark anchor (h=1/20)", False, 5, 20, 1.0, "abs_err", "7.0e-09"),
+    ("n=1e4 benchmark anchor (x1=0)", True, 10**4, 40, 0.0, "rel_err", "2.58e-07"),
+    ("n=5e4 benchmark anchor (h=1/40)", True, 5 * 10**4, 40, 1.0, "abs_err", "4.7e-07"),
+    ("n=1e7 benchmark anchor (h=1/40)", True, 10**7, 40, 1.0, "abs_err", "9.5e-05"),
+)
+
+
 def _verify_checks(level: str):
     """Yield (name, ok, detail) for each cross-module invariant."""
     import numpy as np
@@ -224,19 +259,8 @@ def _verify_checks(level: str):
 
     xs = rng.uniform(-3.0, 3.0, size=100)
     ts = rng.uniform(0.0, 10.0, size=100)
-    u = 1.0 + ts
-    q1 = np.ones_like(xs)
-    q2 = -xs**2 / u**2 + 0.5 / u + 1.0
-    q3 = q2 + xs**4 / (2 * u**4) - 1.5 * xs**2 / u**3 + 3.0 / (8 * u**2)
-    q4 = (q3 - xs**6 / (6 * u**6) + 1.25 * xs**4 / u**5 - 15 * xs**2 / (8 * u**4)
-          + 5.0 / (16 * u**3))
-    r1 = xs**2 / u
-    r2 = (-xs**4 / u**3 + xs**2 / u + 2.5 * xs**2 / u**2 - 0.5 / u)
-    r3 = (r2 + xs**6 / (2 * u**5) - 3.5 * xs**4 / u**4 + 39 * xs**2 / (8 * u**3)
-          - 0.75 / u**2)
-    r4 = (r3 - xs**8 / (6 * u**7) + 2.25 * xs**6 / u**6 - 65 * xs**4 / (8 * u**5)
-          + 125 * xs**2 / (16 * u**4) - 15.0 / (16 * u**3))
-    for m, q_ref, r_ref in ((1, q1, r1), (2, q2, r2), (3, q3, r3), (4, q4, r4)):
+    q_refs, r_refs = _printed_node_polys(xs, ts)
+    for m, q_ref, r_ref in zip((1, 2, 3, 4), q_refs, r_refs):
         dev_q = rel_dev(quad.qm_poly(m, xs, ts), q_ref)
         dev_r = rel_dev(quad.rm_poly(m, xs, ts), r_ref)
         yield (f"Hermite-sum vs printed polynomial, order {m}",
@@ -295,16 +319,12 @@ def _verify_checks(level: str):
     vec[1:-1] = inner
     dens = engine.SeparatedDensity(weights=(1.0,), factors=((vec,) * 5,),
                                    m_lo=-(m_half + 1))
-    offsets = np.arange(-m_half, m_half + 1)
-    mapping = {}
-    for idx in np.ndindex(*(2 * m_half + 1,) * 5):
-        key = tuple(int(offsets[i]) for i in idx)
-        mapping[key] = float(np.prod([inner[i] for i in idx]))
+    box = functools.reduce(np.multiply.outer, (inner,) * 5)
     points = [tuple(int(c) for c in rng.integers(-3, 4, size=5)) for _ in range(3)]
     dev = 0.0
     tensor = engine.evaluate(dens, points, 5, grid, 1, rule)
     for sample, point in zip(tensor, points):
-        direct = kernels.direct_cubature(mapping, grid, 1,
+        direct = kernels.direct_cubature(box, grid, 1,
                                          np.asarray(point, dtype=float) * h, 5)
         dev = max(dev, abs(sample.value / direct.value - 1.0))
     yield "tensor path vs direct summation", dev <= 1e-10, f"max_rel={dev:.2e} tol=1e-10"
@@ -321,23 +341,12 @@ def _verify_checks(level: str):
     yield "symmetric path vs tensor path", dev <= 1e-12, f"max_rel={dev:.2e} tol=1e-12"
 
     cache: dict = {}
-    err = abs(_potential(5, 4, 20, 1.0, 5.0, rule, cache) - math.exp(-1.0))
-    ok = 0.35e-8 <= err <= 1.4e-8
-    yield "n=5 benchmark anchor (h=1/20)", ok, f"abs_err={err:.2e} expected~7.0e-09"
-
-    if level == "full":
-        val = _potential(10**4, 4, 40, 0.0, 5.0, rule, cache)
-        rel = abs(val - 1.0)
-        ok = 0.129e-6 <= rel <= 0.516e-6
-        yield "n=1e4 benchmark anchor (x1=0)", ok, f"rel_err={rel:.2e} expected~2.58e-07"
-
-        err = abs(_potential(5 * 10**4, 4, 40, 1.0, 5.0, rule, cache) - math.exp(-1.0))
-        ok = 0.235e-6 <= err <= 0.94e-6
-        yield "n=5e4 benchmark anchor (h=1/40)", ok, f"abs_err={err:.2e} expected~4.7e-07"
-
-        err = abs(_potential(10**7, 4, 40, 1.0, 5.0, rule, cache) - math.exp(-1.0))
-        ok = 0.475e-4 <= err <= 1.9e-4
-        yield "n=1e7 benchmark anchor (h=1/40)", ok, f"abs_err={err:.2e} expected~9.5e-05"
+    for name, full_only, n, h_inv, x1, label, expected in _ANCHORS:
+        if full_only and level != "full":
+            continue
+        err = abs(_potential(n, 4, h_inv, x1, 5.0, rule, cache) - math.exp(-x1 * x1))
+        ref = float(expected)
+        yield name, ref / 2 <= err <= 2 * ref, f"{label}={err:.2e} expected~{expected}"
 
 
 def run_verify(level: str = "quick"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,7 +42,8 @@ _SUPPORT_TOL = 1e-13
 # above this dimension, per-node products switch to sign-tracked log form
 _LOG_PRODUCT_DIM = 1000
 
-DEFAULT_RANK_DIM_CAP = 64
+# build_test_density expands at most this many dimensions (rank ~ n^2 / 2)
+RANK_DIM_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def _gaussian_factor_vectors(grid: GridSpec):
     return -m_hi, g0, g2, g4
 
 
-def build_test_density(n, grid: GridSpec, *, max_dim: int = DEFAULT_RANK_DIM_CAP) -> SeparatedDensity:
+def build_test_density(n, grid: GridSpec) -> SeparatedDensity:
     """Rank-expanded density 4 e^{-|x|^2} (n(n+2) - 4(n+2)|x|^2 + 4|x|^4).
 
     Expansion over the 1-D factors {e^{-x^2}, x^2 e^{-x^2}, x^4 e^{-x^2}} with
@@ -253,10 +254,10 @@ def build_test_density(n, grid: GridSpec, *, max_dim: int = DEFAULT_RANK_DIM_CAP
     1 + n + n + n(n-1)/2.  Large n must use evaluate_symmetric instead.
     """
     n = dim_value(n)
-    if n > max_dim:
+    if n > RANK_DIM_CAP:
         raise RankBudgetExceeded(
             f"rank {1 + 2 * n + n * (n - 1) // 2} expansion at n = {n} exceeds the "
-            f"cap n <= {max_dim}; use evaluate_symmetric"
+            f"cap n <= {RANK_DIM_CAP}; use evaluate_symmetric"
         )
     m_lo, g0, g2, g4 = _gaussian_factor_vectors(grid)
     weights = [4.0 * n * (n + 2)]
@@ -272,6 +273,20 @@ def build_test_density(n, grid: GridSpec, *, max_dim: int = DEFAULT_RANK_DIM_CAP
             weights.append(32.0)
             factors.append(tuple(g2 if l in (i, j) else g0 for l in range(n)))
     return SeparatedDensity(weights=tuple(weights), factors=tuple(factors), m_lo=m_lo)
+
+
+@lru_cache(maxsize=256)
+def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
+    """Sigma tables of the factor vectors e^{-x^2}, x^2 e^{-x^2}, x^4 e^{-x^2}
+    at offset k.  They do not depend on the dimension, so a sweep over n
+    computes them once; the cached arrays are read-only."""
+    nodes = rule.arrays()
+    m_lo, *vecs = _gaussian_factor_vectors(grid)
+    tables = tuple(_sigma_tables(vec, m_lo, k, grid.delta, M, nodes.t, nodes.log1pt,
+                                 qm_poly) for vec in vecs)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def evaluate_symmetric(density: IsotropicGaussianPolyDensity, point: AxisPoint,
@@ -290,17 +305,9 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, point: AxisPoint,
     M = order_value(M)
     nodes = rule.arrays()
     D = grid.delta
-    m_lo, g0, g2, g4 = _gaussian_factor_vectors(grid)
     k1 = point.k1
-
-    def sig(vec, k):
-        return _sigma_tables(vec, m_lo, k, D, M, nodes.t, nodes.log1pt, qm_poly)
-
-    a1, b1, c1v = sig(g0, k1), sig(g2, k1), sig(g4, k1)
-    if k1 == 0:
-        a0, b0, c0v = a1, b1, c1v
-    else:
-        a0, b0, c0v = sig(g0, 0), sig(g2, 0), sig(g4, 0)
+    a1, b1, c1v = _axis_sigma_tables(grid, M, k1, rule)
+    a0, b0, c0v = _axis_sigma_tables(grid, M, 0, rule)
 
     live = a0 != 0.0
     beta = np.zeros_like(a0)
@@ -337,7 +344,7 @@ def saturation_epsilon0(M, D: float, n, cutoff: int = 6) -> SaturationReport:
     M = order_value(M)
     if not D > 0.0:
         raise ValueError("shape parameter D must be positive")
-    n = n.n if hasattr(n, "n") else int(n)
+    n = int(n)
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if cutoff < 1:

@@ -10,7 +10,6 @@ evaluates them on multi-million-point lattices.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,14 +20,11 @@ from .errors import DimensionTooLarge, NonConvergence
 from . import specfun
 
 __all__ = [
-    "Dimension",
-    "BasisOrder",
     "GridSpec",
     "PotentialSample",
     "RadialProfile",
     "phi2",
     "phi2M",
-    "radial_eta2M",
     "direct_cubature",
 ]
 
@@ -37,30 +33,10 @@ _EULER_GAMMA = float(np.euler_gamma)
 # Below this radius the removable-singularity formulas switch to series forms.
 _SERIES_RADIUS = 0.35
 
-DEFAULT_MAX_DIRECT_DIM = 6
-DEFAULT_OP_BUDGET = 200_000_000
-
-
-@dataclass(frozen=True)
-class Dimension:
-    """Space dimension n >= 3."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("dimension must be at least 3")
-
-
-@dataclass(frozen=True)
-class BasisOrder:
-    """Approximation order 2M of the generating function, M >= 1."""
-
-    M: int
-
-    def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ValueError("basis order M must be at least 1")
+# caps of the direct lattice sum: the space dimension, and the number of
+# kernel evaluations (samples, or shells times axis indices on the radial route)
+MAX_DIRECT_DIM = 6
+OP_BUDGET = 200_000_000
 
 
 @dataclass(frozen=True)
@@ -107,14 +83,14 @@ class RadialProfile:
 
 
 def dim_value(n) -> int:
-    n = n.n if isinstance(n, Dimension) else int(n)
+    n = int(n)
     if n < 3:
         raise ValueError("dimension must be at least 3")
     return n
 
 
 def order_value(M) -> int:
-    M = M.M if isinstance(M, BasisOrder) else int(M)
+    M = int(M)
     if M < 1:
         raise ValueError("basis order M must be at least 1")
     return M
@@ -272,18 +248,6 @@ def phi2M(n, M, r):
     return float(out[0]) if scalar else out
 
 
-def radial_eta2M(n, M, r):
-    """Radial generating function eta_{2M}(x) = pi^{-n/2} L_{M-1}^{(n/2)}(r^2) e^{-r^2}."""
-    n = dim_value(n)
-    M = order_value(M)
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r).astype(float)
-    x = r * r
-    out = math.pi ** (-0.5 * n) * specfun.gen_laguerre(M - 1, 0.5 * n, x) * np.exp(-x)
-    return float(out[0]) if scalar else out
-
-
 def _shell_counts(dim: int, vmax: int) -> np.ndarray:
     """Number of lattice points of Z^dim with squared norm v, for v = 0..vmax.
 
@@ -302,36 +266,42 @@ def _shell_counts(dim: int, vmax: int) -> np.ndarray:
     return counts
 
 
-def _direct_sparse(samples: Mapping, grid: GridSpec, n: int, M: int,
-                   x: np.ndarray, op_budget: int) -> float:
-    if len(samples) > op_budget:
+def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
+                  x: np.ndarray) -> float:
+    if samples.ndim != n:
+        raise ValueError(f"samples must be an {n}-dimensional array, got {samples.ndim}")
+    if any(length % 2 == 0 for length in samples.shape):
+        raise ValueError("sample axes must have odd length, index 0 at the centre")
+    if samples.size > OP_BUDGET:
         raise DimensionTooLarge(
-            f"{len(samples)} lattice samples exceed the operation budget {op_budget}"
+            f"{samples.size} lattice samples exceed the operation budget {OP_BUDGET}"
         )
-    if not samples:
-        return 0.0
-    idx = np.array(list(samples.keys()), dtype=float)
-    vals = np.fromiter(samples.values(), dtype=float, count=len(samples))
-    dist2 = np.sum((x[None, :] - grid.h * idx) ** 2, axis=1)
+    # squared distances |x - h m|^2 by per-axis broadcasting
+    dist2 = 0.0
+    for axis, length in enumerate(samples.shape):
+        m = np.arange(-(length // 2), length // 2 + 1, dtype=float)
+        shape = [1] * n
+        shape[axis] = length
+        dist2 = dist2 + ((x[axis] - grid.h * m) ** 2).reshape(shape)
     scaled = np.sqrt(dist2) / (grid.h * math.sqrt(grid.delta))
-    terms = vals * phi2M(n, M, scaled)
+    terms = samples * phi2M(n, M, scaled)
     # exactly rounded, so independent of the term order: bitwise invariant
     # under permutations and sign flips of the coordinates
-    return math.fsum(terms)
+    return math.fsum(terms.ravel())
 
 
 def _direct_radial(density: RadialProfile, grid: GridSpec, n: int, M: int,
-                   x: np.ndarray, op_budget: int) -> float:
+                   x: np.ndarray) -> float:
     nonzero = np.nonzero(x)[0]
     if len(nonzero) > 1:
         raise ValueError("the radial-profile route requires an axis-aligned point")
     x1 = float(x[nonzero[0]]) if len(nonzero) else 0.0
     radius_idx = int(math.floor(grid.radius / grid.h))
     vmax = radius_idx * radius_idx
-    if (2 * radius_idx + 1) * (vmax + 1) > op_budget:
+    if (2 * radius_idx + 1) * (vmax + 1) > OP_BUDGET:
         raise DimensionTooLarge(
             f"lattice sum of ~{(2 * radius_idx + 1) * (vmax + 1)} terms exceeds "
-            f"the operation budget {op_budget}"
+            f"the operation budget {OP_BUDGET}"
         )
     counts = _shell_counts(n - 1, vmax)
     h2 = grid.h * grid.h
@@ -347,30 +317,28 @@ def _direct_radial(density: RadialProfile, grid: GridSpec, n: int, M: int,
     return math.fsum(partials)
 
 
-def direct_cubature(f_samples, grid: GridSpec, M, x, n, *,
-                    max_dim: int = DEFAULT_MAX_DIRECT_DIM,
-                    op_budget: int = DEFAULT_OP_BUDGET) -> PotentialSample:
+def direct_cubature(f_samples, grid: GridSpec, M, x, n) -> PotentialSample:
     """Full lattice-sum cubature of the potential; the oracle for the tensor engine.
 
-    ``f_samples`` is either a mapping from integer index tuples to sample
-    values (sparse densities) or a :class:`RadialProfile` (dense radial
+    ``f_samples`` is either an n-dimensional array of samples on a centred
+    box (every axis of odd length, index 0 at its centre: entry i is f(h m)
+    with m = i - shape // 2) or a :class:`RadialProfile` (dense radial
     densities, summed shell-by-shell at axis-aligned points).  The value is
 
         (h sqrt(delta))^4 / (pi delta)^{n/2} * sum_m f(hm) Phi_2M((x - hm)/(h sqrt(delta)))
     """
     n = dim_value(n)
     M = order_value(M)
-    if n > max_dim:
-        raise DimensionTooLarge(f"direct cubature is capped at n <= {max_dim}, got n = {n}")
+    if n > MAX_DIRECT_DIM:
+        raise DimensionTooLarge(
+            f"direct cubature is capped at n <= {MAX_DIRECT_DIM}, got n = {n}")
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"evaluation point must have {n} coordinates")
     if isinstance(f_samples, RadialProfile):
-        total = _direct_radial(f_samples, grid, n, M, x, op_budget)
-    elif isinstance(f_samples, Mapping):
-        total = _direct_sparse(f_samples, grid, n, M, x, op_budget)
+        total = _direct_radial(f_samples, grid, n, M, x)
     else:
-        raise TypeError("f_samples must be a mapping of index tuples or a RadialProfile")
+        total = _direct_dense(np.asarray(f_samples, dtype=float), grid, n, M, x)
     prefactor = (grid.h * math.sqrt(grid.delta)) ** 4 / (math.pi * grid.delta) ** (0.5 * n)
     return PotentialSample(
         point=tuple(float(c) for c in x),

@@ -12,22 +12,11 @@ skipped because ratios of floor noise carry no information.
 """
 
 import csv
-import itertools
-import math
 import time
 
-import mpmath as mp
-import numpy as np
+import pytest
 
-from biharm.cli import RunConfig, run_table
-from biharm.engine import (AxisPoint, IsotropicGaussianPolyDensity,
-                           SeparatedDensity, build_test_density, evaluate,
-                           evaluate_symmetric, saturation_epsilon0)
-from biharm.kernels import GridSpec, direct_cubature, phi2, phi2M
-from biharm.quad import DEFAULT_RULE, integral_phi2, qm_poly, rm_poly
-
-from test_engine import _dense_mapping, _padded_random_vectors
-from test_quad import _q_ref, _r_ref
+from biharm.cli import RunConfig, _verify_checks, run_table
 
 FLOOR = 1e-12
 
@@ -173,88 +162,60 @@ def test_c04_three_dimensional_path():
             f"{elapsed:.1f}s")
 
 
-def test_c05_quadrature_against_closed_forms():
-    worst = 0.0
-    failures = []
-    for n in (5, 6, 10, 100):
-        for r in (0.0, 0.5, 1.0, 2.0, 4.0):
-            rel = abs(integral_phi2(n, r, DEFAULT_RULE) - phi2(n, r)) / abs(phi2(n, r))
-            worst = max(worst, rel)
-            if rel >= 1e-11:
-                failures.append((n, r, rel))
-    _report("quadrature vs closed forms", failures, f"worst rel {worst:.2e}")
+# the --verify registry lines each criterion asserts; the benchmark anchors
+# repeat single cells of the table gates c01-c03
+VERIFY_LINES = {
+    "c05": ("double-exponential transform anchor",
+            *(f"node-sum integral vs closed form, n={n}" for n in (3, 5, 6, 10, 100)),
+            "node-spacing self-consistency", "node-sum tail certification",
+            "lattice weight at zero offset, n=5", "lattice weight at zero offset, n=6"),
+    "c06": ("convolution of a lattice delta", "tensor path vs direct summation",
+            "symmetric path vs tensor path"),
+    "c07": tuple(f"Hermite-sum vs printed polynomial, order {m}" for m in (1, 2, 3, 4)),
+    "c08": ("phi2 closed-form anchors", "order-increment ladder identity"),
+    "c09": ("saturation error floor",),
+    "anchors": ("n=5 benchmark anchor (h=1/20)", "n=1e4 benchmark anchor (x1=0)",
+                "n=5e4 benchmark anchor (h=1/40)", "n=1e7 benchmark anchor (h=1/40)"),
+}
 
 
-def test_c06_independent_summation_routes_agree():
-    failures = []
-    rng = np.random.default_rng(1109)
-    grid = GridSpec(0.1)
-    vecs, m_lo = _padded_random_vectors(rng, 5, 5)
-    dens = SeparatedDensity((1.0,), (tuple(vecs),), m_lo)
-    mapping = _dense_mapping(dens)
-    points = [tuple(rng.integers(-3, 4, 5)) for _ in range(5)]
-    worst_direct = 0.0
-    for pt, sample in zip(points, evaluate(dens, points, 5, grid, 1)):
-        want = direct_cubature(mapping, grid, 1, tuple(0.1 * c for c in pt), 5).value
-        rel = abs(sample.value - want) / abs(want)
-        worst_direct = max(worst_direct, rel)
-        if rel > 1e-10:
-            failures.append(("direct", pt, rel))
-    worst_sym = 0.0
-    for n in (5, 6, 8):
-        rank = build_test_density(n, grid)
-        iso = IsotropicGaussianPolyDensity(4.0 * n * (n + 2), -16.0 * (n + 2),
-                                           16.0, n)
-        want = evaluate(rank, [(10,) + (0,) * (n - 1)], n, grid, 4)[0].value
-        got = evaluate_symmetric(iso, AxisPoint(10), grid, 4).value
-        rel = abs(got - want) / abs(want)
-        worst_sym = max(worst_sym, rel)
-        if rel > 1e-12:
-            failures.append(("symmetric", n, rel))
-    _report("independent summation routes",
-            failures,
-            f"tensor-vs-direct {worst_direct:.2e}, symmetric-vs-generic "
-            f"{worst_sym:.2e}")
+@pytest.fixture(scope="module")
+def registry():
+    """One run of the full --verify registry: name -> (ok, detail)."""
+    return {name: (ok, detail) for name, ok, detail in _verify_checks("full")}
 
 
-def test_c07_node_polynomial_fixtures():
-    rng = np.random.default_rng(20240815)
-    x = rng.uniform(-3.0, 3.0, 100)
-    t = rng.uniform(0.0, 10.0, 100)
-    worst = 0.0
-    failures = []
-    for M in (1, 2, 3, 4):
-        for got, want in ((qm_poly(M, x, t), _q_ref(M, x, t)),
-                          (rm_poly(M, x, t), _r_ref(M, x, t))):
-            rel = float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-14)))
-            worst = max(worst, rel)
-            if rel >= 1e-12:
-                failures.append((M, rel))
-    _report("node polynomial fixtures", failures, f"worst rel {worst:.2e}")
+def _report_lines(name, registry, key):
+    lines = VERIFY_LINES[key]
+    failures = [line for line in lines if not registry[line][0]]
+    _report(name, failures, "; ".join(f"{line}: {registry[line][1]}" for line in lines))
 
 
-def test_c08_kernel_ladder_identity():
-    worst = 0.0
-    failures = []
-    for n in (3, 5, 6, 10):
-        for M in (2, 3):
-            for r in (0.0, 0.5, 1.0, 2.0):
-                got = phi2M(n, M + 1, r) - phi2M(n, M, r)
-                want = float(
-                    mp.e ** (-mp.mpf(r) ** 2)
-                    * mp.laguerre(M - 2, mp.mpf(n) / 2 - 1, mp.mpf(r) ** 2)
-                    / (16 * (M - 1) * M))
-                dev = abs(got - want)
-                worst = max(worst, dev)
-                if dev >= 1e-13:
-                    failures.append((n, M, r, dev))
-    _report("kernel ladder identity", failures, f"worst abs dev {worst:.2e}")
+def test_c05_quadrature_against_closed_forms(registry):
+    _report_lines("quadrature vs closed forms", registry, "c05")
 
 
-def test_c09_saturation_error_negligible():
-    eps0 = saturation_epsilon0(1, 5.0, 5).epsilon0
-    failures = [] if eps0 < 1e-19 else [eps0]
-    _report("saturation error negligible", failures, f"epsilon0 {eps0:.2e}")
+def test_c06_independent_summation_routes_agree(registry):
+    _report_lines("independent summation routes", registry, "c06")
+
+
+def test_c07_node_polynomial_fixtures(registry):
+    _report_lines("node polynomial fixtures", registry, "c07")
+
+
+def test_c08_kernel_ladder_identity(registry):
+    _report_lines("kernel ladder identity", registry, "c08")
+
+
+def test_c09_saturation_error_negligible(registry):
+    _report_lines("saturation error negligible", registry, "c09")
+
+
+def test_verify_registry_is_asserted(registry):
+    # every --verify line belongs to exactly one criterion above
+    claimed = [line for lines in VERIFY_LINES.values() for line in lines]
+    assert sorted(claimed) == sorted(registry)
+    _report_lines("verify benchmark anchors", registry, "anchors")
 
 
 def test_c10_byte_identical_reruns():

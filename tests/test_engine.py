@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from biharm import engine
 from biharm.engine import (AxisPoint, IsotropicGaussianPolyDensity,
                            SeparatedDensity, build_test_density, conv1d,
                            evaluate, evaluate_symmetric, saturation_epsilon0)
@@ -34,17 +35,15 @@ def _padded_random_vectors(rng, count, m_half):
     return vecs, -(m_half + 1)
 
 
-def _dense_mapping(dens):
-    nd = dens.ndim
+def _dense_samples(dens):
+    """The separated density as one n-dimensional array on its centred box."""
     total = None
     for w, vecs in zip(dens.weights, dens.factors):
         term = np.asarray(w, dtype=float)
         for v in vecs:
             term = np.multiply.outer(term, v)
         total = term if total is None else total + term
-    lo = dens.m_lo
-    return {tuple(int(i) + lo for i in idx): float(total[idx])
-            for idx in np.ndindex(total.shape)}
+    return total
 
 
 # --- 1-D convolutions ---
@@ -138,12 +137,12 @@ def test_evaluate_matches_direct_cubature_five_dims():
         grid = GridSpec(h)
         vecs, m_lo = _padded_random_vectors(rng, 5, 5)
         dens = SeparatedDensity((1.0,), (tuple(vecs),), m_lo)
-        mapping = _dense_mapping(dens)
+        samples = _dense_samples(dens)
         points = [tuple(rng.integers(-3, 4, 5)) for _ in range(5)]
         got = evaluate(dens, points, 5, grid, 1)
         for pt, sample in zip(points, got):
             x = tuple(h * c for c in pt)
-            want = direct_cubature(mapping, grid, 1, x, 5).value
+            want = direct_cubature(samples, grid, 1, x, 5).value
             assert sample.value == pytest.approx(want, rel=1e-10), pt
 
 
@@ -151,10 +150,10 @@ def test_evaluate_matches_direct_cubature_three_dims():
     # same cross-oracle for the separate n = 3 assembly
     grid = GridSpec(0.5)
     dens = build_test_density(3, grid)
-    mapping = _dense_mapping(dens)
+    samples = _dense_samples(dens)
     for pt in ((1, 1, 1), (0, 0, 0), (2, -1, 0)):
         got = evaluate(dens, [pt], 3, grid, 1)[0].value
-        want = direct_cubature(mapping, grid, 1, tuple(0.5 * c for c in pt), 3).value
+        want = direct_cubature(samples, grid, 1, tuple(0.5 * c for c in pt), 3).value
         assert got == pytest.approx(want, rel=1e-10), pt
 
 
@@ -243,16 +242,26 @@ def test_symmetric_matches_generic_path():
                 assert got == pytest.approx(want, rel=1e-12), (n, M, k1)
 
 
-def test_symmetric_extreme_dimension():
-    # frozen: relative error 2.58e-7 at the origin for n = 10^4, h = 0.025;
-    # the value itself stays finite only because the per-node products are
-    # carried in log form
-    n = 10 ** 4
-    c0, c1, c2 = _test_density_coeffs(n)
-    dens = IsotropicGaussianPolyDensity(c0, c1, c2, n)
-    value = evaluate_symmetric(dens, AxisPoint(0), GridSpec(0.025), 4).value
-    rel = abs(value - 1.0)
-    assert 1.29e-7 < rel < 5.2e-7
+def test_symmetric_tables_shared_across_dimensions():
+    # the axis sigma tables do not depend on n: a sweep over n reuses them,
+    # and values from reused tables equal values from fresh ones bit for bit
+    grid = GridSpec(0.05)
+    dims = (5, 50, 10 ** 6)
+
+    def value(n):
+        dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(n), n)
+        return evaluate_symmetric(dens, AxisPoint(20), grid, 3).value
+
+    engine._axis_sigma_tables.cache_clear()
+    shared = [value(n) for n in dims]
+    assert engine._axis_sigma_tables.cache_info().misses == 2
+    fresh = []
+    for n in dims:
+        engine._axis_sigma_tables.cache_clear()
+        fresh.append(value(n))
+    assert shared == fresh
+    tables = engine._axis_sigma_tables(grid, 3, 20, DEQuadrature())
+    assert not any(table.flags.writeable for table in tables)
 
 
 def test_short_rule_is_refused():
@@ -339,11 +348,12 @@ def test_build_test_density_pointwise_values():
     assert _point_value(dens, (0, 0, 0, 0, 0)) == pytest.approx(140.0, rel=1e-12)
 
 
-def test_build_test_density_rank_budget():
+def test_build_test_density_rank_budget(monkeypatch):
     grid = GridSpec(0.25)
     with pytest.raises(RankBudgetExceeded):
         build_test_density(65, grid)
-    dens = build_test_density(65, grid, max_dim=65)
+    monkeypatch.setattr(engine, "RANK_DIM_CAP", 65)
+    dens = build_test_density(65, grid)
     assert dens.rank == 1 + 65 + 65 + 65 * 64 // 2
 
 

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 import biharm
+from biharm import kernels
 from biharm.errors import DimensionTooLarge
 from biharm.kernels import (GridSpec, RadialProfile, _shell_counts, direct_cubature,
-                            phi2, phi2M, radial_eta2M)
+                            phi2, phi2M)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -132,27 +133,16 @@ def test_phi2M_vectorized_matches_scalar():
         assert v == phi2M(5, 3, float(r))
 
 
-def test_radial_eta2M():
-    for n in (3, 5, 8):
-        assert radial_eta2M(n, 1, 0.0) == pytest.approx(math.pi ** (-n / 2), rel=1e-15)
-    # L_1^{(3/2)}(y) = 1 + 3/2 - y
-    want = math.pi ** -1.5 * 1.5 * math.exp(-1.0)
-    assert radial_eta2M(3, 2, 1.0) == pytest.approx(want, rel=1e-14)
-    # Gaussian decay wins against the polynomial factor
-    assert radial_eta2M(3, 3, 30.0) == 0.0
-
-
-def _box_mapping(h, m_max, profile):
-    ax = np.arange(-m_max, m_max + 1)
-    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    vals = profile(((pts * h) ** 2).sum(axis=1))
-    return {tuple(int(c) for c in p): float(v) for p, v in zip(pts, vals)}
+def _gaussian_box(h, m_max):
+    """e^{-|x|^2} sampled at x = h m on the centred box |m_i| <= m_max of Z^3."""
+    ax = h * np.arange(-m_max, m_max + 1)
+    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+    return np.exp(-(x * x + y * y + z * z))
 
 
 def test_direct_cubature_zero_density():
     grid = GridSpec(0.5)
-    samples = {(0, 0, 0): 0.0, (1, 0, 0): 0.0, (0, -1, 0): 0.0}
-    out = direct_cubature(samples, grid, 2, (0.5, 0.0, 0.0), 3)
+    out = direct_cubature(np.zeros((3, 3, 3)), grid, 2, (0.5, 0.0, 0.0), 3)
     assert out.value == 0.0
     assert out.method == "direct"
 
@@ -160,16 +150,15 @@ def test_direct_cubature_zero_density():
 def test_direct_cubature_single_sample():
     grid = GridSpec(0.1)
     pref = (grid.h * math.sqrt(grid.delta)) ** 4 / (math.pi * grid.delta) ** 2.5
-    out = direct_cubature({(0, 0, 0, 0, 0): 1.0}, grid, 1, (0.0,) * 5, 5)
+    out = direct_cubature(np.ones((1,) * 5), grid, 1, (0.0,) * 5, 5)
     assert out.value == pytest.approx(pref * phi2(5, 0.0), rel=1e-15)
 
 
 def test_direct_cubature_radial_agrees_with_sparse():
-    # the axis-point shell path and the generic sparse path are independent
-    # summation strategies and must land on the same value
+    # the axis-point shell path and the generic sample-array path are
+    # independent summation strategies and must land on the same value
     grid = GridSpec(0.5)
-    mapping = _box_mapping(0.5, 13, lambda r2: np.exp(-r2))
-    dense = direct_cubature(mapping, grid, 2, (0.5, 0.0, 0.0), 3)
+    dense = direct_cubature(_gaussian_box(0.5, 13), grid, 2, (0.5, 0.0, 0.0), 3)
     shell = direct_cubature(RadialProfile(lambda r2: np.exp(-r2)), grid, 2,
                             (0.5, 0.0, 0.0), 3)
     assert shell.value == pytest.approx(dense.value, rel=1e-13)
@@ -197,10 +186,10 @@ def test_direct_cubature_radial_density_symmetries():
     # permuting or sign-flipping the coordinates of the evaluation point must
     # not change the value at all for a radial density
     grid = GridSpec(0.5)
-    mapping = _box_mapping(0.5, 9, lambda r2: np.exp(-r2))
-    base = direct_cubature(mapping, grid, 2, (1.0, 0.5, 0.0), 3).value
+    box = _gaussian_box(0.5, 9)
+    base = direct_cubature(box, grid, 2, (1.0, 0.5, 0.0), 3).value
     for x in ((0.5, 1.0, 0.0), (0.0, 0.5, 1.0), (1.0, -0.5, 0.0), (-1.0, 0.5, 0.0)):
-        assert direct_cubature(mapping, grid, 2, x, 3).value == base
+        assert direct_cubature(box, grid, 2, x, 3).value == base
 
 
 def test_shell_counts_match_enumeration():
@@ -229,23 +218,28 @@ def test_import_leaves_out_scipy_signal():
 def test_direct_cubature_scaling():
     # substituting y = x/c in the volume potential multiplies it by c^4; on
     # the lattice this is an exact reindexing, so the cubature inherits it
-    mapping = _box_mapping(0.5, 13, lambda r2: np.exp(-r2))
+    box = _gaussian_box(0.5, 13)
     x = (1.0, 0.5, 0.0)
     for M in (1, 3):
-        base = direct_cubature(mapping, GridSpec(0.5), M, x, 3).value
+        base = direct_cubature(box, GridSpec(0.5), M, x, 3).value
         for c in (2.0, 4.0):
-            scaled = direct_cubature(mapping, GridSpec(0.5 * c, radius=6.5 * c), M,
+            scaled = direct_cubature(box, GridSpec(0.5 * c, radius=6.5 * c), M,
                                      tuple(c * xi for xi in x), 3).value
             assert scaled == pytest.approx(c ** 4 * base, rel=1e-10)
 
 
-def test_direct_cubature_dimension_guards():
+def test_direct_cubature_dimension_guards(monkeypatch):
     grid = GridSpec(0.5)
     with pytest.raises(DimensionTooLarge):
-        direct_cubature({(0,) * 7: 1.0}, grid, 1, (0.0,) * 7, 7)
-    mapping = _box_mapping(0.5, 9, lambda r2: np.exp(-r2))
+        direct_cubature(np.ones((1,) * 7), grid, 1, (0.0,) * 7, 7)
+    # the sample array must have one axis per dimension, each of odd length
+    with pytest.raises(ValueError):
+        direct_cubature(np.ones((3, 3)), grid, 1, (0.0, 0.0, 0.0), 3)
+    with pytest.raises(ValueError):
+        direct_cubature(np.ones((3, 4, 3)), grid, 1, (0.0, 0.0, 0.0), 3)
+    monkeypatch.setattr(kernels, "OP_BUDGET", 100)
     with pytest.raises(DimensionTooLarge):
-        direct_cubature(mapping, grid, 1, (0.0, 0.0, 0.0), 3, op_budget=100)
+        direct_cubature(_gaussian_box(0.5, 9), grid, 1, (0.0, 0.0, 0.0), 3)
 
 
 def test_discrete_bilaplacian_recovers_gaussian():
