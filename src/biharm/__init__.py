@@ -11,11 +11,10 @@ from .errors import (BiharmError, DimensionTooLarge, NonConvergence,
                      UnsupportedDimension)
 from .kernels import (GridSpec, PotentialSample, RadialProfile, direct_cubature,
                       phi2, phi2M)
-from .quad import (DEFAULT_RULE, DEQuadrature, integral_phi2, qm_poly, rm_poly,
-                   tensor_weight)
-from .engine import (AxisPoint, IsotropicGaussianPolyDensity, SaturationReport,
-                     SeparatedDensity, build_test_density, conv1d, evaluate,
-                     evaluate_symmetric, saturation_epsilon0)
+from .quad import DEFAULT_RULE, DEQuadrature, integral_phi2, qm_poly, rm_poly
+from .engine import (IsotropicGaussianPolyDensity, SeparatedDensity, build_test_density,
+                     conv1d, evaluate, evaluate_symmetric, saturation_epsilon0,
+                     tensor_weight)
 from .specfun import gen_laguerre
 
 __version__ = "0.1.0"
@@ -26,10 +25,9 @@ __all__ = [
     "GridSpec", "PotentialSample", "RadialProfile",
     "direct_cubature", "phi2", "phi2M",
     "DEFAULT_RULE", "DEQuadrature", "integral_phi2", "qm_poly", "rm_poly",
+    "IsotropicGaussianPolyDensity", "SeparatedDensity", "build_test_density",
+    "conv1d", "evaluate", "evaluate_symmetric", "saturation_epsilon0",
     "tensor_weight",
-    "AxisPoint", "IsotropicGaussianPolyDensity", "SaturationReport",
-    "SeparatedDensity", "build_test_density", "conv1d", "evaluate",
-    "evaluate_symmetric", "saturation_epsilon0",
     "gen_laguerre",
     "__version__",
 ]

@@ -85,8 +85,8 @@ def _fmt(x: float) -> str:
 
 
 def _potential(n: int, M: int, h_inv: int, x1: float, delta: float, rule, cache) -> float:
-    from .engine import (AxisPoint, IsotropicGaussianPolyDensity, build_test_density,
-                         evaluate, evaluate_symmetric)
+    from .engine import (IsotropicGaussianPolyDensity, build_test_density, evaluate,
+                         evaluate_symmetric)
     from .kernels import GridSpec
 
     h = 1.0 / h_inv
@@ -106,7 +106,7 @@ def _potential(n: int, M: int, h_inv: int, x1: float, delta: float, rule, cache)
             "supported dimensions are n = 3 and n >= 5")
     dens = IsotropicGaussianPolyDensity(
         c0=4.0 * n * (n + 2), c1=-16.0 * (n + 2), c2=16.0, n=n)
-    return evaluate_symmetric(dens, AxisPoint(k1), grid, M, rule).value
+    return evaluate_symmetric(dens, k1, grid, M, rule).value
 
 
 def _compute_rows(cfg: RunConfig) -> list:
@@ -281,7 +281,7 @@ def _verify_checks(level: str):
 
     for n in (5, 6):
         ref = 16.0 * (math.pi * 5.0) ** (-n / 2.0) * quad.integral_phi2(n, 0.0, rule)
-        got = quad.tensor_weight((0,) * n, 1, 5.0, rule, n=n)
+        got = engine.tensor_weight((0,) * n, 1, 5.0, rule)
         dev = rel_dev(got, ref)
         yield (f"lattice weight at zero offset, n={n}", dev <= 1e-13,
                f"max_rel={dev:.2e} tol=1e-13")
@@ -306,7 +306,7 @@ def _verify_checks(level: str):
                 dev = max(dev, abs(diff - step))
     yield "order-increment ladder identity", dev <= 1e-13, f"max_abs={dev:.2e} tol=1e-13"
 
-    eps0 = engine.saturation_epsilon0(1, 5.0, 5).epsilon0
+    eps0 = engine.saturation_epsilon0(1, 5.0, 5)
     yield "saturation error floor", eps0 < 1e-19, f"eps0={eps0:.2e} tol=1e-19"
 
     # direct summation oracle on a compactly supported rank-1 density
@@ -336,7 +336,7 @@ def _verify_checks(level: str):
         full = engine.evaluate(dens, [(10,) + (0,) * (n - 1)], n, grid, 2, rule)[0].value
         iso = engine.IsotropicGaussianPolyDensity(
             c0=4.0 * n * (n + 2), c1=-16.0 * (n + 2), c2=16.0, n=n)
-        fast = engine.evaluate_symmetric(iso, engine.AxisPoint(10), grid, 2, rule).value
+        fast = engine.evaluate_symmetric(iso, 10, grid, 2, rule).value
         dev = max(dev, abs(fast / full - 1.0))
     yield "symmetric path vs tensor path", dev <= 1e-12, f"max_rel={dev:.2e} tol=1e-12"
 

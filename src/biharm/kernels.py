@@ -82,15 +82,23 @@ class RadialProfile:
     profile: Callable[[np.ndarray], np.ndarray]
 
 
+def int_value(value, what: str) -> int:
+    """value as an int; ValueError unless it is a whole number."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 def dim_value(n) -> int:
-    n = int(n)
+    n = int_value(n, "dimension")
     if n < 3:
         raise ValueError("dimension must be at least 3")
     return n
 
 
 def order_value(M) -> int:
-    M = int(M)
+    M = int_value(M, "basis order M")
     if M < 1:
         raise ValueError("basis order M must be at least 1")
     return M

@@ -27,7 +27,6 @@ __all__ = [
     "qm_poly",
     "rm_poly",
     "integral_phi2",
-    "tensor_weight",
 ]
 
 # e^x is zero in binary64 below the cutoff and overflows above the clamp
@@ -114,56 +113,53 @@ class DEQuadrature:
 DEFAULT_RULE = DEQuadrature()
 
 
-def _poly_weights(M: int, t) -> tuple[np.ndarray, list]:
-    """Common scaled argument and coefficients (-1)^k/(k! 4^k) (1+t)^{-k}."""
+def _node_polys(M: int, x, t, with_r: bool = False) -> tuple:
+    """(Q_M(x, t),), or (Q_M(x, t), R_M(x, t)) when with_r, from one Hermite
+    recurrence in y = x / sqrt(1+t):
+
+    Q_M = sum_{k<M} c_k H_{2k}(y),  R_M = sum_{k<M} c_k S_{2k}(y),
+    c_k = (-1)^k/(k! 4^k) (1+t)^{-k},
+    S_j(y) = y^2 H_j(y) - 2j y H_{j-1}(y) + j(j-1) H_{j-2}(y).
+
+    Only the rolling pair H_{2k-1}, H_{2k} is kept between steps.
+    """
     t = np.asarray(t, dtype=float)
-    coeffs = []
+    y = x / np.sqrt(1.0 + t)
     c = np.ones_like(t)
-    for k in range(M):
-        coeffs.append(c.copy())
-        c = -c / ((k + 1.0) * 4.0 * (1.0 + t))
-    return t, coeffs
+    h_prev = np.ones_like(y)  # H_0
+    q = c * h_prev
+    if with_r:
+        y2 = y * y
+        r = c * y2  # S_0(y) = y^2
+    if M > 1:
+        h = 2.0 * y  # H_1
+    for k in range(1, M):
+        c = -c / (k * 4.0 * (1.0 + t))
+        j = 2 * k
+        h_even = 2.0 * y * h - 2.0 * (j - 1) * h_prev  # H_2k
+        if with_r:
+            r = r + c * (y2 * h_even - 2.0 * j * y * h + j * (j - 1.0) * h_prev)
+        h, h_prev = h_even, h
+        q = q + c * h
+        if k < M - 1:
+            h, h_prev = 2.0 * y * h - 2.0 * j * h_prev, h  # H_{2k+1}
+    return (q, r) if with_r else (q,)
+
+
+def _poly_view(M, x, t, which: int):
+    poly = _node_polys(order_value(M), np.asarray(x, dtype=float), t, which == 1)[which]
+    return float(poly) if poly.ndim == 0 else poly
 
 
 def qm_poly(M, x, t):
     """Q_M(x, t) = sum_{k<M} (-1)^k/(k! 4^k) (1+t)^{-k} H_{2k}(x / sqrt(1+t))."""
-    M = order_value(M)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0 and np.ndim(t) == 0
-    t, coeffs = _poly_weights(M, t)
-    y = x / np.sqrt(1.0 + t)
-    h_prev = np.ones_like(y)  # H_0
-    total = coeffs[0] * h_prev
-    if M > 1:
-        h = 2.0 * y
-        for k in range(1, M):
-            h, h_prev = 2.0 * y * h - 2.0 * (2 * k - 1) * h_prev, h  # -> H_2k
-            total = total + coeffs[k] * h
-            if k < M - 1:
-                h, h_prev = 2.0 * y * h - 2.0 * (2 * k) * h_prev, h  # -> H_{2k+1}
-    return float(total) if scalar else total
+    return _poly_view(M, x, t, 0)
 
 
 def rm_poly(M, x, t):
     """R_M(x, t) = sum_{k<M} (-1)^k/(k! 4^k) (1+t)^{-k} S_{2k}(x / sqrt(1+t))
     with S_k(y) = y^2 H_k(y) - 2k y H_{k-1}(y) + k(k-1) H_{k-2}(y)."""
-    M = order_value(M)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0 and np.ndim(t) == 0
-    t, coeffs = _poly_weights(M, t)
-    y = x / np.sqrt(1.0 + t)
-    y2 = y * y
-    # rolling window of H_{j-2}, H_{j-1}, H_j
-    h2, h1, h = None, None, np.ones_like(y)
-    total = coeffs[0] * y2  # S_0(y) = y^2
-    j = 0
-    for k in range(1, M):
-        for _ in range(2):
-            j += 1
-            h2, h1, h = h1, h, 2.0 * y * h - 2.0 * (j - 1) * (h1 if h1 is not None else 0.0)
-        s = y2 * h - 2.0 * j * y * h1 + j * (j - 1.0) * h2
-        total = total + coeffs[k] * s
-    return float(total) if scalar else total
+    return _poly_view(M, x, t, 1)
 
 
 def _exp_nodes(expo: np.ndarray, factor=1.0) -> np.ndarray:
@@ -213,31 +209,3 @@ def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     contrib = (_exp_nodes(base - 1.5 * log1pt)
                + _exp_nodes(base + nodes.log_t - 2.5 * log1pt, r2))
     return -_node_sum([contrib]) / 8.0
-
-
-def tensor_weight(k, M, D: float, rule: DEQuadrature = DEFAULT_RULE, n=None) -> float:
-    """Cubature weight of the tensor-product basis at lattice offset k.
-
-    a_k^(M) = (pi D)^{-n/2} tau sum_s Phi Phi' (1+t)^{-n/2}
-              prod_j e^{-k_j^2/(D(1+t))} Q_M(k_j / sqrt(D), t).
-    """
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 1:
-        raise ValueError("k must be a flat index vector")
-    n = dim_value(len(k) if n is None else n)
-    if n < 5:
-        raise ValueError("tensor weights are defined for n >= 5")
-    if len(k) != n:
-        raise ValueError("index vector length must equal the dimension")
-    M = order_value(M)
-    if not D > 0.0:
-        raise ValueError("shape parameter D must be positive")
-    nodes = rule.arrays()
-    # per-node product over dimensions, in log-magnitude/sign form
-    q = qm_poly(M, k[:, None] / math.sqrt(D), nodes.t[None, :])
-    gauss_expo = -(k * k)[:, None] / D * np.exp(-nodes.log1pt)[None, :]
-    sign = np.prod(np.sign(q), axis=0)
-    with np.errstate(divide="ignore"):
-        log_prod = np.sum(gauss_expo + np.log(np.abs(q)), axis=0)
-    expo = nodes.log_weight - 0.5 * n * nodes.log1pt + log_prod
-    return _node_sum([_exp_nodes(expo, sign)]) * (math.pi * D) ** (-0.5 * n)

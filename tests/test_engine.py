@@ -14,11 +14,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharm import engine
-from biharm.engine import (AxisPoint, IsotropicGaussianPolyDensity,
-                           SeparatedDensity, build_test_density, conv1d,
-                           evaluate, evaluate_symmetric, saturation_epsilon0)
+from biharm.engine import (IsotropicGaussianPolyDensity, SeparatedDensity,
+                           build_test_density, conv1d, evaluate, evaluate_symmetric,
+                           saturation_epsilon0, tensor_weight)
 from biharm.errors import (QuadratureDivergence, RankBudgetExceeded,
                            SupportTruncated, UnsupportedDimension)
 from biharm.kernels import GridSpec, direct_cubature
@@ -109,6 +111,19 @@ def test_evaluate_rejects_bad_inputs():
         evaluate(dens, [(0, 0, 0)], 5, grid, 1)
     with pytest.raises(ValueError):
         evaluate(dens, [(0, 0, 0)], 3, grid, 1)
+    # dimensions, orders and indices must be whole numbers, not truncated
+    with pytest.raises(ValueError):
+        evaluate(dens, [(0, 0, 0, 0, 0)], 5.5, grid, 1)
+    with pytest.raises(ValueError):
+        evaluate(dens, [(0, 0, 0, 0, 0)], 5, grid, 2.5)
+    with pytest.raises(ValueError):
+        evaluate(dens, [(0, 0.5, 0, 0, 0)], 5, grid, 1)
+    with pytest.raises(ValueError):
+        tensor_weight((0, 0, 1.5, 0, 0), 1, 5.0)
+    with pytest.raises(ValueError):
+        evaluate_symmetric(IsotropicGaussianPolyDensity(1.0, 0.0, 0.0, 5), 0.5, grid, 1)
+    with pytest.raises(ValueError):
+        saturation_epsilon0(1, 5.0, 5.7)
 
 
 def test_evaluate_accuracy_five_dims():
@@ -206,6 +221,50 @@ def test_evaluate_permutation_and_sign_invariance():
     assert evaluate(dens_s, [pt_s], 5, grid, 2)[0].value == base
 
 
+def test_three_dims_long_rule_matches_default(rule):
+    # a 500-node rule runs t past the binary64 range; those dead nodes must
+    # add nothing (inf * 0 once made the n = 3 bracket NaN)
+    long_rule = DEQuadrature(s_end=500)
+    assert np.isinf(long_rule.arrays().t[-1])
+    grid = GridSpec(1.0 / 20)
+    dens = build_test_density(3, grid)
+    points = [(20, 20, 20), (0, 5, -10)]
+    want = evaluate(dens, points, 3, grid, 4, rule)
+    got = evaluate(dens, points, 3, grid, 4, long_rule)
+    for a, b in zip(got, want):
+        assert a.value == pytest.approx(b.value, rel=1e-14)
+
+
+def test_sigma_tables_built_once_per_offset(monkeypatch):
+    # one _sigma_tables call serves every factor vector that shares an offset
+    calls = []
+    build = engine._sigma_tables
+
+    def counted(vecs, m_lo, k, D, M, t, log1pt, with_r=False):
+        calls.append((len(vecs), k, with_r))
+        return build(vecs, m_lo, k, D, M, t, log1pt, with_r)
+
+    monkeypatch.setattr(engine, "_sigma_tables", counted)
+    engine._axis_sigma_tables.cache_clear()
+    grid = GridSpec(0.1)
+    for n in (5, 50, 5000):
+        dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(n), n)
+        for M in (2, 4):
+            evaluate_symmetric(dens, 10, grid, M)
+    engine._axis_sigma_tables.cache_clear()
+    # offsets 10 and 0 at two orders; all three factor vectors per call, no R
+    assert sorted(calls) == [(3, 0, False)] * 2 + [(3, 10, False)] * 2
+
+    calls.clear()
+    dens = build_test_density(3, grid)
+    points = [(10, 10, 0), (0, 10, 10), (3, -2, 10)]
+    evaluate(dens, points, 3, grid, 4)
+    pairs = {(id(vecs[j]), pt[j]) for vecs in dens.factors for pt in points
+             for j in range(3)}
+    assert len(calls) == len(pairs)
+    assert all(count == 1 and with_r for count, _, with_r in calls)
+
+
 def test_evaluate_flags_truncated_support():
     # sampling window cut at |x| = 2 while the density is still 1.8e-2 there
     grid = GridSpec(0.1, radius=2.0)
@@ -220,7 +279,7 @@ def test_evaluate_flags_truncated_support():
 def test_symmetric_requires_five_dims():
     dens = IsotropicGaussianPolyDensity(60.0, -80.0, 16.0, 3)
     with pytest.raises(UnsupportedDimension):
-        evaluate_symmetric(dens, AxisPoint(0), GridSpec(0.1), 1)
+        evaluate_symmetric(dens, 0, GridSpec(0.1), 1)
 
 
 def _test_density_coeffs(n):
@@ -238,8 +297,33 @@ def test_symmetric_matches_generic_path():
             for k1 in (0, 10):
                 point = (k1,) + (0,) * (n - 1)
                 want = evaluate(dens_rank, [point], n, grid, M)[0].value
-                got = evaluate_symmetric(dens_iso, AxisPoint(k1), grid, M).value
+                got = evaluate_symmetric(dens_iso, k1, grid, M).value
                 assert got == pytest.approx(want, rel=1e-12), (n, M, k1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 8), M=st.integers(1, 4), k1=st.integers(-12, 12),
+       coeffs=st.tuples(*[st.floats(0.1, 10.0)] * 3), sign=st.sampled_from((1.0, -1.0)))
+def test_symmetric_matches_generic_path_on_random_densities(n, M, k1, coeffs, sign):
+    # any isotropic e^{-|x|^2} (c0 + c1 |x|^2 + c2 |x|^4), expanded over the
+    # factors {e^{-x^2}, x^2 e^{-x^2}, x^4 e^{-x^2}}; one-signed coefficients
+    # keep the potential away from zero so the relative gate is meaningful
+    c0, c1, c2 = (sign * c for c in coeffs)
+    grid = GridSpec(0.2)
+    m_lo, g0, g2, g4 = engine._gaussian_factor_vectors(grid)
+    weights, factors = [c0], [(g0,) * n]
+    for j in range(n):
+        weights += [c1, c2]
+        factors += [tuple(g2 if l == j else g0 for l in range(n)),
+                    tuple(g4 if l == j else g0 for l in range(n))]
+        for i in range(j):
+            weights.append(2.0 * c2)
+            factors.append(tuple(g2 if l in (i, j) else g0 for l in range(n)))
+    dens = SeparatedDensity(tuple(weights), tuple(factors), m_lo)
+    want = evaluate(dens, [(k1,) + (0,) * (n - 1)], n, grid, M)[0].value
+    iso = IsotropicGaussianPolyDensity(c0, c1, c2, n)
+    got = evaluate_symmetric(iso, k1, grid, M).value
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_symmetric_tables_shared_across_dimensions():
@@ -250,7 +334,7 @@ def test_symmetric_tables_shared_across_dimensions():
 
     def value(n):
         dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(n), n)
-        return evaluate_symmetric(dens, AxisPoint(20), grid, 3).value
+        return evaluate_symmetric(dens, 20, grid, 3).value
 
     engine._axis_sigma_tables.cache_clear()
     shared = [value(n) for n in dims]
@@ -275,13 +359,13 @@ def test_short_rule_is_refused():
             evaluate(dens, [point], n, grid, 4, short)
     dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(5), 5)
     with pytest.raises(QuadratureDivergence):
-        evaluate_symmetric(dens, AxisPoint(20), grid, 4, short)
+        evaluate_symmetric(dens, 20, grid, 4, short)
 
 
 def test_symmetric_sample_metadata():
     c0, c1, c2 = _test_density_coeffs(6)
     dens = IsotropicGaussianPolyDensity(c0, c1, c2, 6)
-    out = evaluate_symmetric(dens, AxisPoint(4), GridSpec(0.25), 2)
+    out = evaluate_symmetric(dens, 4, GridSpec(0.25), 2)
     assert out.point == (4,)
     assert out.method == "symmetric"
     assert out.M == 2
@@ -307,20 +391,20 @@ def _lattice_epsilon0(M, D, n, reach=3):
 
 def test_saturation_epsilon0_matches_lattice_sum():
     for M in (1, 4):
-        report = saturation_epsilon0(M, 5.0, 5)
+        got = saturation_epsilon0(M, 5.0, 5)
         want = _lattice_epsilon0(M, 5.0, 5)
-        assert report.epsilon0 == pytest.approx(want, rel=1e-6), M
-    assert saturation_epsilon0(1, 5.0, 5).epsilon0 < 1e-19
+        assert got == pytest.approx(want, rel=1e-6), M
+    assert saturation_epsilon0(1, 5.0, 5) < 1e-19
 
 
 def test_saturation_epsilon0_one_dim_base_case():
-    got = saturation_epsilon0(2, 5.0, 1).epsilon0
+    got = saturation_epsilon0(2, 5.0, 1)
     want = _lattice_epsilon0(2, 5.0, 1, reach=6)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_saturation_epsilon0_vanishes_for_large_shape():
-    assert saturation_epsilon0(1, 500.0, 5).epsilon0 == 0.0
+    assert saturation_epsilon0(1, 500.0, 5) == 0.0
 
 
 # --- test density construction ---

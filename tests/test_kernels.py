@@ -237,6 +237,11 @@ def test_direct_cubature_dimension_guards(monkeypatch):
         direct_cubature(np.ones((3, 3)), grid, 1, (0.0, 0.0, 0.0), 3)
     with pytest.raises(ValueError):
         direct_cubature(np.ones((3, 4, 3)), grid, 1, (0.0, 0.0, 0.0), 3)
+    # a fractional dimension is refused, not truncated
+    with pytest.raises(ValueError):
+        phi2(5.9, 0.5)
+    with pytest.raises(ValueError):
+        direct_cubature(np.ones((3, 3, 3)), grid, 1, (0.0, 0.0, 0.0), 3.5)
     monkeypatch.setattr(kernels, "OP_BUDGET", 100)
     with pytest.raises(DimensionTooLarge):
         direct_cubature(_gaussian_box(0.5, 9), grid, 1, (0.0, 0.0, 0.0), 3)

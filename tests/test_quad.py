@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from biharm.cli import _printed_node_polys
+from biharm.engine import tensor_weight
 from biharm.errors import QuadratureDivergence
 from biharm.kernels import phi2
-from biharm.quad import (DEQuadrature, integral_phi2, qm_poly, rm_poly,
-                         tensor_weight)
+from biharm.quad import DEQuadrature, integral_phi2, qm_poly, rm_poly
 
 
 def _transform(u, a, b):
@@ -64,6 +64,11 @@ def test_rule_validation():
         DEQuadrature(a=-1.0)
     with pytest.raises(ValueError):
         DEQuadrature(s_begin=10, s_end=10)
+    # a fractional order is refused, not truncated
+    with pytest.raises(ValueError):
+        qm_poly(2.7, 0.5, 0.25)
+    with pytest.raises(ValueError):
+        rm_poly(2.7, 0.5, 0.25)
 
 
 def test_rule_node_table(rule):
@@ -122,6 +127,8 @@ def test_integral_six_dim_at_zero(rule):
 def test_integral_rejects_four_dims(rule):
     with pytest.raises(ValueError):
         integral_phi2(4, 1.0, rule)
+    with pytest.raises(ValueError):
+        integral_phi2(5.9, 1.0, rule)
 
 
 def test_integral_detects_short_rule():
