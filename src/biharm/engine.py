@@ -120,25 +120,49 @@ def _sigma(vec: np.ndarray, gauss: np.ndarray, poly: np.ndarray,
     return norm * sums
 
 
-def _sigma_tables(vecs, m_lo: int, k: int, D: float, M: int, t: np.ndarray,
-                  log1pt: np.ndarray, with_r: bool = False) -> list:
-    """Normalized per-dimension convolution sums at offset k for all nodes.
+def _sigma_tables(pairs, m_lo: int, D: float, M: int, t: np.ndarray,
+                  log1pt: np.ndarray, with_r: bool = False) -> dict:
+    """Normalized per-dimension convolution sums for (vector, offset) pairs.
 
-    For each vector of vecs (all on the index range starting at m_lo) returns
-    (sigma_Q,), or (sigma_Q, sigma_R) when with_r, where
+    All vectors have one length L on the index range starting at m_lo.
+    Returns {(id(vec), k): (sigma_Q,)}, or (sigma_Q, sigma_R) when with_r, where
     sigma_P(k, t_s) = (pi D (1+t_s))^{-1/2} *
         sum_m vec[m] e^{-(k-m)^2/(D(1+t_s))} P_M((k-m)/sqrt(D), t_s).
-    The Gaussian and the Hermite pass are formed once for all vectors.
+    The kernel depends on d = k - m alone.  The sorted offsets are split into
+    groups spanning at most L; each group forms the Gaussian and one Hermite
+    pass once over its rows d = k_hi - m_lo, k_hi - m_lo - 1, ...,
+    k_lo - m_lo - L + 1 (at most 2L of them).  Each table reads L
+    consecutive rows, so it equals a build at its own offset bit for bit.
     """
-    d = k - (m_lo + np.arange(len(vecs[0]), dtype=float))
+    needed: dict = {}
+    for vec, k in pairs:
+        needed.setdefault(k, {})[id(vec)] = vec
+    if not needed:
+        return {}
+    [L] = {len(vec) for vecs in needed.values() for vec in vecs.values()}
+    groups: list = []
+    for k in sorted(needed):
+        if groups and k - groups[-1][0] <= L:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
     inv = np.exp(-log1pt) / D
-    gauss = np.exp(-(d * d)[:, None] * inv[None, :])
-    x = d[:, None] / math.sqrt(D)
-    # Q alone goes through the public qm_poly, whose calls the benchmark's
-    # tracer counts as kernel builds
-    polys = _node_polys(M, x, t[None, :], True) if with_r else (qm_poly(M, x, t[None, :]),)
     norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
-    return [tuple(_sigma(vec, gauss, p, norm) for p in polys) for vec in vecs]
+    tables = {}
+    for group in groups:
+        k_hi = group[-1]
+        d = (k_hi - m_lo) - np.arange(k_hi - group[0] + L, dtype=float)
+        gauss = np.exp(-(d * d)[:, None] * inv[None, :])
+        x = d[:, None] / math.sqrt(D)
+        # Q alone goes through the public qm_poly, whose calls the benchmark's
+        # tracer counts as kernel builds
+        polys = _node_polys(M, x, t[None, :], True) if with_r else (qm_poly(M, x, t[None, :]),)
+        for k in group:
+            rows = slice(k_hi - k, k_hi - k + L)
+            for vec in needed[k].values():
+                tables[id(vec), k] = tuple(_sigma(vec, gauss[rows], p[rows], norm)
+                                           for p in polys)
+    return tables
 
 
 def conv1d(samples, t: float, D: float, M, k: int, m_lo: int | None = None) -> float:
@@ -159,10 +183,11 @@ def conv1d(samples, t: float, D: float, M, k: int, m_lo: int | None = None) -> f
     if not t >= 0.0:
         raise ValueError("node value t must be nonnegative")
     M = order_value(M)
+    k = int_value(k, "offset")
     t = np.array([t], dtype=float)
     with np.errstate(divide="ignore"):
         log1pt = _log1p(t, np.log(t))
-    [(table,)] = _sigma_tables([samples], m_lo, k, D, M, t, log1pt)
+    [(table,)] = _sigma_tables([(samples, k)], m_lo, D, M, t, log1pt).values()
     return float(table[0])
 
 
@@ -172,33 +197,31 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
 
     The node sum is fsum_p weights[p] fsum_s c_s with c_s the n-fold product
     of the factor tables times the node weight for n >= 5, and the two-term
-    n = 3 bracket times tau * Phi'.  Tables are built once per (vector, offset).
+    n = 3 bracket times tau * Phi'.  The points are validated and every
+    (vector, offset) table of the call is built up front, one offset-kernel
+    pass per group of nearby offsets, so the table values do not depend on
+    the other points of the batch.
     """
+    points = [tuple(int_value(c, "grid index") for c in point) for point in points]
+    if any(len(point) != n for point in points):
+        raise ValueError(f"evaluation point must have {n} coordinates")
     nodes = rule.arrays()
     t = nodes.t
+    tables = _sigma_tables(((vec, k) for vecs in density.factors for point in points
+                            for vec, k in zip(vecs, point)),
+                           density.m_lo, D, M, t, nodes.log1pt, n == 3)
     weight_finite = bool(np.all(np.isfinite(nodes.weight)))
     if n == 3:
         # the n = 3 bracket needs tau * Phi' and Phi separately
         with np.errstate(over="ignore"):
             tau_phiprime = np.exp(nodes.log_weight - nodes.log_t)
-    cache: dict = {}
-
-    def sigma(vec: np.ndarray, k: int) -> tuple:
-        key = (id(vec), k)
-        if key not in cache:
-            [cache[key]] = _sigma_tables([vec], density.m_lo, k, D, M, t, nodes.log1pt,
-                                         n == 3)
-        return cache[key]
 
     for point in points:
-        point = tuple(int_value(c, "grid index") for c in point)
-        if len(point) != n:
-            raise ValueError(f"evaluation point must have {n} coordinates")
         contribs = []
-        for p in range(density.rank):
-            vecs = density.factors[p]
+        for vecs in density.factors:
+            sig = [tables[id(vec), k] for vec, k in zip(vecs, point)]
             if n == 3:
-                (q0, r0), (q1, r1), (q2, r2) = (sigma(vecs[j], point[j]) for j in range(3))
+                (q0, r0), (q1, r1), (q2, r2) = sig
                 r_sum = r0 * q1 * q2 + q0 * r1 * q2 + q0 * q1 * r2
                 with np.errstate(invalid="ignore", over="ignore"):
                     # where t overflowed to inf the R-sum is exactly 0; such
@@ -207,7 +230,7 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
                     contrib = tau_phiprime * bracket
                 contrib = np.where((bracket == 0.0) & ~np.isfinite(contrib), 0.0, contrib)
             else:
-                sq = [sigma(vecs[j], point[j])[0] for j in range(n)]
+                sq = [q for (q,) in sig]
                 if n > _LOG_PRODUCT_DIM or not weight_finite:
                     # the n-fold product as a signed exp of a log sum
                     sign = reduce(np.multiply, map(np.sign, sq))
@@ -307,8 +330,8 @@ def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tu
     computes them once; the cached arrays are read-only."""
     nodes = rule.arrays()
     m_lo, *vecs = _gaussian_factor_vectors(grid)
-    tables = tuple(q for (q,) in _sigma_tables(vecs, m_lo, k, grid.delta, M, nodes.t,
-                                               nodes.log1pt))
+    built = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, nodes.t, nodes.log1pt)
+    tables = tuple(built[id(vec), k][0] for vec in vecs)
     for table in tables:
         table.flags.writeable = False
     return tables

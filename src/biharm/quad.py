@@ -176,7 +176,7 @@ def _node_sum(contribs, weights=(1.0,)) -> float:
     sum_p weights[p] * contribs[p] stays within _TAIL_TOL; otherwise the
     integrand has not decayed by the end of the node range.
     """
-    total = math.fsum(w * math.fsum(c) for w, c in zip(weights, contribs))
+    total = math.fsum(w * math.fsum(c.tolist()) for w, c in zip(weights, contribs))
     tail = math.fsum(w * c[-1] for w, c in zip(weights, contribs))
     if abs(tail) > _TAIL_TOL * abs(total):
         raise QuadratureDivergence(

@@ -89,6 +89,8 @@ def test_conv1d_index_origin(rule):
     assert centered == explicit
     with pytest.raises(ValueError):
         conv1d(samples[:-1], t, 5.0, 2, 1)
+    with pytest.raises(ValueError):
+        conv1d(samples, t, 5.0, 2, 1.5)
 
 
 def test_conv1d_flags_truncated_support(rule):
@@ -235,34 +237,100 @@ def test_three_dims_long_rule_matches_default(rule):
         assert a.value == pytest.approx(b.value, rel=1e-14)
 
 
+def _count_kernel_builds(monkeypatch):
+    """Record (order, rows, with R) for every offset-kernel Hermite pass."""
+    builds = []
+
+    def wrap(build, with_r):
+        def counted(M, x, t, *rest):
+            builds.append((M, x.shape[0], with_r))
+            return build(M, x, t, *rest)
+        return counted
+
+    monkeypatch.setattr(engine, "qm_poly", wrap(engine.qm_poly, False))
+    monkeypatch.setattr(engine, "_node_polys", wrap(engine._node_polys, True))
+    return builds
+
+
 def test_sigma_tables_built_once_per_offset(monkeypatch):
-    # one _sigma_tables call serves every factor vector that shares an offset
-    calls = []
-    build = engine._sigma_tables
-
-    def counted(vecs, m_lo, k, D, M, t, log1pt, with_r=False):
-        calls.append((len(vecs), k, with_r))
-        return build(vecs, m_lo, k, D, M, t, log1pt, with_r)
-
-    monkeypatch.setattr(engine, "_sigma_tables", counted)
+    # the axis path makes one kernel build per (offset, M), shared by its
+    # three factor vectors; the tensor path one per evaluate call whose
+    # offsets lie within one vector length of each other
+    builds = _count_kernel_builds(monkeypatch)
     engine._axis_sigma_tables.cache_clear()
     grid = GridSpec(0.1)
+    L = 2 * 65 + 1
     for n in (5, 50, 5000):
         dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(n), n)
         for M in (2, 4):
             evaluate_symmetric(dens, 10, grid, M)
     engine._axis_sigma_tables.cache_clear()
-    # offsets 10 and 0 at two orders; all three factor vectors per call, no R
-    assert sorted(calls) == [(3, 0, False)] * 2 + [(3, 10, False)] * 2
+    # offsets 10 and 0 at two orders, L rows each, no R
+    assert sorted(builds) == [(2, L, False)] * 2 + [(4, L, False)] * 2
 
-    calls.clear()
-    dens = build_test_density(3, grid)
+    builds.clear()
     points = [(10, 10, 0), (0, 10, 10), (3, -2, 10)]
-    evaluate(dens, points, 3, grid, 4)
-    pairs = {(id(vecs[j]), pt[j]) for vecs in dens.factors for pt in points
-             for j in range(3)}
-    assert len(calls) == len(pairs)
-    assert all(count == 1 and with_r for count, _, with_r in calls)
+    evaluate(build_test_density(3, grid), points, 3, grid, 4)
+    # one Q-and-R pass over the rows of offsets -2..10
+    assert builds == [(4, 12 + L, True)]
+
+    builds.clear()
+    dens = build_test_density(5, grid)
+    for point in ((10, 0, 0, 0, 0), (0, 0, 10, 0, 0)):
+        evaluate(dens, [point], 5, grid, 4)
+    assert builds == [(4, 10 + L, False)] * 2
+
+
+def _positive_density(n, grid):
+    """e^{-|x|^2} (1 + x_1^2 + x_n^4): its terms do not cancel, so the
+    potential stays far above the rounding noise of the node sums."""
+    m_lo, g0, g2, g4 = engine._gaussian_factor_vectors(grid)
+    factors = ((g0,) * n, (g2,) + (g0,) * (n - 1), (g0,) * (n - 1) + (g4,))
+    return SeparatedDensity((1.0, 1.0, 1.0), factors, m_lo)
+
+
+def test_far_apart_batch_keeps_tables_small(monkeypatch):
+    # offsets 10^5 apart go to separate kernel builds of at most 2L rows
+    # each, and give the values of one-point calls
+    builds = _count_kernel_builds(monkeypatch)
+    grid = GridSpec(0.2)
+    L = 2 * 32 + 1
+    # at n = 6 the rule still resolves the far-field potential
+    dens = _positive_density(6, grid)
+    points = [(0, 3, -2, 0, 1, 0), (10 ** 5, 10 ** 5 + 7, 0, 0, 10 ** 5 - 5, 0)]
+    batch = evaluate(dens, points, 6, grid, 3)
+    assert sorted(builds) == [(3, 5 + L, False), (3, 12 + L, False)]
+    for point, sample in zip(points, batch):
+        assert sample.value == evaluate(dens, [point], 6, grid, 3)[0].value
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from((3, 5)), M=st.integers(1, 4), data=st.data())
+def test_batch_values_do_not_depend_on_the_batch(n, M, data):
+    # the offset-kernel rows of a call depend on all its points; every value
+    # must still equal the one-point call bit for bit
+    grid = GridSpec(0.2)
+    # coordinates stay inside the sample window, where the support check passes
+    batch = data.draw(st.lists(st.tuples(*[st.integers(-20, 20)] * n),
+                               min_size=2, max_size=5))
+    dens = _positive_density(n, grid)
+    got = evaluate(dens, batch, n, grid, M)
+    for point, sample in zip(batch, got):
+        assert sample.value == evaluate(dens, [point], n, grid, M)[0].value, point
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from((3, 5, 8)), M=st.integers(1, 4), data=st.data())
+def test_test_density_permutation_and_sign_invariance(n, M, data):
+    # the test density is isotropic: permuting and mirroring the coordinates
+    # of a point changes only the rounding
+    grid = GridSpec(0.2)
+    point = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * n))
+    moved = tuple(s * point[j] for s, j in zip(signs, perm))
+    base, other = evaluate(build_test_density(n, grid), [point, moved], n, grid, M)
+    assert other.value == pytest.approx(base.value, rel=1e-13)
 
 
 def test_evaluate_flags_truncated_support():
