@@ -13,8 +13,7 @@ from .kernels import (GridSpec, PotentialSample, RadialProfile, direct_cubature,
                       phi2, phi2M)
 from .quad import DEFAULT_RULE, DEQuadrature, integral_phi2, qm_poly, rm_poly
 from .engine import (IsotropicGaussianPolyDensity, SeparatedDensity, build_test_density,
-                     conv1d, evaluate, evaluate_symmetric, saturation_epsilon0,
-                     tensor_weight)
+                     evaluate, evaluate_symmetric, saturation_epsilon0, tensor_weight)
 from .specfun import gen_laguerre
 
 __version__ = "0.1.0"
@@ -26,7 +25,7 @@ __all__ = [
     "direct_cubature", "phi2", "phi2M",
     "DEFAULT_RULE", "DEQuadrature", "integral_phi2", "qm_poly", "rm_poly",
     "IsotropicGaussianPolyDensity", "SeparatedDensity", "build_test_density",
-    "conv1d", "evaluate", "evaluate_symmetric", "saturation_epsilon0",
+    "evaluate", "evaluate_symmetric", "saturation_epsilon0",
     "tensor_weight",
     "gen_laguerre",
     "__version__",

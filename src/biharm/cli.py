@@ -286,11 +286,11 @@ def _verify_checks(level: str):
         yield (f"lattice weight at zero offset, n={n}", dev <= 1e-13,
                f"max_rel={dev:.2e} tol=1e-13")
 
-    t = nodes.t[40]
     samples = np.zeros(21)
     samples[10 + 3] = 1.0
-    got = engine.conv1d(samples, t, 5.0, 1, k=3)
-    ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + t))
+    [(table,)] = engine._sigma_tables([(samples, 3)], -10, 5.0, 1, rule).values()
+    got = float(table[40])
+    ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + nodes.t[40]))
     dev = rel_dev(got, ref)
     yield "convolution of a lattice delta", dev <= 1e-14, f"max_rel={dev:.2e} tol=1e-14"
 

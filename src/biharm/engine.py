@@ -6,11 +6,18 @@ normalization, so the n-fold per-node products stay O(1) and can be formed as
 exp of a log sum without overflow even at n = 1e7.  Node sums are exactly
 rounded (math.fsum) and certified against the quadrature tail; the
 p-then-s-then-j loop order is fixed, making results reproducible bit for bit.
+
+The convolution kernel e^{-d^2/(D(1+t))} Q_M(d/sqrt(D), t) depends on the
+lattice offset d = k - m alone, not on h, n or the density.  Its rows are
+built once per (D, M, rule) for |d| in blocks of _BLOCK and kept in one
+byte-bounded LRU; every sigma table gathers its rows by |d| and sums them
+block by block in row order, which is the same sequential sum as one pass.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -18,13 +25,11 @@ import numpy as np
 
 from .errors import RankBudgetExceeded, SupportTruncated, UnsupportedDimension
 from .kernels import GridSpec, PotentialSample, dim_value, int_value, order_value
-from .quad import (DEFAULT_RULE, DEQuadrature, _exp_nodes, _log1p, _node_polys,
-                   _node_sum, qm_poly)
+from .quad import DEFAULT_RULE, DEQuadrature, _exp_nodes, _node_polys, _node_sum, qm_poly
 
 __all__ = [
     "SeparatedDensity",
     "IsotropicGaussianPolyDensity",
-    "conv1d",
     "evaluate",
     "tensor_weight",
     "evaluate_symmetric",
@@ -46,6 +51,14 @@ RANK_DIM_CAP = 64
 
 # saturation_epsilon0 sums the one-dimensional lattice series over |m| <= this
 SATURATION_CUTOFF = 6
+
+# kernel rows are cached in blocks of _BLOCK consecutive |d| values, in one
+# least-recently-used cache shared by all (D, M, rule).  128 rows was the
+# fastest of 32..256 on Table 2; the 32 MiB bound holds the largest working
+# set of Tables 1-4 (26 MiB, Table 4), so none of them rebuilds a block
+_BLOCK = 128
+_CACHE_BYTES = 32 << 20
+_ROW_BLOCKS: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -95,44 +108,125 @@ class IsotropicGaussianPolyDensity:
             raise ValueError("dimension must be at least 3")
 
 
-def _check_support(terms: np.ndarray, sums: np.ndarray) -> None:
-    """terms is (L, S); raise if a boundary sample contributes materially.
+def _check_support(boundary: np.ndarray, peak: np.ndarray, sums: np.ndarray) -> None:
+    """Raise if a boundary sample contributes materially to a convolution sum.
 
-    The scale reference is the larger of |sum| and the peak term magnitude:
-    the sign-changing polynomial kernels can cancel a sum to near zero at
-    isolated nodes without any truncation problem, and conversely a long
-    positive sum can dwarf its own peak term.
+    Per node, boundary is the larger |term| of the first and last sample rows
+    and peak the largest |term| of all rows.  The scale reference is the larger
+    of |sum| and peak: the sign-changing polynomial kernels can cancel a sum to
+    near zero at isolated nodes without any truncation problem, and conversely
+    a long positive sum can dwarf its own peak term.
     """
-    boundary = np.maximum(np.abs(terms[0]), np.abs(terms[-1]))
-    scale = np.maximum(np.abs(sums), np.max(np.abs(terms), axis=0))
+    scale = np.maximum(np.abs(sums), peak)
     if np.any(boundary > _SUPPORT_TOL * scale):
         raise SupportTruncated(
             "density samples end inside the kernel support; enlarge the sample window"
         )
 
 
-def _sigma(vec: np.ndarray, gauss: np.ndarray, poly: np.ndarray,
-           norm: np.ndarray) -> np.ndarray:
-    """norm * sum_m vec[m] gauss[m] poly[m] over the node columns, support-checked."""
-    terms = vec[:, None] * gauss * poly
-    sums = np.sum(terms, axis=0)
-    _check_support(terms, sums)
+def _gauss_rows(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
+    """e^{-d^2/(D(1+t_s))} for integer offsets d (as floats) at the rule's nodes."""
+    inv = np.exp(-rule.arrays().log1pt) / D
+    return np.exp(-(d * d)[:, None] * inv[None, :])
+
+
+def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool) -> tuple:
+    """(Q_M,), or (Q_M, R_M) when with_r, at x = d / sqrt(D) and the rule's nodes."""
+    t = rule.arrays().t[None, :]
+    x = d[:, None] / math.sqrt(D)
+    # Q alone goes through the public qm_poly, whose calls the benchmark's
+    # tracer counts as kernel builds
+    return _node_polys(M, x, t, True) if with_r else (qm_poly(M, x, t),)
+
+
+def _row_block(key: tuple, build) -> tuple:
+    """The cached arrays of one kernel row block, built by build() on a miss.
+
+    Least recently used blocks are evicted once the cache holds more than
+    _CACHE_BYTES; the block just built always stays.
+    """
+    block = _ROW_BLOCKS.get(key)
+    if block is not None:
+        _ROW_BLOCKS.move_to_end(key)
+        return block
+    block = build()
+    for rows in block:
+        rows.flags.writeable = False
+    _ROW_BLOCKS[key] = block
+    held = sum(rows.nbytes for cached in _ROW_BLOCKS.values() for rows in cached)
+    while held > _CACHE_BYTES and len(_ROW_BLOCKS) > 1:
+        _, old = _ROW_BLOCKS.popitem(last=False)
+        held -= sum(rows.nbytes for rows in old)
+    return block
+
+
+def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
+                 with_r: bool) -> list:
+    """The kernel rows d = d0, d0 - 1, ..., d0 - L + 1 as runs that each read
+    one cached block: a list of (table row slice, Gaussian rows, poly rows).
+
+    Blocks hold the rows |d| = b B .. b B + B - 1 (B = _BLOCK); the kernel is
+    even in d bit for bit, so rows with d >= 0 are read backwards.
+    """
+    runs = []
+    i = 0
+    while i < L:
+        d = d0 - i
+        b, r = divmod(abs(d), _BLOCK)
+        if d >= 0:
+            n = min(r + 1, L - i)
+            rows = slice(r, r - n if r >= n else None, -1)
+        else:
+            n = min(_BLOCK - r, L - i)
+            rows = slice(r, r + n)
+        offsets = b * _BLOCK + np.arange(_BLOCK, dtype=float)
+        (gauss,) = _row_block((D, rule, b), lambda: (_gauss_rows(offsets, D, rule),))
+        polys = _row_block((D, M, rule, with_r, b),
+                           lambda: _poly_rows(offsets, D, M, rule, with_r))
+        runs.append((slice(i, i + n), gauss[rows], tuple(p[rows] for p in polys)))
+        i += n
+    return runs
+
+
+def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
+           buf: np.ndarray) -> np.ndarray:
+    """norm * sum_m vec[m] gauss[m] poly[m] over the node columns, support-checked.
+
+    The terms vec[:, None] * gauss * poly are formed one run at a time in
+    buf[1:]; from the second run on, the partial sum is carried in buf[0], so
+    the row-order sum is the same sequential sum as over all rows at once.
+    """
+    sums = None
+    for rows, gauss, polys in runs:
+        n = rows.stop - rows.start
+        terms = buf[1:n + 1]
+        np.multiply(vec[rows, None], gauss, out=terms)
+        terms *= polys[which]
+        if sums is None:
+            sums = np.sum(terms, axis=0)
+            np.abs(terms, out=terms)
+            first = terms[0].copy()
+            peak = np.max(terms, axis=0)
+        else:
+            buf[0] = sums
+            sums = np.sum(buf[:n + 1], axis=0)
+            np.abs(terms, out=terms)
+            np.maximum(peak, np.max(terms, axis=0), out=peak)
+    _check_support(np.maximum(first, terms[-1]), peak, sums)
     return norm * sums
 
 
-def _sigma_tables(pairs, m_lo: int, D: float, M: int, t: np.ndarray,
-                  log1pt: np.ndarray, with_r: bool = False) -> dict:
+def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
+                  with_r: bool = False) -> dict:
     """Normalized per-dimension convolution sums for (vector, offset) pairs.
 
     All vectors have one length L on the index range starting at m_lo.
     Returns {(id(vec), k): (sigma_Q,)}, or (sigma_Q, sigma_R) when with_r, where
     sigma_P(k, t_s) = (pi D (1+t_s))^{-1/2} *
-        sum_m vec[m] e^{-(k-m)^2/(D(1+t_s))} P_M((k-m)/sqrt(D), t_s).
-    The kernel depends on d = k - m alone.  The sorted offsets are split into
-    groups spanning at most L; each group forms the Gaussian and one Hermite
-    pass once over its rows d = k_hi - m_lo, k_hi - m_lo - 1, ...,
-    k_lo - m_lo - L + 1 (at most 2L of them).  Each table reads L
-    consecutive rows, so it equals a build at its own offset bit for bit.
+        sum_m vec[m] e^{-(k-m)^2/(D(1+t_s))} P_M((k-m)/sqrt(D), t_s)
+    at the rule's nodes t_s.  The kernel depends on d = k - m alone, so its
+    rows come from the h-independent block cache; the vectors at one offset
+    share one gather of them.
     """
     needed: dict = {}
     for vec, k in pairs:
@@ -140,55 +234,16 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, t: np.ndarray,
     if not needed:
         return {}
     [L] = {len(vec) for vecs in needed.values() for vec in vecs.values()}
-    groups: list = []
-    for k in sorted(needed):
-        if groups and k - groups[-1][0] <= L:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    inv = np.exp(-log1pt) / D
+    log1pt = rule.arrays().log1pt
     norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
+    buf = np.empty((_BLOCK + 1, len(log1pt)))
     tables = {}
-    for group in groups:
-        k_hi = group[-1]
-        d = (k_hi - m_lo) - np.arange(k_hi - group[0] + L, dtype=float)
-        gauss = np.exp(-(d * d)[:, None] * inv[None, :])
-        x = d[:, None] / math.sqrt(D)
-        # Q alone goes through the public qm_poly, whose calls the benchmark's
-        # tracer counts as kernel builds
-        polys = _node_polys(M, x, t[None, :], True) if with_r else (qm_poly(M, x, t[None, :]),)
-        for k in group:
-            rows = slice(k_hi - k, k_hi - k + L)
-            for vec in needed[k].values():
-                tables[id(vec), k] = tuple(_sigma(vec, gauss[rows], p[rows], norm)
-                                           for p in polys)
+    for k, vecs in needed.items():
+        runs = _kernel_runs(k - m_lo, L, D, M, rule, with_r)
+        for vec in vecs.values():
+            tables[id(vec), k] = tuple(_sigma(vec, runs, which, norm, buf)
+                                       for which in range(1 + with_r))
     return tables
-
-
-def conv1d(samples, t: float, D: float, M, k: int, m_lo: int | None = None) -> float:
-    """One normalized convolution sum at a single quadrature node value t >= 0.
-
-    ``samples`` holds density values at x = h*m for consecutive m starting at
-    m_lo (defaults to a window centered at m = 0, requiring odd length).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or len(samples) == 0:
-        raise ValueError("samples must be a nonempty 1-D vector")
-    if m_lo is None:
-        if len(samples) % 2 == 0:
-            raise ValueError("a centered sample window must have odd length")
-        m_lo = -(len(samples) // 2)
-    if not D > 0.0:
-        raise ValueError("shape parameter D must be positive")
-    if not t >= 0.0:
-        raise ValueError("node value t must be nonnegative")
-    M = order_value(M)
-    k = int_value(k, "offset")
-    t = np.array([t], dtype=float)
-    with np.errstate(divide="ignore"):
-        log1pt = _log1p(t, np.log(t))
-    [(table,)] = _sigma_tables([(samples, k)], m_lo, D, M, t, log1pt).values()
-    return float(table[0])
 
 
 def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
@@ -198,9 +253,9 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     The node sum is fsum_p weights[p] fsum_s c_s with c_s the n-fold product
     of the factor tables times the node weight for n >= 5, and the two-term
     n = 3 bracket times tau * Phi'.  The points are validated and every
-    (vector, offset) table of the call is built up front, one offset-kernel
-    pass per group of nearby offsets, so the table values do not depend on
-    the other points of the batch.
+    (vector, offset) table of the call is built up front from the cached
+    kernel rows; a table reads the rows of its own offset only, so its values
+    do not depend on the other points of the batch.
     """
     points = [tuple(int_value(c, "grid index") for c in point) for point in points]
     if any(len(point) != n for point in points):
@@ -209,7 +264,7 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     t = nodes.t
     tables = _sigma_tables(((vec, k) for vecs in density.factors for point in points
                             for vec, k in zip(vecs, point)),
-                           density.m_lo, D, M, t, nodes.log1pt, n == 3)
+                           density.m_lo, D, M, rule, n == 3)
     weight_finite = bool(np.all(np.isfinite(nodes.weight)))
     if n == 3:
         # the n = 3 bracket needs tau * Phi' and Phi separately
@@ -328,9 +383,8 @@ def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tu
     """Sigma tables of the factor vectors e^{-x^2}, x^2 e^{-x^2}, x^4 e^{-x^2}
     at offset k.  They do not depend on the dimension, so a sweep over n
     computes them once; the cached arrays are read-only."""
-    nodes = rule.arrays()
     m_lo, *vecs = _gaussian_factor_vectors(grid)
-    built = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, nodes.t, nodes.log1pt)
+    built = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, rule)
     tables = tuple(built[id(vec), k][0] for vec in vecs)
     for table in tables:
         table.flags.writeable = False

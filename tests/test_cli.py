@@ -2,6 +2,7 @@
 semantics, exit codes, and the built-in verification suite."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -63,6 +64,19 @@ def test_output_is_deterministic(tmp_path, capsys):
                                  "--steps", "10", "20", "--out", str(p)])
         assert rc == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("table, digest", [
+    ("1", "4b3cd2d9c24724c8422ecbe3e8a61ca022df40da4053625dbff2173888250657"),
+    ("2", "85e08c60b31812c2db382469297f61ad96bdf50f0dff0488e25895ad745b4132"),
+])
+def test_table_bytes_are_frozen(capsys, table, digest):
+    # the output contract: Tables 1 and 2 byte for byte.  The digests are
+    # those of the numpy 2.4.6 build the reference CSVs were made with; a
+    # different libm or SIMD exp may change the last bits of a value
+    rc, out, _ = _run(capsys, ["--table", table])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_rate_column_recomputable(capsys):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from biharm import engine
 from biharm.engine import (IsotropicGaussianPolyDensity, SeparatedDensity,
-                           build_test_density, conv1d, evaluate, evaluate_symmetric,
+                           build_test_density, evaluate, evaluate_symmetric,
                            saturation_epsilon0, tensor_weight)
 from biharm.errors import (QuadratureDivergence, RankBudgetExceeded,
                            SupportTruncated, UnsupportedDimension)
@@ -51,9 +51,14 @@ def _dense_samples(dens):
 # --- 1-D convolutions ---
 
 
+def _conv(samples, k, m_lo, D, M, rule):
+    """The normalized convolution sum of one vector at offset k, per node."""
+    [(table,)] = engine._sigma_tables([(samples, k)], m_lo, D, M, rule).values()
+    return table
+
+
 def test_conv1d_zero_samples(rule):
-    t = rule.arrays().t[80]
-    assert conv1d(np.zeros(9), t, 5.0, 2, 0) == 0.0
+    assert np.all(_conv(np.zeros(9), 0, -4, 5.0, 2, rule) == 0.0)
 
 
 def test_conv1d_unit_sample(rule):
@@ -61,44 +66,52 @@ def test_conv1d_unit_sample(rule):
     samples = np.zeros(21)
     samples[10 + 3] = 1.0
     want = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + t))
-    assert conv1d(samples, t, 5.0, 1, 3) == pytest.approx(want, rel=1e-15)
+    assert _conv(samples, 3, -10, 5.0, 1, rule)[120] == pytest.approx(want, rel=1e-15)
 
 
 def test_conv1d_matches_brute_force(rule):
     h, D, k = 0.1, 5.0, 0
     m = np.arange(-65, 66)
     samples = np.exp(-(h * m) ** 2)
-    for s in (40, 120, 260):
-        t = float(rule.arrays().t[s])
-        for M in (1, 3):
-            got = conv1d(samples, t, D, M, k)
+    for M in (1, 3):
+        table = _conv(samples, k, -65, D, M, rule)
+        for s in (40, 120, 260):
+            t = float(rule.arrays().t[s])
             brute = math.fsum(
                 float(samples[i]) * math.exp(-(k - mi) ** 2 / (D * (1.0 + t)))
                 * float(qm_poly(M, (k - mi) / math.sqrt(D), t))
                 for i, mi in enumerate(m)) / math.sqrt(math.pi * D * (1.0 + t))
-            assert got == pytest.approx(brute, rel=1e-14), (s, M)
+            assert table[s] == pytest.approx(brute, rel=1e-14), (s, M)
 
 
 def test_conv1d_index_origin(rule):
-    t = rule.arrays().t[100]
-    # zero ends keep the window legitimate for the truncation guard
+    # the table depends on the offset relative to the window start only
     samples = np.zeros(13)
     samples[3:10] = np.exp(-np.linspace(-1.5, 1.5, 7) ** 2)
-    centered = conv1d(samples, t, 5.0, 2, 1)
-    explicit = conv1d(samples, t, 5.0, 2, 1, m_lo=-6)
-    assert centered == explicit
-    with pytest.raises(ValueError):
-        conv1d(samples[:-1], t, 5.0, 2, 1)
-    with pytest.raises(ValueError):
-        conv1d(samples, t, 5.0, 2, 1.5)
+    centered = _conv(samples, 1, -6, 5.0, 2, rule)
+    shifted = _conv(samples, 7, 0, 5.0, 2, rule)
+    assert centered.tobytes() == shifted.tobytes()
 
 
 def test_conv1d_flags_truncated_support(rule):
     # the window ends right at the kernel center, so the boundary term is
     # the largest one
-    t = rule.arrays().t[100]
     with pytest.raises(SupportTruncated):
-        conv1d(np.ones(11), t, 5.0, 1, 5)
+        _conv(np.ones(11), 5, -5, 5.0, 1, rule)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8),
+       D=st.floats(0.5, 20.0), M=st.integers(1, 4))
+def test_kernel_rows_are_even_in_the_offset(d, D, M):
+    # the row cache stores |d| only: the Gaussian, Q_M and R_M rows at -d must
+    # be those at +d bit for bit
+    d = np.array(d, dtype=float)
+    rule = DEQuadrature()
+    assert engine._gauss_rows(d, D, rule).tobytes() == engine._gauss_rows(-d, D, rule).tobytes()
+    for plus, minus in zip(engine._poly_rows(d, D, M, rule, True),
+                           engine._poly_rows(-d, D, M, rule, True)):
+        assert plus.tobytes() == minus.tobytes()
 
 
 # --- tensor assembly ---
@@ -237,48 +250,57 @@ def test_three_dims_long_rule_matches_default(rule):
         assert a.value == pytest.approx(b.value, rel=1e-14)
 
 
-def _count_kernel_builds(monkeypatch):
-    """Record (order, rows, with R) for every offset-kernel Hermite pass."""
+@pytest.fixture
+def row_blocks(monkeypatch):
+    """Start from an empty kernel row cache and record the key of every
+    block built, checking that no block is built while it is cached."""
+    engine._ROW_BLOCKS.clear()
+    engine._axis_sigma_tables.cache_clear()
     builds = []
+    row_block = engine._row_block
 
-    def wrap(build, with_r):
-        def counted(M, x, t, *rest):
-            builds.append((M, x.shape[0], with_r))
-            return build(M, x, t, *rest)
-        return counted
+    def counted(key, build):
+        def logged():
+            assert key not in engine._ROW_BLOCKS
+            builds.append(key)
+            block = build()
+            assert all(len(rows) == engine._BLOCK for rows in block)
+            return block
+        return row_block(key, logged)
 
-    monkeypatch.setattr(engine, "qm_poly", wrap(engine.qm_poly, False))
-    monkeypatch.setattr(engine, "_node_polys", wrap(engine._node_polys, True))
-    return builds
-
-
-def test_sigma_tables_built_once_per_offset(monkeypatch):
-    # the axis path makes one kernel build per (offset, M), shared by its
-    # three factor vectors; the tensor path one per evaluate call whose
-    # offsets lie within one vector length of each other
-    builds = _count_kernel_builds(monkeypatch)
+    monkeypatch.setattr(engine, "_row_block", counted)
+    yield builds
+    engine._ROW_BLOCKS.clear()
     engine._axis_sigma_tables.cache_clear()
+
+
+def _held_bytes():
+    return sum(rows.nbytes for block in engine._ROW_BLOCKS.values() for rows in block)
+
+
+def test_sigma_tables_built_once_per_offset(row_blocks):
+    # kernel row blocks do not depend on h, n, the offset or the call: a sweep
+    # over two grids, two orders and three dimensions builds each block of
+    # |d| <= 130 + 20 (blocks 0 and 1) once, the Gaussian ones shared by both orders
+    rule = DEQuadrature()
+    assert 130 + 20 < 2 * engine._BLOCK
+    for grid, k1 in ((GridSpec(0.1), 10), (GridSpec(0.05), 20)):
+        for n in (5, 50, 5000):
+            dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(n), n)
+            for M in (2, 4):
+                evaluate_symmetric(dens, k1, grid, M, rule)
+    assert sorted(row_blocks, key=repr) == sorted(
+        [(5.0, rule, b) for b in (0, 1)]
+        + [(5.0, M, rule, False, b) for M in (2, 4) for b in (0, 1)], key=repr)
+
+    # the n = 3 tensor path reads Q and R blocks, built once across calls
+    row_blocks.clear()
     grid = GridSpec(0.1)
-    L = 2 * 65 + 1
-    for n in (5, 50, 5000):
-        dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(n), n)
-        for M in (2, 4):
-            evaluate_symmetric(dens, 10, grid, M)
-    engine._axis_sigma_tables.cache_clear()
-    # offsets 10 and 0 at two orders, L rows each, no R
-    assert sorted(builds) == [(2, L, False)] * 2 + [(4, L, False)] * 2
-
-    builds.clear()
     points = [(10, 10, 0), (0, 10, 10), (3, -2, 10)]
-    evaluate(build_test_density(3, grid), points, 3, grid, 4)
-    # one Q-and-R pass over the rows of offsets -2..10
-    assert builds == [(4, 12 + L, True)]
-
-    builds.clear()
-    dens = build_test_density(5, grid)
-    for point in ((10, 0, 0, 0, 0), (0, 0, 10, 0, 0)):
-        evaluate(dens, [point], 5, grid, 4)
-    assert builds == [(4, 10 + L, False)] * 2
+    for _ in range(2):
+        evaluate(build_test_density(3, grid), points, 3, grid, 4, rule)
+    assert row_blocks == [(5.0, 4, rule, True, 0)]
+    assert _held_bytes() <= engine._CACHE_BYTES
 
 
 def _positive_density(n, grid):
@@ -289,19 +311,26 @@ def _positive_density(n, grid):
     return SeparatedDensity((1.0, 1.0, 1.0), factors, m_lo)
 
 
-def test_far_apart_batch_keeps_tables_small(monkeypatch):
-    # offsets 10^5 apart go to separate kernel builds of at most 2L rows
-    # each, and give the values of one-point calls
-    builds = _count_kernel_builds(monkeypatch)
+def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
+    # offsets 10^5 apart read only the blocks around |d| = 0 and 10^5, each
+    # of _BLOCK rows; under a bound of four blocks the cache evicts, stays
+    # within the bound, and the batch still gives the values of one-point calls
+    rule = DEQuadrature()
+    block_bytes = engine._BLOCK * rule.node_count * 8
+    monkeypatch.setattr(engine, "_CACHE_BYTES", 4 * block_bytes)
     grid = GridSpec(0.2)
-    L = 2 * 32 + 1
     # at n = 6 the rule still resolves the far-field potential
     dens = _positive_density(6, grid)
     points = [(0, 3, -2, 0, 1, 0), (10 ** 5, 10 ** 5 + 7, 0, 0, 10 ** 5 - 5, 0)]
-    batch = evaluate(dens, points, 6, grid, 3)
-    assert sorted(builds) == [(3, 5 + L, False), (3, 12 + L, False)]
+    batch = evaluate(dens, points, 6, grid, 3, rule)
+    # |d| <= 32 + 7 and 10^5 - 5 - 32 <= |d| <= 10^5 + 7 + 32: blocks 0, 780, 781
+    assert sorted(row_blocks, key=repr) == sorted(
+        [(5.0, rule, b) for b in (0, 780, 781)]
+        + [(5.0, 3, rule, False, b) for b in (0, 780, 781)], key=repr)
+    assert _held_bytes() <= engine._CACHE_BYTES
     for point, sample in zip(points, batch):
-        assert sample.value == evaluate(dens, [point], 6, grid, 3)[0].value
+        assert sample.value == evaluate(dens, [point], 6, grid, 3, rule)[0].value
+        assert _held_bytes() <= engine._CACHE_BYTES
 
 
 @settings(max_examples=20, deadline=None)
@@ -339,6 +368,30 @@ def test_evaluate_flags_truncated_support():
     dens = build_test_density(5, grid)
     with pytest.raises(SupportTruncated):
         evaluate(dens, [(18, 0, 0, 0, 0)], 5, grid, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from((3, 5)), M=st.integers(1, 4),
+       side=st.sampled_from(("left", "right", "both")), data=st.data())
+def test_clipped_window_is_refused(n, M, side, data):
+    # a random one-signed density whose sample window is cut where it is still
+    # above 1e-6 of its peak (|x| < 3.7, |m| <= 148 at h = 1/40): at the wide
+    # nodes the kernel is 1 over the window, so a boundary term is a visible
+    # share of the sum.  The window is longer than a block, and a right clip
+    # puts the largest boundary term in the last block, not the first
+    grid = GridSpec(1.0 / 40)
+    m_lo, g0, _, _ = engine._gaussian_factor_vectors(grid)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    vec = data.draw(st.sampled_from((1.0, -1.0))) * g0 * rng.uniform(0.5, 1.5, len(g0))
+    lo = data.draw(st.integers(-148, -1)) if side != "right" else m_lo
+    hi = data.draw(st.integers(1, 148)) if side != "left" else -m_lo
+    if side == "right":
+        assert hi - lo + 1 > engine._BLOCK
+    clipped = vec[lo - m_lo:hi - m_lo + 1]
+    dens = SeparatedDensity((data.draw(st.floats(0.1, 10.0)),), ((clipped,) * n,), lo)
+    point = data.draw(st.tuples(*[st.integers(lo, hi)] * n))
+    with pytest.raises(SupportTruncated):
+        evaluate(dens, [point], n, grid, M)
 
 
 # --- symmetric axis-point fast path ---
