@@ -3,9 +3,11 @@ cubature from one-dimensional discrete convolutions.
 
 Every per-dimension convolution sum carries its own (pi D (1+t))^{-1/2}
 normalization, so the n-fold per-node products stay O(1) and can be formed as
-exp of a log sum without overflow even at n = 1e7.  Node sums are exactly
-rounded (math.fsum) and certified against the quadrature tail; the
-p-then-s-then-j loop order is fixed, making results reproducible bit for bit.
+exp of a log sum without overflow even at n = 1e7.  Node row sums are
+correctly rounded, equal to math.fsum's bit for bit: a vectorised error-free
+pass with a proven bound, math.fsum where the bound cannot certify a row
+(quad._row_sums).  They are certified against the quadrature tail, and the
+product order over dimensions is fixed, so results are reproducible bit for bit.
 
 The convolution kernel e^{-d^2/(D(1+t))} Q_M(d/sqrt(D), t) depends on the
 lattice offset d = k - m alone, not on h, n or the density.  Its rows are
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,25 +141,34 @@ def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool
     return _node_polys(M, x, t, True) if with_r else (qm_poly(M, x, t),)
 
 
-def _row_block(key: tuple, build) -> tuple:
-    """The cached arrays of one kernel row block, built by build() on a miss.
+def _row_block(keys: tuple, build) -> list:
+    """The cached kernel row blocks under keys; on a miss, build() gives one
+    array per key in one pass and the missing ones are stored.
 
-    Least recently used blocks are evicted once the cache holds more than
-    _CACHE_BYTES; the block just built always stays.
+    A block already cached is kept, not replaced: a rebuild equals it bit for
+    bit.  Least recently used blocks are evicted once the cache holds more
+    than _CACHE_BYTES; the blocks of keys always stay.
     """
-    block = _ROW_BLOCKS.get(key)
-    if block is not None:
+    try:
+        blocks = [_ROW_BLOCKS[key] for key in keys]
+    except KeyError:
+        pass
+    else:
+        for key in keys:
+            _ROW_BLOCKS.move_to_end(key)
+        return blocks
+    blocks = [_ROW_BLOCKS.get(key) for key in keys]
+    for key, block, rows in zip(keys, blocks, build()):
+        if block is None:
+            rows.flags.writeable = False
+            _ROW_BLOCKS[key] = rows
         _ROW_BLOCKS.move_to_end(key)
-        return block
-    block = build()
-    for rows in block:
-        rows.flags.writeable = False
-    _ROW_BLOCKS[key] = block
-    held = sum(rows.nbytes for cached in _ROW_BLOCKS.values() for rows in cached)
-    while held > _CACHE_BYTES and len(_ROW_BLOCKS) > 1:
+    # the cache grows on a build only, so only a build can overfill it
+    held = sum(rows.nbytes for rows in _ROW_BLOCKS.values())
+    while held > _CACHE_BYTES and len(_ROW_BLOCKS) > len(keys):
         _, old = _ROW_BLOCKS.popitem(last=False)
-        held -= sum(rows.nbytes for rows in old)
-    return block
+        held -= old.nbytes
+    return [_ROW_BLOCKS[key] for key in keys]
 
 
 def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
@@ -166,7 +177,9 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
     one cached block: a list of (table row slice, Gaussian rows, poly rows).
 
     Blocks hold the rows |d| = b B .. b B + B - 1 (B = _BLOCK); the kernel is
-    even in d bit for bit, so rows with d >= 0 are read backwards.
+    even in d bit for bit, so rows with d >= 0 are read backwards.  Q_M rows
+    have one key whether or not R_M is needed, so the n = 3 path and the
+    n >= 5 paths share them.
     """
     runs = []
     i = 0
@@ -180,8 +193,9 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
             n = min(_BLOCK - r, L - i)
             rows = slice(r, r + n)
         offsets = b * _BLOCK + np.arange(_BLOCK, dtype=float)
-        (gauss,) = _row_block((D, rule, b), lambda: (_gauss_rows(offsets, D, rule),))
-        polys = _row_block((D, M, rule, with_r, b),
+        [gauss] = _row_block((("gauss", D, rule, b),),
+                             lambda: (_gauss_rows(offsets, D, rule),))
+        polys = _row_block((("Q", D, M, rule, b), ("R", D, M, rule, b))[:1 + with_r],
                            lambda: _poly_rows(offsets, D, M, rule, with_r))
         runs.append((slice(i, i + n), gauss[rows], tuple(p[rows] for p in polys)))
         i += n
@@ -189,8 +203,9 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
 
 
 def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
-           buf: np.ndarray) -> np.ndarray:
-    """norm * sum_m vec[m] gauss[m] poly[m] over the node columns, support-checked.
+           buf: np.ndarray, out: np.ndarray) -> None:
+    """out = norm * sum_m vec[m] gauss[m] poly[m] over the node columns,
+    support-checked.
 
     The terms vec[:, None] * gauss * poly are formed one run at a time in
     buf[1:]; from the second run on, the partial sum is carried in buf[0], so
@@ -213,15 +228,16 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
             np.abs(terms, out=terms)
             np.maximum(peak, np.max(terms, axis=0), out=peak)
     _check_support(np.maximum(first, terms[-1]), peak, sums)
-    return norm * sums
+    np.multiply(norm, sums, out=out)
 
 
 def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
-                  with_r: bool = False) -> dict:
+                  with_r: bool = False) -> tuple:
     """Normalized per-dimension convolution sums for (vector, offset) pairs.
 
     All vectors have one length L on the index range starting at m_lo.
-    Returns {(id(vec), k): (sigma_Q,)}, or (sigma_Q, sigma_R) when with_r, where
+    Returns (rows, sigma): rows maps (id(vec), k) to a row of the array
+    sigma[0] of sigma_Q tables, and of sigma[1] of sigma_R when with_r, where
     sigma_P(k, t_s) = (pi D (1+t_s))^{-1/2} *
         sum_m vec[m] e^{-(k-m)^2/(D(1+t_s))} P_M((k-m)/sqrt(D), t_s)
     at the rule's nodes t_s.  The kernel depends on d = k - m alone, so its
@@ -231,71 +247,103 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
     needed: dict = {}
     for vec, k in pairs:
         needed.setdefault(k, {})[id(vec)] = vec
-    if not needed:
-        return {}
-    [L] = {len(vec) for vecs in needed.values() for vec in vecs.values()}
+    rows: dict = {}
+    for k, vecs in needed.items():
+        for key in vecs:
+            rows[key, k] = len(rows)
     log1pt = rule.arrays().log1pt
+    sigma = np.empty((1 + with_r, len(rows), len(log1pt)))
+    if not rows:
+        return rows, sigma
+    [L] = {len(vec) for vecs in needed.values() for vec in vecs.values()}
     norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
     buf = np.empty((_BLOCK + 1, len(log1pt)))
-    tables = {}
     for k, vecs in needed.items():
         runs = _kernel_runs(k - m_lo, L, D, M, rule, with_r)
-        for vec in vecs.values():
-            tables[id(vec), k] = tuple(_sigma(vec, runs, which, norm, buf)
-                                       for which in range(1 + with_r))
-    return tables
+        for key, vec in vecs.items():
+            for which in range(1 + with_r):
+                _sigma(vec, runs, which, norm, buf, sigma[which, rows[key, k]])
+    return rows, sigma
+
+
+def _table_index(density: SeparatedDensity, points: list, n: int, D: float,
+                 M: int, rule: DEQuadrature) -> tuple:
+    """(index, sigma): the tables of every (vector, offset) pair of the call,
+    and index[i, j, p], the row of sigma[.] that term p reads in dimension j
+    at point i.
+
+    Every term meets every point, so the pairs of dimension j are
+    {vectors at j} x {offsets at j}: the pairs of all (term, point) products,
+    each once.  A table reads the kernel rows of its own offset only, so its
+    values do not depend on the other points of the batch.
+    """
+    vectors = {id(vec): vec for term in density.factors for vec in term}
+    # per dimension: the vector of each term, by id, and the distinct offsets
+    ids = [list(map(id, col)) for col in zip(*density.factors)]
+    offsets = [dict.fromkeys(col) for col in zip(*points)]
+    rows, sigma = _sigma_tables(((vectors[key], k) for keys, ks in zip(ids, offsets)
+                                 for key in dict.fromkeys(keys) for k in ks),
+                                density.m_lo, D, M, rule, n == 3)
+    index = np.array([[[rows[key, k] for key in keys] for keys, k in zip(ids, pt)]
+                      for pt in points], dtype=np.intp)
+    return index, sigma
 
 
 def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
                rule: DEQuadrature):
     """Yield (point, certified node sum) for each grid index vector.
 
-    The node sum is fsum_p weights[p] fsum_s c_s with c_s the n-fold product
+    The node sum is fsum_p weights[p] fsum_s c_ps with c_ps the n-fold product
     of the factor tables times the node weight for n >= 5, and the two-term
-    n = 3 bracket times tau * Phi'.  The points are validated and every
-    (vector, offset) table of the call is built up front from the cached
-    kernel rows; a table reads the rows of its own offset only, so its values
-    do not depend on the other points of the batch.
+    n = 3 bracket times tau * Phi'.  The points are validated and every table
+    of the call is built up front (_table_index).  Per point, the (terms,
+    nodes) contributions are formed with one gather of table rows per
+    dimension, multiplied in the order j = 0 .. n-1, and their rows are summed
+    exactly in one vectorised pass (quad._row_sums).
     """
     points = [tuple(int_value(c, "grid index") for c in point) for point in points]
     if any(len(point) != n for point in points):
         raise ValueError(f"evaluation point must have {n} coordinates")
     nodes = rule.arrays()
     t = nodes.t
-    tables = _sigma_tables(((vec, k) for vecs in density.factors for point in points
-                            for vec, k in zip(vecs, point)),
-                           density.m_lo, D, M, rule, n == 3)
-    weight_finite = bool(np.all(np.isfinite(nodes.weight)))
+    index, sigma = _table_index(density, points, n, D, M, rule)
+    q = sigma[0]
+    log_form = n > 3 and (n > _LOG_PRODUCT_DIM or not np.all(np.isfinite(nodes.weight)))
     if n == 3:
         # the n = 3 bracket needs tau * Phi' and Phi separately
         with np.errstate(over="ignore"):
             tau_phiprime = np.exp(nodes.log_weight - nodes.log_t)
+        r = sigma[1]
+    elif log_form:
+        # the n-fold product as a signed exp of a log sum
+        sign = np.sign(q)
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(np.abs(q))
 
-    for point in points:
-        contribs = []
-        for vecs in density.factors:
-            sig = [tables[id(vec), k] for vec, k in zip(vecs, point)]
-            if n == 3:
-                (q0, r0), (q1, r1), (q2, r2) = sig
-                r_sum = r0 * q1 * q2 + q0 * r1 * q2 + q0 * q1 * r2
-                with np.errstate(invalid="ignore", over="ignore"):
-                    # where t overflowed to inf the R-sum is exactly 0; such
-                    # dead nodes contribute 0, not inf * 0
-                    bracket = q0 * q1 * q2 + np.where(r_sum == 0.0, 0.0, t * r_sum)
-                    contrib = tau_phiprime * bracket
-                contrib = np.where((bracket == 0.0) & ~np.isfinite(contrib), 0.0, contrib)
-            else:
-                sq = [q for (q,) in sig]
-                if n > _LOG_PRODUCT_DIM or not weight_finite:
-                    # the n-fold product as a signed exp of a log sum
-                    sign = reduce(np.multiply, map(np.sign, sq))
-                    with np.errstate(divide="ignore"):
-                        log_mag = sum(np.log(np.abs(s)) for s in sq)
-                    contrib = _exp_nodes(nodes.log_weight + log_mag, sign)
-                else:
-                    contrib = nodes.weight * reduce(np.multiply, sq)
-            contribs.append(contrib)
-        yield point, _node_sum(contribs, density.weights)
+    for point, at in zip(points, index):
+        if n == 3:
+            q0, q1, q2 = (q.take(rows, axis=0) for rows in at)
+            r0, r1, r2 = (r.take(rows, axis=0) for rows in at)
+            r_sum = r0 * q1 * q2 + q0 * r1 * q2 + q0 * q1 * r2
+            with np.errstate(invalid="ignore", over="ignore"):
+                # where t overflowed to inf the R-sum is exactly 0; such
+                # dead nodes contribute 0, not inf * 0
+                bracket = q0 * q1 * q2 + np.where(r_sum == 0.0, 0.0, t * r_sum)
+                contrib = tau_phiprime * bracket
+            contrib = np.where((bracket == 0.0) & ~np.isfinite(contrib), 0.0, contrib)
+        elif log_form:
+            signs = sign.take(at[0], axis=0)
+            logs = log_mag.take(at[0], axis=0)
+            for rows in at[1:]:
+                signs *= sign.take(rows, axis=0)
+                logs += log_mag.take(rows, axis=0)
+            contrib = _exp_nodes(nodes.log_weight + logs, signs)
+        else:
+            contrib = q.take(at[0], axis=0)
+            for rows in at[1:]:
+                contrib *= q.take(rows, axis=0)
+            contrib *= nodes.weight
+        yield point, _node_sum(contrib, density.weights)
 
 
 def evaluate(density: SeparatedDensity, points, n, grid: GridSpec, M,
@@ -384,11 +432,9 @@ def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tu
     at offset k.  They do not depend on the dimension, so a sweep over n
     computes them once; the cached arrays are read-only."""
     m_lo, *vecs = _gaussian_factor_vectors(grid)
-    built = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, rule)
-    tables = tuple(built[id(vec), k][0] for vec in vecs)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    rows, (sigma,) = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, rule)
+    sigma.flags.writeable = False
+    return tuple(sigma[rows[id(vec), k]] for vec in vecs)
 
 
 def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,

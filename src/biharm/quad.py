@@ -7,7 +7,8 @@ with a few hundred nodes reaches near machine accuracy.  Node tables are
 immutable; log-magnitude companions of every node quantity are kept because
 the high-dimensional assembly must form n-fold products in the log domain.
 Every node sum of the package, here and in the engine, goes through
-_node_sum, which refuses a rule whose last node still carries weight.
+_node_sum, which refuses a rule whose last node still carries weight and
+returns the node rows' math.fsum sums bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ _LOG_FLOAT_MAX = 709.0
 
 # Tail contributions are compared against this fraction of the accumulated sum.
 _TAIL_TOL = 1e-16
+
+# node-row stacks with fewer rows are summed by math.fsum row by row: on rows
+# of 300 nodes the vectorised pass of _row_sums costs about 60 us for 1 to 8
+# rows, as much as math.fsum of 4 rows (15 us a row)
+_FSUM_ROWS = 4
 
 
 def _log_transform(u, a: float, b: float):
@@ -169,14 +175,66 @@ def _exp_nodes(expo: np.ndarray, factor=1.0) -> np.ndarray:
                     factor * np.exp(np.minimum(expo, _LOG_FLOAT_MAX)), 0.0)
 
 
+def _row_sums(rows) -> list:
+    """math.fsum of each node row, bit for bit, from one vectorised pass.
+
+    Stacks of fewer than _FSUM_ROWS rows are summed by math.fsum directly.
+    Otherwise each row x_1..x_N (N < 2^26) is split without error (Rump,
+    Ogita and Oishi's ExtractVector): with mu = max|x_i| < 2^e and
+    sigma = 2^(e + ceil(log2(N + 2))), q_i = (sigma + x_i) - sigma and
+    p_i = x_i - q_i are exact, every q_i is a multiple of u sigma
+    (u = 2^-53) and sum |q_i| < sigma, so hi = fl(sum q_i) is exact in any
+    summation order.  lo = fl(sum p_i) is off by at most
+    gamma_{N-1} sum |p_i| <= 2 (N-1) u fl(sum |p_i|), gamma_k = k u / (1 - k u),
+    in any order (Higham, ch. 4), so B = fl(2 N u fl(sum |p_i|)) + 2^-1074
+    bounds it; the last term covers underflow of the product.  With
+    r + err = hi + lo exactly (TwoSum), the exact sum lies within |err| + B
+    of r.  r is accepted when fl(|err| + B) is strictly below h, half the
+    smaller gap from r to its neighbouring doubles (a quarter of
+    spacing(|r|) at a power of two): rounding is monotone and h is a double,
+    so the exact sum is then strictly nearer to r than to any other double,
+    and r is the correctly rounded sum that math.fsum returns.
+
+    Every other row is summed by math.fsum, which also raises what it
+    raises: rows holding inf or NaN, rows too large for a finite sigma (a
+    finite sigma means (N + 2) mu < 2^1023, so no certified row comes near
+    overflow), rows with |r| <= 2^-1021 (h rounds to 0; zero sums included),
+    exact ties and rows whose cancellation leaves B above h.
+    """
+    if len(rows) < _FSUM_ROWS:
+        return [math.fsum(row.tolist()) for row in rows]
+    rows = np.asarray(rows)
+    cols = rows.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, e = np.frexp(np.max(np.abs(rows), axis=1))
+        sigma = np.ldexp(1.0, e + math.ceil(math.log2(cols + 2)))[:, None]
+        q = sigma + rows
+        q -= sigma
+        p = rows - q
+        hi = np.sum(q, axis=1)
+        lo = np.sum(p, axis=1)
+        bound = (2.0 * cols * 2.0 ** -53) * np.sum(np.abs(p, out=p), axis=1) + 2.0 ** -1074
+        r = hi + lo
+        back = r - hi
+        err = (hi - (r - back)) + (lo - back)
+        half = np.spacing(np.abs(r)) * np.where(np.abs(np.frexp(r)[0]) == 0.5, 0.25, 0.5)
+        certified = np.abs(err) + bound < half
+    sums = r.tolist()
+    for i in np.flatnonzero(~certified).tolist():
+        sums[i] = math.fsum(rows[i].tolist())
+    return sums
+
+
 def _node_sum(contribs, weights=(1.0,)) -> float:
     """Certified node sum fsum_p weights[p] * fsum_s contribs[p][s].
 
-    The rule is trusted only if the last node's share of the combined sum
-    sum_p weights[p] * contribs[p] stays within _TAIL_TOL; otherwise the
-    integrand has not decayed by the end of the node range.
+    contribs is a (terms, nodes) array or a list of node rows; its row sums
+    are math.fsum's, bit for bit (_row_sums).  The rule is trusted only if
+    the last node's share of the combined sum sum_p weights[p] * contribs[p]
+    stays within _TAIL_TOL; otherwise the integrand has not decayed by the
+    end of the node range.
     """
-    total = math.fsum(w * math.fsum(c.tolist()) for w, c in zip(weights, contribs))
+    total = math.fsum(w * s for w, s in zip(weights, _row_sums(contribs)))
     tail = math.fsum(w * c[-1] for w, c in zip(weights, contribs))
     if abs(tail) > _TAIL_TOL * abs(total):
         raise QuadratureDivergence(

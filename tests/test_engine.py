@@ -53,7 +53,7 @@ def _dense_samples(dens):
 
 def _conv(samples, k, m_lo, D, M, rule):
     """The normalized convolution sum of one vector at offset k, per node."""
-    [(table,)] = engine._sigma_tables([(samples, k)], m_lo, D, M, rule).values()
+    _, [[table]] = engine._sigma_tables([(samples, k)], m_lo, D, M, rule)
     return table
 
 
@@ -250,23 +250,42 @@ def test_three_dims_long_rule_matches_default(rule):
         assert a.value == pytest.approx(b.value, rel=1e-14)
 
 
+def test_log_product_branch_matches_default(rule):
+    # past the binary64 range of the node weights the n >= 5 products are
+    # formed as signed exps of log sums; they must agree with the default
+    # rule's plain products, and a batch must equal its one-point calls
+    long_rule = DEQuadrature(s_end=500)
+    assert not np.all(np.isfinite(long_rule.arrays().weight))
+    grid = GridSpec(1.0 / 20)
+    dens = build_test_density(5, grid)
+    points = [(20, 20, 20, 0, -4), (0, 5, -10, 3, 3), (1, -1, 0, 2, 7)]
+    want = evaluate(dens, points, 5, grid, 4, rule)
+    got = evaluate(dens, points, 5, grid, 4, long_rule)
+    for point, a, b in zip(points, got, want):
+        assert a.value == pytest.approx(b.value, rel=1e-14)
+        assert a.value == evaluate(dens, [point], 5, grid, 4, long_rule)[0].value
+
+
 @pytest.fixture
 def row_blocks(monkeypatch):
     """Start from an empty kernel row cache and record the key of every
-    block built, checking that no block is built while it is cached."""
+    block stored, checking that a build happens only when one of its blocks
+    is missing and that every block has _BLOCK rows."""
     engine._ROW_BLOCKS.clear()
     engine._axis_sigma_tables.cache_clear()
     builds = []
     row_block = engine._row_block
 
-    def counted(key, build):
+    def counted(keys, build):
         def logged():
-            assert key not in engine._ROW_BLOCKS
-            builds.append(key)
+            missing = [key for key in keys if key not in engine._ROW_BLOCKS]
+            assert missing
+            builds.extend(missing)
             block = build()
+            assert len(block) == len(keys)
             assert all(len(rows) == engine._BLOCK for rows in block)
             return block
-        return row_block(key, logged)
+        return row_block(keys, logged)
 
     monkeypatch.setattr(engine, "_row_block", counted)
     yield builds
@@ -275,7 +294,7 @@ def row_blocks(monkeypatch):
 
 
 def _held_bytes():
-    return sum(rows.nbytes for block in engine._ROW_BLOCKS.values() for rows in block)
+    return sum(rows.nbytes for rows in engine._ROW_BLOCKS.values())
 
 
 def test_sigma_tables_built_once_per_offset(row_blocks):
@@ -290,17 +309,42 @@ def test_sigma_tables_built_once_per_offset(row_blocks):
             for M in (2, 4):
                 evaluate_symmetric(dens, k1, grid, M, rule)
     assert sorted(row_blocks, key=repr) == sorted(
-        [(5.0, rule, b) for b in (0, 1)]
-        + [(5.0, M, rule, False, b) for M in (2, 4) for b in (0, 1)], key=repr)
+        [("gauss", 5.0, rule, b) for b in (0, 1)]
+        + [("Q", 5.0, M, rule, b) for M in (2, 4) for b in (0, 1)], key=repr)
 
-    # the n = 3 tensor path reads Q and R blocks, built once across calls
+    # the n = 3 tensor path reads Q and R blocks; Q is the block the n >= 5
+    # paths use, so two n = 3 calls after the sweep build one R block in all
     row_blocks.clear()
     grid = GridSpec(0.1)
     points = [(10, 10, 0), (0, 10, 10), (3, -2, 10)]
     for _ in range(2):
         evaluate(build_test_density(3, grid), points, 3, grid, 4, rule)
-    assert row_blocks == [(5.0, 4, rule, True, 0)]
+    assert row_blocks == [("R", 5.0, 4, rule, 0)]
     assert _held_bytes() <= engine._CACHE_BYTES
+
+    # and the other way round: after an n = 3 call has stored Q and R, the
+    # n = 5 path builds nothing
+    engine._ROW_BLOCKS.clear()
+    row_blocks.clear()
+    evaluate(build_test_density(3, grid), points, 3, grid, 4, rule)
+    assert sorted(row_blocks, key=repr) == sorted(
+        [("gauss", 5.0, rule, 0), ("Q", 5.0, 4, rule, 0), ("R", 5.0, 4, rule, 0)], key=repr)
+    evaluate(build_test_density(5, grid), [(10, 0, 10, -3, 2)], 5, grid, 4, rule)
+    assert len(row_blocks) == 3
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8),
+       D=st.floats(0.5, 20.0))
+def test_q_rows_do_not_depend_on_r(d, D):
+    # the n = 3 path stores the Q rows of its Q-and-R pass under the Q-only
+    # key, so they must equal the Q-only rows bit for bit
+    d = np.array(d, dtype=float)
+    rule = DEQuadrature()
+    for M in (1, 2, 3, 4):
+        q, _ = engine._poly_rows(d, D, M, rule, True)
+        (q_only,) = engine._poly_rows(d, D, M, rule, False)
+        assert q.tobytes() == q_only.tobytes(), M
 
 
 def _positive_density(n, grid):
@@ -325,12 +369,18 @@ def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
     batch = evaluate(dens, points, 6, grid, 3, rule)
     # |d| <= 32 + 7 and 10^5 - 5 - 32 <= |d| <= 10^5 + 7 + 32: blocks 0, 780, 781
     assert sorted(row_blocks, key=repr) == sorted(
-        [(5.0, rule, b) for b in (0, 780, 781)]
-        + [(5.0, 3, rule, False, b) for b in (0, 780, 781)], key=repr)
+        [("gauss", 5.0, rule, b) for b in (0, 780, 781)]
+        + [("Q", 5.0, 3, rule, b) for b in (0, 780, 781)], key=repr)
     assert _held_bytes() <= engine._CACHE_BYTES
     for point, sample in zip(points, batch):
         assert sample.value == evaluate(dens, [point], 6, grid, 3, rule)[0].value
         assert _held_bytes() <= engine._CACHE_BYTES
+
+
+def test_empty_batch_gives_no_samples():
+    grid = GridSpec(0.2)
+    for n in (3, 5):
+        assert evaluate(build_test_density(n, grid), [], n, grid, 2) == []
 
 
 @settings(max_examples=20, deadline=None)

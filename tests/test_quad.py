@@ -12,7 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biharm import quad
 from biharm.cli import _printed_node_polys
 from biharm.engine import tensor_weight
 from biharm.errors import QuadratureDivergence
@@ -141,3 +144,108 @@ def test_tensor_weight_symmetries(rule):
     base = tensor_weight((2, -1, 3, 0, 1), 4, 5.0, rule)
     assert tensor_weight((2, 1, 3, 0, -1), 4, 5.0, rule) == base
     assert tensor_weight((0, 3, 1, 2, -1), 4, 5.0, rule) == base
+
+
+# --- exact node-row sums ---
+
+
+def _signs(rng, size):
+    return rng.choice((-1.0, 1.0), size)
+
+
+def _cancelling_row(rng, cols):
+    """Pairs x, -x (1 + k ulp) with |k| <= 3: the sum is a few ulps of the
+    largest terms, far below the rounding noise of a plain sum."""
+    x = np.ldexp(rng.uniform(1.0, 2.0, cols), rng.integers(-60, 60, cols)) * _signs(rng, cols)
+    x[1::2] = -(x[:-1:2] + rng.integers(-3, 4, cols // 2) * np.spacing(x[:-1:2]))
+    return x
+
+
+def _tie_row(rng, cols):
+    """b plus exactly half an ulp of b, padded with pairs that cancel exactly:
+    the exact sum lies halfway between two doubles."""
+    b = math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(-100, 100)))
+    x = np.zeros(cols)
+    x[0] = b
+    if cols > 1:
+        x[1] = float(np.spacing(b)) / 2.0 * rng.choice((-1.0, 1.0))
+    pads = (cols - 2) // 2
+    if pads > 0:
+        y = np.ldexp(rng.uniform(1.0, 2.0, pads), rng.integers(-120, 120, pads))
+        x[2:2 + 2 * pads] = np.repeat(y, 2) * np.tile((1.0, -1.0), pads)
+    return rng.permutation(x)
+
+
+def _hard_row(rng, kind, cols):
+    if kind == "onesigned":
+        # like a node row: no cancellation, every term near the largest
+        return rng.uniform(0.5, 1.5, cols) * rng.choice((-1.0, 1.0))
+    if kind == "wide":
+        # 2^-1074 .. 2^1000: subnormal to huge, summing to a finite value
+        return np.ldexp(rng.uniform(1.0, 2.0, cols),
+                        rng.integers(-1074, 1000, cols)) * _signs(rng, cols)
+    if kind == "subnormal":
+        return rng.integers(-2 ** 53, 2 ** 53, cols) * 2.0 ** -1074
+    if kind == "cancel":
+        return _cancelling_row(rng, cols)
+    if kind == "tie":
+        return _tie_row(rng, cols)
+    if kind == "zeros":
+        return rng.choice((0.0, -0.0), cols)
+    # "nonfinite": a benign row with one or two of inf, -inf, NaN
+    x = rng.uniform(-1.0, 1.0, cols)
+    x[rng.integers(0, cols, 2)] = rng.choice((math.inf, -math.inf, math.nan), 2)
+    return x
+
+
+def _sums_or_error(sums):
+    try:
+        return [float(v).hex() for v in sums()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+_KINDS = ("onesigned", "wide", "subnormal", "cancel", "tie", "zeros", "nonfinite")
+
+
+@settings(max_examples=200, deadline=None)
+@given(cols=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=quad._FSUM_ROWS,
+                      max_size=quad._FSUM_ROWS + 4),
+       edges=st.lists(st.tuples(st.integers(0, 10 ** 6), st.floats(width=64)), max_size=4))
+def test_row_sums_equal_fsum(cols, seed, kinds, edges):
+    # every row sum is math.fsum's bit for bit (signed zeros included), and a
+    # stack with a row that math.fsum refuses raises the same exception type
+    rng = np.random.default_rng(seed)
+    rows = np.array([_hard_row(rng, kind, cols) for kind in kinds])
+    for i, x in edges:
+        rows[i % len(rows), (i // len(rows)) % cols] = x
+    want = _sums_or_error(lambda: [math.fsum(row.tolist()) for row in rows])
+    assert _sums_or_error(lambda: quad._row_sums(rows)) == want
+
+
+def test_uncertified_rows_fall_back_to_fsum(monkeypatch):
+    # tie and cancellation rows fail the certificate and are summed by
+    # math.fsum; the benign rows of the same stack are not.  In the last row
+    # the plain sums give 2^10 - 2^-44, which rounds up to 2^10 at a tie,
+    # while the exact sum lies just below that midpoint: at a power of two
+    # the gap below is half the gap above, and the certificate must use it
+    rng = np.random.default_rng(3)
+    power = [2.0 ** 10, -2.0 ** -44, -2.0 ** -104] + [0.0] * 297
+    rows = np.array([_tie_row(rng, 300), rng.uniform(0.5, 1.5, 300),
+                     _cancelling_row(rng, 300), rng.uniform(-1.0, 2.0, 300),
+                     _tie_row(rng, 7).tolist() + [0.0] * 293, power])
+    assert len(rows) >= quad._FSUM_ROWS
+    want = [math.fsum(row.tolist()) for row in rows]
+    fsum = math.fsum
+    summed = []
+
+    def spy(values):
+        summed.append(list(values))
+        return fsum(summed[-1])
+
+    monkeypatch.setattr(math, "fsum", spy)
+    got = quad._row_sums(rows)
+    monkeypatch.undo()
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert summed == [rows[i].tolist() for i in (0, 2, 4, 5)]
