@@ -295,15 +295,14 @@ def _verify_checks(level: str):
     yield "convolution of a lattice delta", dev <= 1e-14, f"max_rel={dev:.2e} tol=1e-14"
 
     dev = 0.0
+    radii = np.array([0.0, 0.5, 1.0, 2.0])
     for n in (3, 5, 6, 10):
         for m in (2, 3):
-            for r in (0.0, 0.5, 1.0, 2.0):
-                x = r * r
-                step = (math.exp(-x) / 16.0
-                        * specfun.gen_laguerre(m - 2, n / 2.0 - 1.0, x)
-                        / ((m - 1) * m))
-                diff = kernels.phi2M(n, m + 1, r) - kernels.phi2M(n, m, r)
-                dev = max(dev, abs(diff - step))
+            step = (np.exp(-radii * radii) / 16.0
+                    * specfun.gen_laguerre(m - 2, n / 2.0 - 1.0, radii * radii)
+                    / ((m - 1) * m))
+            diff = kernels.phi2M(n, m + 1, radii) - kernels.phi2M(n, m, radii)
+            dev = max(dev, float(np.max(np.abs(diff - step))))
     yield "order-increment ladder identity", dev <= 1e-13, f"max_abs={dev:.2e} tol=1e-13"
 
     eps0 = engine.saturation_epsilon0(1, 5.0, 5)

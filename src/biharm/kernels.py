@@ -4,7 +4,8 @@ direct-summation cubature oracle for small dimensions.
 phi2 is the potential of a unit Gaussian; phi2M extends it to the radial
 Laguerre-weighted basis of order 2M through the incomplete-gamma ladder.
 Both are vectorized over the radius argument since the direct cubature
-evaluates them on multi-million-point lattices.
+evaluates them on multi-million-point lattices; their special functions
+come from specfun, so a scalar and an array call agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 
-from .errors import DimensionTooLarge, NonConvergence
+from .errors import DimensionTooLarge
 from . import specfun
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
 
 _EULER_GAMMA = float(np.euler_gamma)
 
-# Below this radius the removable-singularity formulas switch to series forms.
+# Below this radius the n = 4 formula switches to its series form.
 _SERIES_RADIUS = 0.35
 
 # caps of the direct lattice sum: the space dimension, and the number of
@@ -108,7 +108,7 @@ def _phi2_dim3(r: np.ndarray) -> np.ndarray:
     # -e^{-r^2}/8 - sqrt(pi) (2r^2+1) erf(r) / (16 r); erf(r)/r -> 2/sqrt(pi) at 0
     ratio = np.full_like(r, 2.0 / math.sqrt(math.pi))
     pos = r > 0.0
-    ratio[pos] = _sp.erf(r[pos]) / r[pos]
+    ratio[pos] = specfun.erf(r[pos]) / r[pos]
     return -np.exp(-r * r) / 8.0 - math.sqrt(math.pi) / 16.0 * (2.0 * r * r + 1.0) * ratio
 
 
@@ -129,64 +129,45 @@ def _phi2_dim4(r: np.ndarray) -> np.ndarray:
     out[small] = acc / 16.0
     big = ~small
     x = r[big] ** 2
-    out[big] = (np.expm1(-x) / x - np.log(x) - _sp.exp1(x)) / 16.0
+    out[big] = (np.expm1(-x) / x - np.log(x) - specfun.exp1(x)) / 16.0
     return out
 
 
-def _phi2_dim5(r: np.ndarray) -> np.ndarray:
-    out = np.empty_like(r)
-    small = r <= _SERIES_RADIUS
-    out[small] = _phi2_series(5, r[small])
-    big = ~small
-    rb = r[big]
-    x = rb * rb
-    out[big] = (
-        np.exp(-x) / x + math.sqrt(math.pi) * _sp.erf(rb) * (2.0 * x - 1.0) / (2.0 * x * rb)
-    ) / 16.0
-    return out
-
-
-def _phi2_dim6(r: np.ndarray) -> np.ndarray:
-    out = np.empty_like(r)
-    small = r <= _SERIES_RADIUS
-    x = r[small] ** 2
-    # sum_j (-1)^j x^j / (j+2)! / 16
-    acc = np.full_like(x, 0.5)
-    xk = np.ones_like(x)
-    sign = 1.0
-    fact = 2.0  # (j+2)!
-    for j in range(1, 15):
-        xk = xk * x
-        sign = -sign
-        fact *= j + 2
-        acc += sign * xk / fact
-    out[small] = acc / 16.0
-    big = ~small
-    x = r[big] ** 2
-    out[big] = (np.expm1(-x) + x) / (16.0 * x * x)
-    return out
-
-
-def _phi2_series(n: int, r: np.ndarray, max_terms: int = 500) -> np.ndarray:
-    # e^{-r^2}/(4(n-2)(n-4)) * 1F1(2, n/2, r^2); the transformed series has
-    # positive terms only, so it is cancellation-free for every r.
-    x = r * r
-    c = 0.5 * n
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(max_terms):
+def _phi2_series(c: float, x: float) -> float:
+    # 1F1(2; c; x) by its positive terms; e^{-x} times it is cancellation-free
+    term = total = 1.0
+    k = 0.0
+    while term > 1e-17 * total:
         term = term * x * (k + 2.0) / ((c + k) * (k + 1.0))
         total += term
-        if np.all(term <= 1e-17 * total):
-            return np.exp(-x) * total / (4.0 * (n - 2.0) * (n - 4.0))
-    raise NonConvergence(f"phi2 series for n={n} did not converge at r up to {x.max()}")
+        k += 1.0
+    return total
+
+
+def _phi2_general(n: int, r: np.ndarray) -> np.ndarray:
+    # phi2 = 1F1(a; a+2; -x) / (16 a (a+1)) with a = (n-4)/2 and x = r^2.
+    # Up to x = a it is e^{-x} 1F1(2; a+2; x) / (16 a (a+1)) (Kummer's
+    # transform), summed by its series.  Beyond, 1F1(a; a+2; -x) =
+    # a (a+1) [g(a) - g(a+1)] with g(a) = gamma(a, x)/x^a, and
+    # x g(a+1) = a g(a) - e^{-x} turns it into two positive terms
+    a = 0.5 * n - 2.0
+    x = r * r
+    out = np.empty_like(x)
+    low = x <= a
+    xs = x[low]
+    sums = np.array([_phi2_series(a + 2.0, v) for v in xs.tolist()], dtype=float)
+    out[low] = np.exp(-xs) * sums / (4.0 * (n - 2.0) * (n - 4.0))
+    high = ~low
+    xs = x[high]
+    out[high] = (specfun.gamma_quotient(a, xs) * (xs - a) + np.exp(-xs)) / (16.0 * xs)
+    return out
 
 
 def phi2(n, r):
     """Potential of the unit Gaussian e^{-|x|^2} at radius r, for n >= 3.
 
-    Explicit erf / E1 / elementary formulas for n in {3, 4, 5, 6}; the
-    hypergeometric route for general n >= 5.  Accepts scalar or ndarray r.
+    Explicit erf / E1 formulas for n in {3, 4}; the hypergeometric series
+    and the incomplete-gamma route for n >= 5.  Accepts scalar or ndarray r.
     """
     n = dim_value(n)
     r = np.asarray(r, dtype=float)
@@ -198,35 +179,9 @@ def phi2(n, r):
         out = _phi2_dim3(r)
     elif n == 4:
         out = _phi2_dim4(r)
-    elif n == 5:
-        out = _phi2_dim5(r)
-    elif n == 6:
-        out = _phi2_dim6(r)
     else:
-        out = _phi2_series(n, r)
+        out = _phi2_general(n, r)
     return float(out[0]) if scalar else out
-
-
-def _gamma_quotient(a: float, x: np.ndarray) -> np.ndarray:
-    """Regularized quotient gamma(a, x) / x^a, continuous at x = 0 (value 1/a)."""
-    out = np.empty_like(x)
-    small = x <= 0.25
-    xs = x[small]
-    # sum_k (-1)^k x^k / (k! (a+k))
-    acc = np.full_like(xs, 1.0 / a)
-    xk = np.ones_like(xs)
-    sign = 1.0
-    fact = 1.0
-    for k in range(1, 17):
-        xk = xk * xs
-        sign = -sign
-        fact *= k
-        acc += sign * xk / (fact * (a + k))
-    out[small] = acc
-    big = ~small
-    xb = x[big]
-    out[big] = _sp.gammainc(a, xb) * np.exp(_sp.gammaln(a) - a * np.log(xb))
-    return out
 
 
 def phi2M(n, M, r):
@@ -246,7 +201,7 @@ def phi2M(n, M, r):
         raise ValueError("radius must be nonnegative")
     x = r * r
     a = 0.5 * n - 1.0
-    out = phi2(n, r) + _gamma_quotient(a, x) / 16.0
+    out = phi2(n, r) + specfun.gamma_quotient(a, x) / 16.0
     if M >= 3:
         decay = np.exp(-x) / 16.0
         ladder = np.zeros_like(x)
@@ -284,18 +239,23 @@ def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
         raise DimensionTooLarge(
             f"{samples.size} lattice samples exceed the operation budget {OP_BUDGET}"
         )
-    # squared distances |x - h m|^2 by per-axis broadcasting
-    dist2 = 0.0
+    # squared distances |x - h m|^2 summed axis by axis, in axis order, kept as
+    # their distinct values: sample i lies at squared distance dist2[index[i]]
+    dist2 = np.zeros(1)
+    index = np.zeros((), dtype=np.intp)
     for axis, length in enumerate(samples.shape):
         m = np.arange(-(length // 2), length // 2 + 1, dtype=float)
-        shape = [1] * n
-        shape[axis] = length
-        dist2 = dist2 + ((x[axis] - grid.h * m) ** 2).reshape(shape)
-    scaled = np.sqrt(dist2) / (grid.h * math.sqrt(grid.delta))
-    terms = samples * phi2M(n, M, scaled)
+        step, step_index = np.unique((x[axis] - grid.h * m) ** 2, return_inverse=True)
+        pairs = np.add.outer(dist2, step)
+        dist2, pair_index = np.unique(pairs, return_inverse=True)
+        index = pair_index.reshape(pairs.shape)[index[..., None], step_index]
+    kernel = phi2M(n, M, np.sqrt(dist2) / (grid.h * math.sqrt(grid.delta)))
+    terms = samples * kernel[index]
     # exactly rounded, so independent of the term order: bitwise invariant
     # under permutations and sign flips of the coordinates
-    return math.fsum(terms.ravel())
+    from .quad import _row_sums
+
+    return _row_sums(terms.reshape(1, -1), min_rows=1)[0]
 
 
 def _direct_radial(density: RadialProfile, grid: GridSpec, n: int, M: int,

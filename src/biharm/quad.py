@@ -175,10 +175,11 @@ def _exp_nodes(expo: np.ndarray, factor=1.0) -> np.ndarray:
                     factor * np.exp(np.minimum(expo, _LOG_FLOAT_MAX)), 0.0)
 
 
-def _row_sums(rows) -> list:
+def _row_sums(rows, min_rows: int = _FSUM_ROWS) -> list:
     """math.fsum of each node row, bit for bit, from one vectorised pass.
 
-    Stacks of fewer than _FSUM_ROWS rows are summed by math.fsum directly.
+    Stacks of fewer than min_rows rows, and rows of 2^26 or more values,
+    are summed by math.fsum directly.
     Otherwise each row x_1..x_N (N < 2^26) is split without error (Rump,
     Ogita and Oishi's ExtractVector): with mu = max|x_i| < 2^e and
     sigma = 2^(e + ceil(log2(N + 2))), q_i = (sigma + x_i) - sigma and
@@ -201,7 +202,7 @@ def _row_sums(rows) -> list:
     overflow), rows with |r| <= 2^-1021 (h rounds to 0; zero sums included),
     exact ties and rows whose cancellation leaves B above h.
     """
-    if len(rows) < _FSUM_ROWS:
+    if len(rows) < min_rows or len(rows[0]) >= 2 ** 26:
         return [math.fsum(row.tolist()) for row in rows]
     rows = np.asarray(rows)
     cols = rows.shape[1]

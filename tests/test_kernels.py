@@ -205,14 +205,96 @@ def test_shell_counts_match_enumeration():
         assert got.tolist() == want, (dim, vmax)
 
 
-def test_import_leaves_out_scipy_signal():
-    # a fresh interpreter that finds the same biharm as this one
+def test_library_runs_without_scipy():
+    # a fresh interpreter that finds the same biharm as this one loads no
+    # scipy module on import, for a table or for the quick verification
     src = os.path.dirname(os.path.dirname(biharm.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, biharm; print('scipy.signal' in sys.modules)"
+    code = (
+        "import contextlib, io, sys\n"
+        "import biharm, biharm.cli\n"
+        "def loaded(): return [m for m in sys.modules if m.startswith('scipy')]\n"
+        "seen = [loaded()]\n"
+        "for argv in (['--table', '1'], ['--verify', 'quick']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert biharm.cli.main(argv) == 0, argv\n"
+        "    seen.append(loaded())\n"
+        "print(seen)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[[], [], []]"
+
+
+def _direct_by_sample(samples, grid, n, M, x):
+    """The dense lattice sum with one kernel value per sample, math.fsum'd."""
+    dist2 = 0.0
+    for axis, length in enumerate(samples.shape):
+        m = np.arange(-(length // 2), length // 2 + 1, dtype=float)
+        shape = [1] * n
+        shape[axis] = length
+        dist2 = dist2 + ((x[axis] - grid.h * m) ** 2).reshape(shape)
+    scaled = np.sqrt(dist2) / (grid.h * math.sqrt(grid.delta))
+    return math.fsum((samples * phi2M(n, M, scaled)).ravel())
+
+
+def test_direct_sum_over_distinct_distances_is_exact():
+    # one kernel value per distinct squared distance and the certified row
+    # sum give the per-sample sum bit for bit, on and off the lattice
+    rng = np.random.default_rng(11)
+    grid = GridSpec(0.25)
+    for n, shape, M, x in ((3, (7, 5, 9), 2, (0.25, -0.5, 1.0)),
+                           (3, (9, 9, 9), 4, (0.3, -0.17, 0.05)),
+                           (5, (5,) * 5, 1, (0.0, 0.25, -0.25, 0.5, 0.0)),
+                           (5, (3, 5, 5, 3, 7), 3, (0.1, 0.2, 0.3, -0.4, 0.5))):
+        samples = rng.uniform(-1.0, 1.0, shape)
+        x = np.asarray(x)
+        got = kernels._direct_dense(samples, grid, n, M, x)
+        assert got == _direct_by_sample(samples, grid, n, M, x), (n, shape, M)
+
+
+@pytest.mark.parametrize("n", [7, 10, 100])
+def test_phi2_large_radius_matches_oracle(n):
+    # the series alone raised NonConvergence for 17 < r < 30 and returned NaN
+    # beyond; the incomplete-gamma route takes over past x = (n - 4)/2.  At
+    # n = 100 the rounding of x = r^2 alone moves the value by up to 50 ulps.
+    # At r = 3000, x^-(n-4)/2 alone would underflow at n = 100
+    rs = np.append(np.linspace(0.0, 50.0, 201), 3000.0)
+    got = phi2(n, rs)
+    for r, g in zip(rs, got):
+        want = float(_phi2_mp(n, r))
+        assert abs(g - want) <= 1e-14 * abs(want), (n, r, g, want)
+    if n == 7:
+        # the first rung adds gamma(n/2 - 1, r^2) / (16 r^(n-2))
+        want = float(_phi2_mp(7, 30) + mp.gammainc(2.5, 0, 900) / mp.mpf(900) ** 2.5 / 16)
+        assert phi2M(7, 2, 30.0) == pytest.approx(want, rel=1e-14)
+
+
+def test_phi2_past_gamma_overflow():
+    # from n = 344 on Gamma((n-4)/2) overflows a double; the limit is then
+    # built up from a smaller Gamma.  Radii with exact squares, so the input
+    # is exact; at n = 1000 the value 1.7e-347 is below every subnormal
+    for n, r in ((344, 17.0), (344, 40.0), (404, 19.0), (404, 30.0), (1000, 30.0)):
+        want = float(_phi2_mp(n, r))
+        assert abs(phi2(n, r) - want) <= 1e-14 * abs(want), (n, r)
+
+
+def test_scalar_and_array_calls_agree_bit_for_bit():
+    # radii from every band of phi2/phi2M: zero, the series, both sides of the
+    # series switch x = (n-4)/2, of the quotient's switch x = a + 1 and of the
+    # start of its closed-form limit, and far beyond
+    from biharm.specfun import _band_end
+
+    for n in (3, 4, 5, 6, 7, 10, 100):
+        edges = [0.5 * n - 2.0, 0.5 * n - 1.0, 0.5 * n]
+        edges += [_band_end(a) for a in (0.5 * n - 2.0, 0.5 * n - 1.0) if a > 0]
+        x = [0.0, 1e-6, 0.1, 0.3, 1.0, 3.0, 900.0, 4e4]
+        x += [v for e in edges if e > 0 for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+        r = np.sqrt(np.array(x))
+        for M in (1, 2, 4):
+            arr = phi2M(n, M, r)
+            assert np.all(np.isfinite(arr)), (n, M)
+            assert [phi2M(n, M, float(v)) for v in r] == arr.tolist(), (n, M)
+            assert np.array_equal(phi2M(n, M, r[::-1])[::-1], arr), (n, M)
 
 
 def test_direct_cubature_scaling():
