@@ -14,6 +14,10 @@ lattice offset d = k - m alone, not on h, n or the density.  Its rows are
 built once per (D, M, rule) for |d| in blocks of _BLOCK and kept in one
 byte-bounded LRU; every sigma table gathers its rows by |d| and sums them
 block by block in row order, which is the same sequential sum as one pass.
+A support-checked sigma table depends only on its vector's samples, the
+first offset k - m_lo, D, M and the rule, so the same LRU keeps it across
+calls: one entry per distinct sample content, keyed by the exact bytes,
+holds that vector's tables.
 """
 
 from __future__ import annotations
@@ -55,12 +59,64 @@ RANK_DIM_CAP = 64
 SATURATION_CUTOFF = 6
 
 # kernel rows are cached in blocks of _BLOCK consecutive |d| values, in one
-# least-recently-used cache shared by all (D, M, rule).  128 rows was the
-# fastest of 32..256 on Table 2; the 32 MiB bound holds the largest working
-# set of Tables 1-4 (26 MiB, Table 4), so none of them rebuilds a block
+# least-recently-used cache shared by all (D, M, rule) with the sigma tables.
+# 128 rows was the fastest of 32..256 on Table 2.  The 32 MiB bound holds the
+# largest working set of Tables 1-4, blocks and tables together (26.7 MiB,
+# Table 4): counted in one process per table, none of them rebuilds a block
 _BLOCK = 128
 _CACHE_BYTES = 32 << 20
-_ROW_BLOCKS: OrderedDict = OrderedDict()
+# a vector of more sample bytes than this keeps no sigma tables across calls,
+# so that one large density cannot crowd the kernel blocks out of the cache
+_VECTOR_BYTES = _CACHE_BYTES // 64
+
+
+class _ByteLRU:
+    """Least-recently-used store bounded at _CACHE_BYTES.
+
+    Each entry counts the bytes given when it is stored or grows; the total
+    is kept as entries come and go, and every addition evicts the least
+    recently used entries until it is within the bound.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    def get(self, key):
+        """The value under key, now the most recently used, or None."""
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, value, nbytes: int) -> None:
+        """Store value under key, which holds no entry yet, counted as nbytes."""
+        self._entries[key] = (value, 0)
+        self.grow(key, value, nbytes)
+
+    def grow(self, key, value, nbytes: int) -> None:
+        """Count nbytes more for value, if it is still the entry under key:
+        once evicted, a value is no longer counted, even if an equal key has
+        been stored again since."""
+        entry = self._entries.get(key)
+        if entry is None or entry[0] is not value:
+            return
+        self._entries[key] = (entry[0], entry[1] + nbytes)
+        self.nbytes += nbytes
+        while self.nbytes > _CACHE_BYTES:
+            _, (_, size) = self._entries.popitem(last=False)
+            self.nbytes -= size
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+_ROW_BLOCKS = _ByteLRU()
 
 
 @dataclass(frozen=True)
@@ -146,29 +202,16 @@ def _row_block(keys: tuple, build) -> list:
     array per key in one pass and the missing ones are stored.
 
     A block already cached is kept, not replaced: a rebuild equals it bit for
-    bit.  Least recently used blocks are evicted once the cache holds more
-    than _CACHE_BYTES; the blocks of keys always stay.
+    bit.
     """
-    try:
-        blocks = [_ROW_BLOCKS[key] for key in keys]
-    except KeyError:
-        pass
-    else:
-        for key in keys:
-            _ROW_BLOCKS.move_to_end(key)
-        return blocks
     blocks = [_ROW_BLOCKS.get(key) for key in keys]
-    for key, block, rows in zip(keys, blocks, build()):
-        if block is None:
-            rows.flags.writeable = False
-            _ROW_BLOCKS[key] = rows
-        _ROW_BLOCKS.move_to_end(key)
-    # the cache grows on a build only, so only a build can overfill it
-    held = sum(rows.nbytes for rows in _ROW_BLOCKS.values())
-    while held > _CACHE_BYTES and len(_ROW_BLOCKS) > len(keys):
-        _, old = _ROW_BLOCKS.popitem(last=False)
-        held -= old.nbytes
-    return [_ROW_BLOCKS[key] for key in keys]
+    if any(block is None for block in blocks):
+        for i, rows in enumerate(build()):
+            if blocks[i] is None:
+                rows.flags.writeable = False
+                blocks[i] = rows
+                _ROW_BLOCKS.put(keys[i], rows, rows.nbytes)
+    return blocks
 
 
 def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
@@ -210,6 +253,9 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
     The terms vec[:, None] * gauss * poly are formed one run at a time in
     buf[1:]; from the second run on, the partial sum is carried in buf[0], so
     the row-order sum is the same sequential sum as over all rows at once.
+    A column can fail the support check only if its boundary term exceeds
+    _SUPPORT_TOL |sum|, since the check scales by max(|sum|, peak); the terms
+    of such columns alone are formed again for their peak.
     """
     sums = None
     for rows, gauss, polys in runs:
@@ -218,17 +264,36 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
         np.multiply(vec[rows, None], gauss, out=terms)
         terms *= polys[which]
         if sums is None:
+            first = np.abs(terms[0])
             sums = np.sum(terms, axis=0)
-            np.abs(terms, out=terms)
-            first = terms[0].copy()
-            peak = np.max(terms, axis=0)
         else:
             buf[0] = sums
             sums = np.sum(buf[:n + 1], axis=0)
-            np.abs(terms, out=terms)
-            np.maximum(peak, np.max(terms, axis=0), out=peak)
-    _check_support(np.maximum(first, terms[-1]), peak, sums)
+    boundary = np.maximum(first, np.abs(terms[-1]))
+    cols = np.flatnonzero(boundary > _SUPPORT_TOL * np.abs(sums))
+    if cols.size:
+        peak = np.zeros(cols.size)
+        for rows, gauss, polys in runs:
+            terms = vec[rows, None] * gauss[:, cols] * polys[which][:, cols]
+            np.maximum(peak, np.max(np.abs(terms), axis=0), out=peak)
+        _check_support(boundary[cols], peak, sums[cols])
     np.multiply(norm, sums, out=out)
+
+
+def _vector_tables(vec: np.ndarray) -> tuple:
+    """(key, tables): the cache entry of vec's sample content, keyed by its
+    dtype and exact bytes, and its dict of support-checked tables, made
+    empty on a miss.  A byte-equal vector finds the same entry; an edited
+    one does not.  A vector of more than _VECTOR_BYTES is not kept: its key
+    is None and its dict serves the one call."""
+    if vec.nbytes > _VECTOR_BYTES:
+        return None, {}
+    key = ("sigma", vec.dtype.str, vec.tobytes())
+    tables = _ROW_BLOCKS.get(key)
+    if tables is None:
+        tables = {}
+        _ROW_BLOCKS.put(key, tables, len(key[2]))
+    return key, tables
 
 
 def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
@@ -236,33 +301,51 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
     """Normalized per-dimension convolution sums for (vector, offset) pairs.
 
     All vectors have one length L on the index range starting at m_lo.
-    Returns (rows, sigma): rows maps (id(vec), k) to a row of the array
-    sigma[0] of sigma_Q tables, and of sigma[1] of sigma_R when with_r, where
+    Returns (rows, sigma): rows maps (id(vec), k) to an index into the list
+    sigma[0] of read-only sigma_Q tables, and into sigma[1] of sigma_R
+    tables when with_r, where
     sigma_P(k, t_s) = (pi D (1+t_s))^{-1/2} *
         sum_m vec[m] e^{-(k-m)^2/(D(1+t_s))} P_M((k-m)/sqrt(D), t_s)
     at the rule's nodes t_s.  The kernel depends on d = k - m alone, so its
     rows come from the h-independent block cache; the vectors at one offset
-    share one gather of them.
+    share one gather of them, made only if one of their tables is not
+    cached.  A table is cached once its support check has passed, in its
+    vector's content entry (_vector_tables) under (Q or R, k - m_lo, D, M,
+    rule).
     """
+    vectors: dict = {}
     needed: dict = {}
     for vec, k in pairs:
+        vectors[id(vec)] = vec
         needed.setdefault(k, {})[id(vec)] = vec
     rows: dict = {}
     for k, vecs in needed.items():
         for key in vecs:
             rows[key, k] = len(rows)
-    log1pt = rule.arrays().log1pt
-    sigma = np.empty((1 + with_r, len(rows), len(log1pt)))
+    sigma = [[None] * len(rows) for _ in range(1 + with_r)]
     if not rows:
         return rows, sigma
-    [L] = {len(vec) for vecs in needed.values() for vec in vecs.values()}
+    [L] = {len(vec) for vec in vectors.values()}
+    cached = {key: _vector_tables(vec) for key, vec in vectors.items()}
+    log1pt = rule.arrays().log1pt
     norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
     buf = np.empty((_BLOCK + 1, len(log1pt)))
     for k, vecs in needed.items():
-        runs = _kernel_runs(k - m_lo, L, D, M, rule, with_r)
+        runs = None
         for key, vec in vecs.items():
+            content, tables = cached[key]
             for which in range(1 + with_r):
-                _sigma(vec, runs, which, norm, buf, sigma[which, rows[key, k]])
+                table_key = ("QR"[which], k - m_lo, D, M, rule)
+                table = tables.get(table_key)
+                if table is None:
+                    if runs is None:
+                        runs = _kernel_runs(k - m_lo, L, D, M, rule, with_r)
+                    table = np.empty(len(log1pt))
+                    _sigma(vec, runs, which, norm, buf, table)
+                    table.flags.writeable = False
+                    tables[table_key] = table
+                    _ROW_BLOCKS.grow(content, tables, table.nbytes)
+                sigma[which][rows[key, k]] = table
     return rows, sigma
 
 
@@ -286,7 +369,7 @@ def _table_index(density: SeparatedDensity, points: list, n: int, D: float,
                                 density.m_lo, D, M, rule, n == 3)
     index = np.array([[[rows[key, k] for key in keys] for keys, k in zip(ids, pt)]
                       for pt in points], dtype=np.intp)
-    return index, sigma
+    return index, np.array(sigma).reshape(len(sigma), len(rows), rule.node_count)
 
 
 def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
@@ -430,10 +513,9 @@ def build_test_density(n, grid: GridSpec) -> SeparatedDensity:
 def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
     """Sigma tables of the factor vectors e^{-x^2}, x^2 e^{-x^2}, x^4 e^{-x^2}
     at offset k.  They do not depend on the dimension, so a sweep over n
-    computes them once; the cached arrays are read-only."""
+    computes them once; they are the table cache's read-only arrays."""
     m_lo, *vecs = _gaussian_factor_vectors(grid)
     rows, (sigma,) = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, rule)
-    sigma.flags.writeable = False
     return tuple(sigma[rows[id(vec), k]] for vec in vecs)
 
 

@@ -89,6 +89,8 @@ def test_conv1d_index_origin(rule):
     samples = np.zeros(13)
     samples[3:10] = np.exp(-np.linspace(-1.5, 1.5, 7) ** 2)
     centered = _conv(samples, 1, -6, 5.0, 2, rule)
+    # the table cache keys on k - m_lo, so empty it to build the second anew
+    engine._ROW_BLOCKS.clear()
     shifted = _conv(samples, 7, 0, 5.0, 2, rule)
     assert centered.tobytes() == shifted.tobytes()
 
@@ -266,13 +268,18 @@ def test_log_product_branch_matches_default(rule):
         assert a.value == evaluate(dens, [point], 5, grid, 4, long_rule)[0].value
 
 
-@pytest.fixture
-def row_blocks(monkeypatch):
-    """Start from an empty kernel row cache and record the key of every
-    block stored, checking that a build happens only when one of its blocks
-    is missing and that every block has _BLOCK rows."""
+def _empty_caches():
+    """Empty the kernel row and sigma table cache and the axis table cache."""
     engine._ROW_BLOCKS.clear()
     engine._axis_sigma_tables.cache_clear()
+
+
+@pytest.fixture
+def row_blocks(monkeypatch):
+    """Start from empty kernel row and sigma table caches and record the key
+    of every block stored, checking that a build happens only when one of its
+    blocks is missing and that every block has _BLOCK rows."""
+    _empty_caches()
     builds = []
     row_block = engine._row_block
 
@@ -289,12 +296,20 @@ def row_blocks(monkeypatch):
 
     monkeypatch.setattr(engine, "_row_block", counted)
     yield builds
-    engine._ROW_BLOCKS.clear()
-    engine._axis_sigma_tables.cache_clear()
+    _empty_caches()
 
 
 def _held_bytes():
-    return sum(rows.nbytes for rows in engine._ROW_BLOCKS.values())
+    """The cache's running byte total, checked against its entries: a block
+    counts its bytes, a vector's table entry its sample bytes and its tables,
+    and every array is read-only."""
+    cache = engine._ROW_BLOCKS
+    for key, (value, size) in cache._entries.items():
+        arrays = list(value.values()) if key[0] == "sigma" else [value]
+        assert size == sum(a.nbytes for a in arrays) + (len(key[2]) if key[0] == "sigma" else 0)
+        assert not any(a.flags.writeable for a in arrays)
+    assert cache.nbytes == sum(size for _, size in cache._entries.values())
+    return cache.nbytes
 
 
 def test_sigma_tables_built_once_per_offset(row_blocks):
@@ -324,7 +339,7 @@ def test_sigma_tables_built_once_per_offset(row_blocks):
 
     # and the other way round: after an n = 3 call has stored Q and R, the
     # n = 5 path builds nothing
-    engine._ROW_BLOCKS.clear()
+    _empty_caches()
     row_blocks.clear()
     evaluate(build_test_density(3, grid), points, 3, grid, 4, rule)
     assert sorted(row_blocks, key=repr) == sorted(
@@ -357,11 +372,14 @@ def _positive_density(n, grid):
 
 def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
     # offsets 10^5 apart read only the blocks around |d| = 0 and 10^5, each
-    # of _BLOCK rows; under a bound of four blocks the cache evicts, stays
-    # within the bound, and the batch still gives the values of one-point calls
+    # of _BLOCK rows; under a bound of four blocks, plus room for the batch's
+    # 10 distinct sigma tables and the samples of its 3 vectors (65 each),
+    # the cache evicts, stays within the bound, and the batch still gives
+    # the values of one-point calls
     rule = DEQuadrature()
     block_bytes = engine._BLOCK * rule.node_count * 8
-    monkeypatch.setattr(engine, "_CACHE_BYTES", 4 * block_bytes)
+    table_bytes = (10 * rule.node_count + 3 * 65) * 8
+    monkeypatch.setattr(engine, "_CACHE_BYTES", 4 * block_bytes + table_bytes)
     grid = GridSpec(0.2)
     # at n = 6 the rule still resolves the far-field potential
     dens = _positive_density(6, grid)
@@ -377,6 +395,186 @@ def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
         assert _held_bytes() <= engine._CACHE_BYTES
 
 
+@pytest.fixture
+def sigma_calls(row_blocks, monkeypatch):
+    """Count the sigma table builds (engine._sigma calls), on top of
+    row_blocks."""
+    calls = []
+    sigma = engine._sigma
+
+    def counted(vec, *args):
+        calls.append(vec)
+        return sigma(vec, *args)
+
+    monkeypatch.setattr(engine, "_sigma", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", (3, 5))
+def test_repeat_calls_read_cached_tables(n, row_blocks, sigma_calls):
+    # a second call, on the same density or on a byte-equal copy of it,
+    # builds no table and no block and gives the cold call's values bit for bit
+    grid = GridSpec(0.1)
+    dens = build_test_density(n, grid)
+    points = [(10,) + (0,) * (n - 1), tuple(range(-1, n - 1)), (3,) * n]
+    cold = [s.value for s in evaluate(dens, points, n, grid, 4)]
+    assert sigma_calls and row_blocks
+    copy = SeparatedDensity(dens.weights, tuple(tuple(v.copy() for v in term)
+                                                for term in dens.factors), dens.m_lo)
+    for again in (dens, copy):
+        sigma_calls.clear()
+        row_blocks.clear()
+        assert [s.value for s in evaluate(again, points, n, grid, 4)] == cold
+        assert sigma_calls == [] and row_blocks == []
+        assert _held_bytes() <= engine._CACHE_BYTES
+
+
+def test_edited_samples_miss_the_table_cache(row_blocks, sigma_calls):
+    # an in-place edit of a sample array changes the key of its tables: the
+    # next call builds them again and gives the value of a cold call
+    grid = GridSpec(0.2)
+    dens = _positive_density(5, grid)
+    point = [(2, 0, -1, 0, 3)]
+    before = evaluate(dens, point, 5, grid, 3)[0].value
+    dens.factors[1][0][40] *= 1.5
+    sigma_calls.clear()
+    edited = evaluate(dens, point, 5, grid, 3)[0].value
+    assert sigma_calls and all(vec is dens.factors[1][0] for vec in sigma_calls)
+    assert edited != before
+    _empty_caches()
+    assert edited == evaluate(dens, point, 5, grid, 3)[0].value
+
+
+def test_refused_tables_are_not_cached(row_blocks, sigma_calls):
+    # a table that fails its support check is never stored: every repeat call
+    # builds it again and is refused again
+    grid = GridSpec(0.1, radius=2.0)
+    dens = build_test_density(5, grid)
+    for _ in range(3):
+        sigma_calls.clear()
+        with pytest.raises(SupportTruncated):
+            evaluate(dens, [(18, 0, 0, 0, 0)], 5, grid, 4)
+        assert sigma_calls
+        assert _held_bytes() <= engine._CACHE_BYTES
+
+
+def test_table_cache_stays_within_its_bound(sigma_calls, monkeypatch):
+    # under a bound of two kernel blocks and room for 20 of the 54 distinct
+    # tables, repeated calls over many offsets evict tables and build them again,
+    # the running total stays within the bound after every call, and the
+    # values are those of an unbounded cache
+    rule = DEQuadrature()
+    grid = GridSpec(0.1)
+    dens = build_test_density(5, grid)
+    points = [(k, -k, k // 2, 0, 1) for k in range(-20, 21, 4)]
+    want = [evaluate(dens, [point], 5, grid, 4, rule)[0].value for point in points]
+    table_bytes = (rule.node_count + len(dens.factors[0][0])) * 8
+    _empty_caches()
+    monkeypatch.setattr(engine, "_CACHE_BYTES",
+                        2 * engine._BLOCK * rule.node_count * 8 + 20 * table_bytes)
+    for _ in range(2):
+        sigma_calls.clear()
+        for point, value in zip(points, want):
+            assert evaluate(dens, [point], 5, grid, 4, rule)[0].value == value
+            assert _held_bytes() <= engine._CACHE_BYTES
+        assert sigma_calls
+
+
+def test_large_vectors_keep_no_tables(sigma_calls, row_blocks, monkeypatch):
+    # a vector above _VECTOR_BYTES stores no entry: a repeat call builds its
+    # tables again but no kernel block, and gives the same values
+    grid = GridSpec(0.1)
+    dens = _positive_density(5, grid)
+    monkeypatch.setattr(engine, "_VECTOR_BYTES", dens.factors[0][0].nbytes - 8)
+    points = [(2, 0, -1, 0, 3), (0, 0, 0, 0, 0)]
+    cold = [s.value for s in evaluate(dens, points, 5, grid, 3)]
+    assert row_blocks
+    sigma_calls.clear()
+    row_blocks.clear()
+    assert [s.value for s in evaluate(dens, points, 5, grid, 3)] == cold
+    assert sigma_calls and row_blocks == []
+    assert not any(key[0] == "sigma" for key in engine._ROW_BLOCKS._entries)
+    _held_bytes()
+
+
+def test_byte_lru_counts_only_held_values(monkeypatch):
+    # an evicted value is no longer counted, even once an equal key holds a
+    # new value; an entry larger than the bound evicts everything, itself too
+    monkeypatch.setattr(engine, "_CACHE_BYTES", 100)
+    cache = engine._ByteLRU()
+    old, new = {}, {}
+    cache.put("a", old, 60)
+    cache.put("b", [], 30)
+    cache.put("c", [], 30)
+    assert "a" not in cache and cache.nbytes == 60
+    cache.put("a", new, 10)
+    cache.grow("a", old, 50)
+    assert cache.nbytes == 70
+    cache.grow("a", new, 5)
+    assert cache.nbytes == 75 and cache.get("a") is new
+    cache.grow(None, new, 5)
+    assert cache.nbytes == 75
+    cache.put("d", [], 101)
+    assert cache.nbytes == 0 and "d" not in cache
+
+
+def _eager_support_refusal(vec, runs, which):
+    """(refused, sums) by the eager rule: every |term| formed and a column
+    refused where its boundary term exceeds _SUPPORT_TOL max(|sum|, peak)."""
+    terms = np.concatenate([vec[rows, None] * gauss * polys[which]
+                            for rows, gauss, polys in runs])
+    # a sum over axis 0 adds the rows in order, as _sigma's carried runs do
+    sums = np.sum(terms, axis=0)
+    mags = np.abs(terms)
+    boundary = np.maximum(mags[0], mags[-1])
+    scale = np.maximum(np.abs(sums), np.max(mags, axis=0))
+    return bool(np.any(boundary > engine._SUPPORT_TOL * scale)), sums
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.integers(1, 300), D=st.floats(0.5, 20.0), M=st.integers(1, 4),
+       which=st.sampled_from((0, 1)), shape=st.sampled_from(("noise", "clipped", "cancel")),
+       data=st.data())
+def test_lazy_support_check_matches_eager_rule(L, D, M, which, shape, data):
+    # _sigma forms the peak only for columns whose boundary term exceeds
+    # _SUPPORT_TOL |sum|; it must refuse exactly where the eager rule does and
+    # otherwise return the same sums bit for bit.  Clipped windows put a
+    # Gaussian's tail anywhere from inside the tolerance to far above it.  A
+    # "cancel" vector lies under a centred envelope that ends at 1e-28..1e-15
+    # of its peak and is made orthogonal to one node's kernel column, so that
+    # node's sum cancels below its boundary term while the peak stays large
+    rule = DEQuadrature()
+    d0 = data.draw(st.integers(-40, L + 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    runs = engine._kernel_runs(d0, L, D, M, rule, True)
+    m = np.arange(L)
+    if shape == "noise":
+        vec = rng.normal(size=L)
+    elif shape == "clipped":
+        width = data.draw(st.floats(1.0, 60.0))
+        vec = np.exp(-((m - rng.uniform(0, L)) / width) ** 2)
+    else:
+        half = max(L - 1, 1) / 2.0
+        decades = data.draw(st.floats(15.0, 28.0))
+        envelope = np.exp(-decades * math.log(10.0) * ((m - half) / half) ** 2)
+        kernel = np.concatenate([gauss * polys[which] for _, gauss, polys in runs])
+        column = kernel[:, data.draw(st.integers(0, rule.node_count - 1))]
+        vec = envelope * rng.normal(size=L)
+        basis = envelope * envelope
+        if basis @ column != 0.0:
+            vec -= (vec @ column) / (basis @ column) * basis
+    refused, sums = _eager_support_refusal(vec, runs, which)
+    out = np.empty(rule.node_count)
+    buf = np.empty((engine._BLOCK + 1, rule.node_count))
+    try:
+        engine._sigma(vec, runs, which, np.ones(rule.node_count), buf, out)
+    except SupportTruncated:
+        assert refused
+    else:
+        assert not refused
+        assert out.tobytes() == sums.tobytes()
+
+
 def test_empty_batch_gives_no_samples():
     grid = GridSpec(0.2)
     for n in (3, 5):
@@ -386,8 +584,8 @@ def test_empty_batch_gives_no_samples():
 @settings(max_examples=20, deadline=None)
 @given(n=st.sampled_from((3, 5)), M=st.integers(1, 4), data=st.data())
 def test_batch_values_do_not_depend_on_the_batch(n, M, data):
-    # the offset-kernel rows of a call depend on all its points; every value
-    # must still equal the one-point call bit for bit
+    # a call builds the tables of all its points together; every value must
+    # still equal the one-point call bit for bit, with tables built anew
     grid = GridSpec(0.2)
     # coordinates stay inside the sample window, where the support check passes
     batch = data.draw(st.lists(st.tuples(*[st.integers(-20, 20)] * n),
@@ -395,6 +593,7 @@ def test_batch_values_do_not_depend_on_the_batch(n, M, data):
     dens = _positive_density(n, grid)
     got = evaluate(dens, batch, n, grid, M)
     for point, sample in zip(batch, got):
+        engine._ROW_BLOCKS.clear()
         assert sample.value == evaluate(dens, [point], n, grid, M)[0].value, point
 
 
@@ -507,12 +706,12 @@ def test_symmetric_tables_shared_across_dimensions():
         dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(n), n)
         return evaluate_symmetric(dens, 20, grid, 3).value
 
-    engine._axis_sigma_tables.cache_clear()
+    _empty_caches()
     shared = [value(n) for n in dims]
     assert engine._axis_sigma_tables.cache_info().misses == 2
     fresh = []
     for n in dims:
-        engine._axis_sigma_tables.cache_clear()
+        _empty_caches()
         fresh.append(value(n))
     assert shared == fresh
     tables = engine._axis_sigma_tables(grid, 3, 20, DEQuadrature())
