@@ -5,11 +5,11 @@ density, plus a self-verification mode cross-checking the numerical layers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import BiharmError
 
@@ -28,11 +28,8 @@ _REFINEMENT = (10, 20, 40, 80, 160)
 _TABLE_STEPS = {"1": (40,), "2": _REFINEMENT, "3": _REFINEMENT, "4": _REFINEMENT}
 _TABLE1_X1 = (0.0, 1.0, 2.0, 3.0, 4.0)
 
-_CONFIG_KEYS = ("dims", "orders", "steps", "delta", "quad_a", "quad_b",
-                "quad_tau", "quad_nodes", "out", "plot_out")
 
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Resolved parameters of one table run (defaults match the benchmarks)."""
 
@@ -65,7 +62,11 @@ class RunConfig:
             raise ValueError("quad_nodes must be at least 1")
 
 
-@dataclass(frozen=True)
+# the run parameters a config file or a flag may set: all but the table
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "table")
+
+
+@dataclasses.dataclass(frozen=True)
 class RateRow:
     """One benchmark measurement; rate is blank on the coarsest grid."""
 
@@ -288,7 +289,7 @@ def _verify_checks(level: str):
 
     samples = np.zeros(21)
     samples[10 + 3] = 1.0
-    _, [[table]] = engine._sigma_tables([(samples, 3)], -10, 5.0, 1, rule)
+    [(table,)] = engine._sigma_tables([(samples, 3)], -10, 5.0, 1, rule).values()
     got = float(table[40])
     ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + nodes.t[40]))
     dev = rel_dev(got, ref)
@@ -394,11 +395,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="basis orders M, accuracy h^(2M)")
     p.add_argument("--steps", type=int, nargs="+", metavar="INV_H",
                    help="reciprocal grid widths 1/h")
-    p.add_argument("--delta", type=float, help="Gaussian shape parameter D (default 5)")
-    p.add_argument("--quad-a", type=float, help="quadrature transform parameter a (default 6)")
-    p.add_argument("--quad-b", type=float, help="quadrature transform parameter b (default 5)")
-    p.add_argument("--quad-tau", type=float, help="quadrature step tau (default 0.003)")
-    p.add_argument("--quad-nodes", type=int, help="number of quadrature nodes (default 300)")
+    p.add_argument("--delta", type=float,
+                   help=f"Gaussian shape parameter D (default {RunConfig.delta})")
+    p.add_argument("--quad-a", type=float,
+                   help=f"quadrature transform parameter a (default {RunConfig.quad_a})")
+    p.add_argument("--quad-b", type=float,
+                   help=f"quadrature transform parameter b (default {RunConfig.quad_b})")
+    p.add_argument("--quad-tau", type=float,
+                   help=f"quadrature step tau (default {RunConfig.quad_tau})")
+    p.add_argument("--quad-nodes", type=int,
+                   help=f"number of quadrature nodes (default {RunConfig.quad_nodes})")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.add_argument("--plot-out", help="also write (h, abs_err) blocks for log-log plots")
     p.add_argument("--config",
@@ -416,31 +422,22 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, fallback)
-
     if args.verify is not None:
         ok, lines = run_verify(args.verify)
         print("\n".join(lines))
         return 0 if ok else 1
 
     table = args.table
+    # the table's schedule, overlaid by the config file, then by the flags
+    # given; RunConfig's own defaults fill the rest
+    params = {"dims": _TABLE_DIMS.get(table, ()), "orders": _TABLE_ORDERS.get(table, ()),
+              "steps": _TABLE_STEPS.get(table, ()), **file_cfg,
+              **{key: getattr(args, key) for key in _CONFIG_KEYS
+                 if getattr(args, key) is not None}}
     try:
-        cfg = RunConfig(
-            table=table,
-            dims=tuple(pick(args.dims, "dims", _TABLE_DIMS.get(table, ()))),
-            orders=tuple(pick(args.orders, "orders", _TABLE_ORDERS.get(table, ()))),
-            steps=tuple(pick(args.steps, "steps", _TABLE_STEPS.get(table, ()))),
-            delta=pick(args.delta, "delta", 5.0),
-            quad_a=pick(args.quad_a, "quad_a", 6.0),
-            quad_b=pick(args.quad_b, "quad_b", 5.0),
-            quad_tau=pick(args.quad_tau, "quad_tau", 0.003),
-            quad_nodes=pick(args.quad_nodes, "quad_nodes", 300),
-            out=pick(args.out, "out", None),
-            plot_out=pick(args.plot_out, "plot_out", None),
-        )
+        for key in ("dims", "orders", "steps"):
+            params[key] = tuple(params[key])
+        cfg = RunConfig(table=table, **params)
         if table == "1" and (args.steps or args.orders):
             raise ValueError("table 1 is defined at fixed h = 0.025, M = 4; "
                              "use --table custom to vary them")

@@ -16,8 +16,7 @@ byte-bounded LRU; every sigma table gathers its rows by |d| and sums them
 block by block in row order, which is the same sequential sum as one pass.
 A support-checked sigma table depends only on its vector's samples, the
 first offset k - m_lo, D, M and the rule, so the same LRU keeps it across
-calls: one entry per distinct sample content, keyed by the exact bytes,
-holds that vector's tables.
+calls as its own entry, keyed by the exact sample bytes.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ SATURATION_CUTOFF = 6
 # kernel rows are cached in blocks of _BLOCK consecutive |d| values, in one
 # least-recently-used cache shared by all (D, M, rule) with the sigma tables.
 # 128 rows was the fastest of 32..256 on Table 2.  The 32 MiB bound holds the
-# largest working set of Tables 1-4, blocks and tables together (26.7 MiB,
+# largest working set of Tables 1-4, blocks and tables together (27.4 MiB,
 # Table 4): counted in one process per table, none of them rebuilds a block
 _BLOCK = 128
 _CACHE_BYTES = 32 << 20
@@ -73,9 +72,9 @@ _VECTOR_BYTES = _CACHE_BYTES // 64
 class _ByteLRU:
     """Least-recently-used store bounded at _CACHE_BYTES.
 
-    Each entry counts the bytes given when it is stored or grows; the total
-    is kept as entries come and go, and every addition evicts the least
-    recently used entries until it is within the bound.
+    Each entry counts the bytes given when it is stored; the total is kept
+    as entries come and go, and every addition evicts the least recently
+    used entries until it is within the bound.
     """
 
     def __init__(self) -> None:
@@ -95,17 +94,7 @@ class _ByteLRU:
 
     def put(self, key, value, nbytes: int) -> None:
         """Store value under key, which holds no entry yet, counted as nbytes."""
-        self._entries[key] = (value, 0)
-        self.grow(key, value, nbytes)
-
-    def grow(self, key, value, nbytes: int) -> None:
-        """Count nbytes more for value, if it is still the entry under key:
-        once evicted, a value is no longer counted, even if an equal key has
-        been stored again since."""
-        entry = self._entries.get(key)
-        if entry is None or entry[0] is not value:
-            return
-        self._entries[key] = (entry[0], entry[1] + nbytes)
+        self._entries[key] = (value, nbytes)
         self.nbytes += nbytes
         while self.nbytes > _CACHE_BYTES:
             _, (_, size) = self._entries.popitem(last=False)
@@ -136,9 +125,10 @@ class SeparatedDensity:
     def __post_init__(self) -> None:
         if len(self.weights) < 1 or len(self.weights) != len(self.factors):
             raise ValueError("need one weight per factor tuple, at least one term")
-        lengths = {len(vec) for term in self.factors for vec in term}
-        if len(lengths) != 1:
-            raise ValueError("all factor vectors must share the same index range")
+        vectors = {id(v): v for term in self.factors for v in term}.values()
+        lengths = {len(v) if np.ndim(v) == 1 else 0 for v in vectors}
+        if len(lengths) != 1 or 0 in lengths:
+            raise ValueError("factor vectors must be nonempty 1-D arrays on one index range")
         dims = {len(term) for term in self.factors}
         if len(dims) != 1:
             raise ValueError("all terms must have the same number of dimensions")
@@ -177,9 +167,8 @@ def _check_support(boundary: np.ndarray, peak: np.ndarray, sums: np.ndarray) -> 
     """
     scale = np.maximum(np.abs(sums), peak)
     if np.any(boundary > _SUPPORT_TOL * scale):
-        raise SupportTruncated(
-            "density samples end inside the kernel support; enlarge the sample window"
-        )
+        raise SupportTruncated("density samples end inside the kernel support; "
+                               "enlarge the sample window")
 
 
 def _gauss_rows(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
@@ -280,96 +269,57 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
     np.multiply(norm, sums, out=out)
 
 
-def _vector_tables(vec: np.ndarray) -> tuple:
-    """(key, tables): the cache entry of vec's sample content, keyed by its
-    dtype and exact bytes, and its dict of support-checked tables, made
-    empty on a miss.  A byte-equal vector finds the same entry; an edited
-    one does not.  A vector of more than _VECTOR_BYTES is not kept: its key
-    is None and its dict serves the one call."""
-    if vec.nbytes > _VECTOR_BYTES:
-        return None, {}
-    key = ("sigma", vec.dtype.str, vec.tobytes())
-    tables = _ROW_BLOCKS.get(key)
-    if tables is None:
-        tables = {}
-        _ROW_BLOCKS.put(key, tables, len(key[2]))
-    return key, tables
-
-
 def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
-                  with_r: bool = False) -> tuple:
+                  with_r: bool = False) -> dict:
     """Normalized per-dimension convolution sums for (vector, offset) pairs.
 
-    All vectors have one length L on the index range starting at m_lo.
-    Returns (rows, sigma): rows maps (id(vec), k) to an index into the list
-    sigma[0] of read-only sigma_Q tables, and into sigma[1] of sigma_R
-    tables when with_r, where
+    All vectors have one length on the index range starting at m_lo.  Returns
+    {(id(vec), k): (sigma_Q,), or (sigma_Q, sigma_R) when with_r}, where
     sigma_P(k, t_s) = (pi D (1+t_s))^{-1/2} *
         sum_m vec[m] e^{-(k-m)^2/(D(1+t_s))} P_M((k-m)/sqrt(D), t_s)
     at the rule's nodes t_s.  The kernel depends on d = k - m alone, so its
     rows come from the h-independent block cache; the vectors at one offset
     share one gather of them, made only if one of their tables is not
-    cached.  A table is cached once its support check has passed, in its
-    vector's content entry (_vector_tables) under (Q or R, k - m_lo, D, M,
-    rule).
+    cached.  A table that passes its support check is cached, read-only, as
+    its own entry keyed (Q or R, dtype, exact sample bytes, k - m_lo, D, M,
+    rule): a byte-equal vector finds it, an edited one does not, and a
+    vector of more than _VECTOR_BYTES keeps none.
     """
-    vectors: dict = {}
     needed: dict = {}
+    contents: dict = {}
     for vec, k in pairs:
-        vectors[id(vec)] = vec
         needed.setdefault(k, {})[id(vec)] = vec
-    rows: dict = {}
-    for k, vecs in needed.items():
-        for key in vecs:
-            rows[key, k] = len(rows)
-    sigma = [[None] * len(rows) for _ in range(1 + with_r)]
-    if not rows:
-        return rows, sigma
-    [L] = {len(vec) for vec in vectors.values()}
-    cached = {key: _vector_tables(vec) for key, vec in vectors.items()}
+        if id(vec) not in contents:
+            contents[id(vec)] = vec.tobytes() if vec.nbytes <= _VECTOR_BYTES else None
     log1pt = rule.arrays().log1pt
     norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
     buf = np.empty((_BLOCK + 1, len(log1pt)))
+    tables: dict = {}
     for k, vecs in needed.items():
         runs = None
         for key, vec in vecs.items():
-            content, tables = cached[key]
+            content = contents[key]
+            found = []
             for which in range(1 + with_r):
-                table_key = ("QR"[which], k - m_lo, D, M, rule)
-                table = tables.get(table_key)
+                table_key = ("QR"[which], vec.dtype.str, content, k - m_lo, D, M, rule)
+                table = _ROW_BLOCKS.get(table_key)
                 if table is None:
                     if runs is None:
-                        runs = _kernel_runs(k - m_lo, L, D, M, rule, with_r)
+                        runs = _kernel_runs(k - m_lo, len(vec), D, M, rule, with_r)
                     table = np.empty(len(log1pt))
                     _sigma(vec, runs, which, norm, buf, table)
                     table.flags.writeable = False
-                    tables[table_key] = table
-                    _ROW_BLOCKS.grow(content, tables, table.nbytes)
-                sigma[which][rows[key, k]] = table
-    return rows, sigma
+                    if content is not None:
+                        _ROW_BLOCKS.put(table_key, table, table.nbytes + len(content))
+                found.append(table)
+            tables[key, k] = tuple(found)
+    return tables
 
 
-def _table_index(density: SeparatedDensity, points: list, n: int, D: float,
-                 M: int, rule: DEQuadrature) -> tuple:
-    """(index, sigma): the tables of every (vector, offset) pair of the call,
-    and index[i, j, p], the row of sigma[.] that term p reads in dimension j
-    at point i.
-
-    Every term meets every point, so the pairs of dimension j are
-    {vectors at j} x {offsets at j}: the pairs of all (term, point) products,
-    each once.  A table reads the kernel rows of its own offset only, so its
-    values do not depend on the other points of the batch.
-    """
-    vectors = {id(vec): vec for term in density.factors for vec in term}
-    # per dimension: the vector of each term, by id, and the distinct offsets
-    ids = [list(map(id, col)) for col in zip(*density.factors)]
-    offsets = [dict.fromkeys(col) for col in zip(*points)]
-    rows, sigma = _sigma_tables(((vectors[key], k) for keys, ks in zip(ids, offsets)
-                                 for key in dict.fromkeys(keys) for k in ks),
-                                density.m_lo, D, M, rule, n == 3)
-    index = np.array([[[rows[key, k] for key in keys] for keys, k in zip(ids, pt)]
-                      for pt in points], dtype=np.intp)
-    return index, np.array(sigma).reshape(len(sigma), len(rows), rule.node_count)
+def _positions(keys) -> tuple:
+    """(each key's position among the distinct keys, those keys in first-seen order)."""
+    first: dict = {}
+    return np.array([first.setdefault(key, len(first)) for key in keys]), list(first)
 
 
 def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
@@ -378,18 +328,30 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
 
     The node sum is fsum_p weights[p] fsum_s c_ps with c_ps the n-fold product
     of the factor tables times the node weight for n >= 5, and the two-term
-    n = 3 bracket times tau * Phi'.  The points are validated and every table
-    of the call is built up front (_table_index).  Per point, the (terms,
-    nodes) contributions are formed with one gather of table rows per
-    dimension, multiplied in the order j = 0 .. n-1, and their rows are summed
-    exactly in one vectorised pass (quad._row_sums).
+    n = 3 bracket times tau * Phi'.  The points are validated and the tables
+    of the call built up front, each (vector, offset) pair of a dimension
+    once; a table reads only its own offset's kernel rows, so values do not
+    depend on the rest of the batch.  Per point, one gather of table rows per
+    dimension forms the (terms, nodes) contributions, multiplied in the order
+    j = 0 .. n-1 and summed exactly row by row in one pass (quad._row_sums).
     """
     points = [tuple(int_value(c, "grid index") for c in point) for point in points]
     if any(len(point) != n for point in points):
         raise ValueError(f"evaluation point must have {n} coordinates")
+    if not points:
+        return
     nodes = rule.arrays()
-    t = nodes.t
-    index, sigma = _table_index(density, points, n, D, M, rule)
+    vectors = {id(vec): vec for term in density.factors for vec in term}
+    rows: dict = {}  # (id(vec), k) -> table row, over the pairs of every dimension
+    index = np.empty((len(points), n, density.rank), dtype=np.intp)
+    for j, (col, coords) in enumerate(zip(zip(*density.factors), zip(*points))):
+        (vpos, ids), (kpos, ks) = _positions(map(id, col)), _positions(coords)
+        # index[i, j, p]: the row that term p reads at point i, from the grid
+        # of rows over dimension j's distinct vectors x distinct offsets
+        grid = np.array([[rows.setdefault((v, k), len(rows)) for k in ks] for v in ids])
+        index[:, j] = grid[vpos[None, :], kpos[:, None]]
+    tables = _sigma_tables(((vectors[v], k) for v, k in rows), density.m_lo, D, M, rule, n == 3)
+    sigma = np.stack([tables[key] for key in rows], axis=1)
     q = sigma[0]
     log_form = n > 3 and (n > _LOG_PRODUCT_DIM or not np.all(np.isfinite(nodes.weight)))
     if n == 3:
@@ -411,7 +373,7 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
             with np.errstate(invalid="ignore", over="ignore"):
                 # where t overflowed to inf the R-sum is exactly 0; such
                 # dead nodes contribute 0, not inf * 0
-                bracket = q0 * q1 * q2 + np.where(r_sum == 0.0, 0.0, t * r_sum)
+                bracket = q0 * q1 * q2 + np.where(r_sum == 0.0, 0.0, nodes.t * r_sum)
                 contrib = tau_phiprime * bracket
             contrib = np.where((bracket == 0.0) & ~np.isfinite(contrib), 0.0, contrib)
         elif log_form:
@@ -515,8 +477,8 @@ def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tu
     at offset k.  They do not depend on the dimension, so a sweep over n
     computes them once; they are the table cache's read-only arrays."""
     m_lo, *vecs = _gaussian_factor_vectors(grid)
-    rows, (sigma,) = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, rule)
-    return tuple(sigma[rows[id(vec), k]] for vec in vecs)
+    tables = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, rule)
+    return tuple(tables[id(vec), k][0] for vec in vecs)
 
 
 def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,

@@ -69,11 +69,14 @@ def test_output_is_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize("table, digest", [
     ("1", "4b3cd2d9c24724c8422ecbe3e8a61ca022df40da4053625dbff2173888250657"),
     ("2", "85e08c60b31812c2db382469297f61ad96bdf50f0dff0488e25895ad745b4132"),
+    ("3", "e7df125c9689bfb647ea959b0a8f4dd178275143f27e8ef92d411dfdc3a3c779"),
+    ("4", "eba3b9689cf50d66a45697dfc12e5266d1d378e727b2eba036bca68c8df6d85f"),
 ])
 def test_table_bytes_are_frozen(capsys, table, digest):
-    # the output contract: Tables 1 and 2 byte for byte.  The digests are
-    # those of the numpy 2.4.6 build the reference CSVs were made with; a
-    # different libm or SIMD exp may change the last bits of a value
+    # the output contract: Tables 1-4 byte for byte, Table 4 the one that
+    # runs the n = 3 tensor path.  The digests are those of the numpy 2.4.6
+    # build the reference CSVs were made with; a different libm or SIMD exp
+    # may change the last bits of a value
     rc, out, _ = _run(capsys, ["--table", table])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -53,7 +53,7 @@ def _dense_samples(dens):
 
 def _conv(samples, k, m_lo, D, M, rule):
     """The normalized convolution sum of one vector at offset k, per node."""
-    _, [[table]] = engine._sigma_tables([(samples, k)], m_lo, D, M, rule)
+    [(table,)] = engine._sigma_tables([(samples, k)], m_lo, D, M, rule).values()
     return table
 
 
@@ -300,16 +300,21 @@ def row_blocks(monkeypatch):
 
 
 def _held_bytes():
-    """The cache's running byte total, checked against its entries: a block
-    counts its bytes, a vector's table entry its sample bytes and its tables,
-    and every array is read-only."""
+    """The cache's running byte total, checked against its entries: each
+    holds one read-only array, counted as its bytes plus, for a sigma table,
+    the sample bytes in its key."""
     cache = engine._ROW_BLOCKS
     for key, (value, size) in cache._entries.items():
-        arrays = list(value.values()) if key[0] == "sigma" else [value]
-        assert size == sum(a.nbytes for a in arrays) + (len(key[2]) if key[0] == "sigma" else 0)
-        assert not any(a.flags.writeable for a in arrays)
+        assert size == value.nbytes + (len(key[2]) if _is_table_key(key) else 0)
+        assert not value.flags.writeable
     assert cache.nbytes == sum(size for _, size in cache._entries.values())
     return cache.nbytes
+
+
+def _is_table_key(key):
+    """Whether a cache key is a sigma table's (Q or R, dtype, sample bytes,
+    k - m_lo, D, M, rule) rather than a kernel block's."""
+    return isinstance(key[2], bytes)
 
 
 def test_sigma_tables_built_once_per_offset(row_blocks):
@@ -373,12 +378,12 @@ def _positive_density(n, grid):
 def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
     # offsets 10^5 apart read only the blocks around |d| = 0 and 10^5, each
     # of _BLOCK rows; under a bound of four blocks, plus room for the batch's
-    # 10 distinct sigma tables and the samples of its 3 vectors (65 each),
-    # the cache evicts, stays within the bound, and the batch still gives
-    # the values of one-point calls
+    # 10 distinct sigma tables, each counted with the samples of its vector
+    # (65), the cache evicts, stays within the bound, and the batch still
+    # gives the values of one-point calls
     rule = DEQuadrature()
     block_bytes = engine._BLOCK * rule.node_count * 8
-    table_bytes = (10 * rule.node_count + 3 * 65) * 8
+    table_bytes = 10 * (rule.node_count + 65) * 8
     monkeypatch.setattr(engine, "_CACHE_BYTES", 4 * block_bytes + table_bytes)
     grid = GridSpec(0.2)
     # at n = 6 the rule still resolves the far-field potential
@@ -481,7 +486,7 @@ def test_table_cache_stays_within_its_bound(sigma_calls, monkeypatch):
 
 
 def test_large_vectors_keep_no_tables(sigma_calls, row_blocks, monkeypatch):
-    # a vector above _VECTOR_BYTES stores no entry: a repeat call builds its
+    # a vector above _VECTOR_BYTES stores no table: a repeat call builds its
     # tables again but no kernel block, and gives the same values
     grid = GridSpec(0.1)
     dens = _positive_density(5, grid)
@@ -493,7 +498,7 @@ def test_large_vectors_keep_no_tables(sigma_calls, row_blocks, monkeypatch):
     row_blocks.clear()
     assert [s.value for s in evaluate(dens, points, 5, grid, 3)] == cold
     assert sigma_calls and row_blocks == []
-    assert not any(key[0] == "sigma" for key in engine._ROW_BLOCKS._entries)
+    assert not any(_is_table_key(key) for key in engine._ROW_BLOCKS._entries)
     _held_bytes()
 
 
@@ -502,18 +507,13 @@ def test_byte_lru_counts_only_held_values(monkeypatch):
     # new value; an entry larger than the bound evicts everything, itself too
     monkeypatch.setattr(engine, "_CACHE_BYTES", 100)
     cache = engine._ByteLRU()
-    old, new = {}, {}
-    cache.put("a", old, 60)
+    new = []
+    cache.put("a", [], 60)
     cache.put("b", [], 30)
     cache.put("c", [], 30)
     assert "a" not in cache and cache.nbytes == 60
     cache.put("a", new, 10)
-    cache.grow("a", old, 50)
-    assert cache.nbytes == 70
-    cache.grow("a", new, 5)
-    assert cache.nbytes == 75 and cache.get("a") is new
-    cache.grow(None, new, 5)
-    assert cache.nbytes == 75
+    assert cache.nbytes == 70 and cache.get("a") is new
     cache.put("d", [], 101)
     assert cache.nbytes == 0 and "d" not in cache
 
@@ -816,6 +816,12 @@ def test_separated_density_validation():
         SeparatedDensity((1.0,), ((np.ones(3), np.ones(4)),), 0)
     with pytest.raises(ValueError):
         SeparatedDensity((), (), 0)
+    # empty and two-dimensional factor vectors are refused up front, not by
+    # a failure inside evaluate
+    with pytest.raises(ValueError):
+        SeparatedDensity((1.0,), ((np.zeros(0),) * 5,), 0)
+    with pytest.raises(ValueError):
+        SeparatedDensity((1.0,), ((np.ones((3, 1)),) * 5,), 0)
     dens = SeparatedDensity((2.0,), ((np.ones(3), np.ones(3)),), -1)
     assert dens.rank == 1
     assert dens.ndim == 2
