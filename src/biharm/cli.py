@@ -1,5 +1,6 @@
 """Benchmark harness reproducing the accuracy tables for the Gaussian test
-density, plus a self-verification mode cross-checking the numerical layers.
+density as CSV, plus a self-verification mode cross-checking the numerical
+layers.  Command-line flags are the only run input.
 """
 
 from __future__ import annotations
@@ -7,13 +8,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 
 from .errors import BiharmError
+from .kernels import dim_value, int_value, order_value
 
-__all__ = ["RunConfig", "RateRow", "run_table", "run_verify", "emit_plot_data", "main"]
+__all__ = ["RunConfig", "RateRow", "run_table", "run_verify", "main"]
 
 _CSV_HEADER = "n,M,h,x1,exact,approx,abs_err,rel_err,rate"
 
@@ -42,28 +43,31 @@ class RunConfig:
     quad_b: float = 5.0
     quad_tau: float = 0.003
     quad_nodes: int = 300
-    out: str | None = None
-    plot_out: str | None = None
 
     def __post_init__(self) -> None:
         if self.table not in ("1", "2", "3", "4", "custom"):
             raise ValueError(f"unknown table selector {self.table!r}")
         if not self.dims or not self.orders or not self.steps:
             raise ValueError("dims, orders, and steps must all be nonempty")
-        if any(n < 3 for n in self.dims):
-            raise ValueError("dimensions must be at least 3")
-        if any(m < 1 for m in self.orders):
-            raise ValueError("orders must be at least 1")
-        if any(s < 1 for s in self.steps):
-            raise ValueError("steps are reciprocal grid widths and must be >= 1")
+        # whole numbers only: 5.5 is refused, 5.0 is stored (and printed) as 5
+        store = functools.partial(object.__setattr__, self)
+        store("dims", tuple(map(dim_value, self.dims)))
+        store("orders", tuple(map(order_value, self.orders)))
+        store("steps", tuple(_count(s, "reciprocal grid width 1/h") for s in self.steps))
+        store("quad_nodes", _count(self.quad_nodes, "quad_nodes"))
         if not (self.delta > 0 and self.quad_a > 0 and self.quad_b > 0 and self.quad_tau > 0):
             raise ValueError("delta and quadrature parameters must be positive")
-        if self.quad_nodes < 1:
-            raise ValueError("quad_nodes must be at least 1")
 
 
-# the run parameters a config file or a flag may set: all but the table
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "table")
+def _count(value, what: str) -> int:
+    value = int_value(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1")
+    return value
+
+
+# the run parameters a flag may set: all but the table
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "table")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,25 +158,6 @@ def _format_csv(rows: list) -> str:
 def run_table(cfg: RunConfig) -> str:
     """CSV document with one row per (n, M, h, point) of the configured table."""
     return _format_csv(_compute_rows(cfg))
-
-
-def emit_plot_data(rows: list, path) -> None:
-    """Two-column (h, abs_err) blocks per (n, M) series, blank-line separated."""
-    if not rows:
-        raise ValueError("rows must be nonempty")
-    blocks: list = []
-    key = None
-    for r in rows:
-        if (r.n, r.M) != key:
-            key = (r.n, r.M)
-            blocks.append([])
-        blocks[-1].append(f"{_fmt(r.h)} {_fmt(r.abs_err)}")
-    text = "\n\n".join("\n".join(b) for b in blocks) + "\n"
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write plot data to {path}: {exc}") from exc
 
 
 def _printed_node_polys(x, t):
@@ -365,20 +350,6 @@ def run_verify(level: str = "quick"):
     return n_fail == 0, lines
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        text = fh.read()
-    if not text.strip():
-        return {}
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return data
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="biharm",
@@ -406,54 +377,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-nodes", type=int,
                    help=f"number of quadrature nodes (default {RunConfig.quad_nodes})")
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.add_argument("--plot-out", help="also write (h, abs_err) blocks for log-log plots")
-    p.add_argument("--config",
-                   help="JSON file with defaults for the parameter flags "
-                        "(not --table/--verify)")
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        file_cfg = _load_config(args.config) if args.config else {}
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
+    args = _build_parser().parse_args(argv)
     if args.verify is not None:
         ok, lines = run_verify(args.verify)
         print("\n".join(lines))
         return 0 if ok else 1
 
     table = args.table
-    # the table's schedule, overlaid by the config file, then by the flags
-    # given; RunConfig's own defaults fill the rest
+    # the table's schedule, overlaid by the flags given; RunConfig's own
+    # defaults fill the rest
     params = {"dims": _TABLE_DIMS.get(table, ()), "orders": _TABLE_ORDERS.get(table, ()),
-              "steps": _TABLE_STEPS.get(table, ()), **file_cfg,
-              **{key: getattr(args, key) for key in _CONFIG_KEYS
+              "steps": _TABLE_STEPS.get(table, ()),
+              **{key: getattr(args, key) for key in _PARAM_KEYS
                  if getattr(args, key) is not None}}
     try:
-        for key in ("dims", "orders", "steps"):
-            params[key] = tuple(params[key])
-        cfg = RunConfig(table=table, **params)
         if table == "1" and (args.steps or args.orders):
             raise ValueError("table 1 is defined at fixed h = 0.025, M = 4; "
                              "use --table custom to vary them")
-        rows = _compute_rows(cfg)
-    except (BiharmError, ValueError) as exc:
+        csv_text = run_table(RunConfig(table=table, **params))
+    except (BiharmError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    csv_text = _format_csv(rows)
     try:
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
+        if args.out:
+            with open(args.out, "w") as fh:
                 fh.write(csv_text)
         else:
             sys.stdout.write(csv_text)
-        if cfg.plot_out:
-            emit_plot_data(rows, cfg.plot_out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

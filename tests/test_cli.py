@@ -1,10 +1,11 @@
-"""Command-line harness: schema, reproducibility, plot data, config file
-semantics, exit codes, and the built-in verification suite."""
+"""Command-line harness: schema, reproducibility, run-parameter checks, exit
+codes, the README's command lines, and the built-in verification suite."""
 
 import csv
 import hashlib
-import json
 import math
+import pathlib
+import shlex
 
 import pytest
 
@@ -92,33 +93,6 @@ def test_rate_column_recomputable(capsys):
         assert float(row["rate"]) == pytest.approx(want, abs=1e-12)
 
 
-def test_plot_data_blocks(tmp_path, capsys):
-    plot = tmp_path / "series.dat"
-    rc, _, _ = _run(capsys, ["--table", "custom", "--dims", "3",
-                             "--orders", "1", "2", "--steps", "10", "20",
-                             "--plot-out", str(plot)])
-    assert rc == 0
-    text = plot.read_text()
-    blocks = text.strip("\n").split("\n\n")
-    assert len(blocks) == 2
-    for block in blocks:
-        lines = block.splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            h, err = line.split()
-            assert float(h) in (0.1, 0.05)
-            assert float(err) > 0.0
-
-
-def test_plot_data_single_series_has_no_blank_line(tmp_path, capsys):
-    plot = tmp_path / "single.dat"
-    rc, _, _ = _run(capsys, ["--table", "custom", "--dims", "3",
-                             "--orders", "1", "--steps", "10", "20",
-                             "--plot-out", str(plot)])
-    assert rc == 0
-    assert "\n\n" not in plot.read_text().strip("\n")
-
-
 def test_short_quadrature_rule_is_a_config_error(capsys):
     # 150 of the 300 default nodes end while the node sums are still large;
     # the values would be ~100% wrong, so no CSV may be printed
@@ -137,8 +111,39 @@ def test_unsupported_dimension_is_a_config_error(capsys):
     assert "n = 4" in err
 
 
+def test_floating_point_overflow_is_a_config_error(capsys):
+    # a shape parameter this small overflows the node sums; the run must end
+    # in an error line, not a traceback
+    rc, out, err = _run(capsys, ["--table", "custom", "--dims", "5", "--orders", "2",
+                                 "--steps", "10", "--delta", "1e-300"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dims", (5.5,)), ("orders", (2.5,)), ("steps", (10.5,)), ("quad_nodes", 300.7)])
+def test_run_config_refuses_fractional_counts(field, value):
+    params = {"dims": (5,), "orders": (2,), "steps": (10,), field: value}
+    with pytest.raises(ValueError, match="integer"):
+        cli.RunConfig(**params)
+
+
+def test_readme_command_lines_parse():
+    # the README may advertise only flags the parser still accepts
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    fenced = readme.read_text().split("```")[1::2]
+    lines = [line for block in fenced for line in block.splitlines()
+             if line.startswith("biharm ")]
+    assert lines
+    parser = cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
 def test_argparse_rejects_unknown_flag(capsys):
-    for extra in (["--bogus"], ["--threads", "2"]):
+    for extra in (["--bogus"], ["--threads", "2"], ["--config", "run.json"],
+                  ["--plot-out", "x.dat"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--table", "4", *extra])
         assert exc.value.code == 2
@@ -171,52 +176,6 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     assert rc == 1
     assert out.startswith("FAIL")
     assert "always-red" in out
-
-
-def test_empty_config_file_means_defaults(tmp_path, capsys):
-    cfg = tmp_path / "empty.json"
-    cfg.write_text("")
-    args = ["--table", "4", "--orders", "4", "--steps", "10"]
-    rc, plain, _ = _run(capsys, args)
-    rc2, with_cfg, _ = _run(capsys, args + ["--config", str(cfg)])
-    assert rc == rc2 == 0
-    assert plain == with_cfg
-
-
-def test_config_file_supplies_run_parameters(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"dims": [3], "orders": [1], "steps": [10, 20]}))
-    rc, out, _ = _run(capsys, ["--table", "custom", "--config", str(cfg)])
-    assert rc == 0
-    assert len(_parse(out)) == 2
-
-
-def test_flag_overrides_config(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"dims": [3], "orders": [1], "steps": [10]}))
-    rc, out, _ = _run(capsys, ["--table", "custom", "--config", str(cfg),
-                               "--steps", "20"])
-    assert rc == 0
-    rows = _parse(out)
-    assert len(rows) == 1
-    assert float(rows[0]["h"]) == 0.05
-
-
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    for key in ("bogus", "threads"):
-        cfg.write_text(json.dumps({key: 1}))
-        rc, _, err = _run(capsys, ["--table", "4", "--config", str(cfg)])
-        assert rc == 2
-        assert key in err
-
-
-def test_config_rejects_malformed_json(tmp_path, capsys):
-    cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    rc, _, err = _run(capsys, ["--table", "4", "--config", str(cfg)])
-    assert rc == 2
-    assert "config error" in err
 
 
 def test_unwritable_output_is_reported(tmp_path, capsys):
