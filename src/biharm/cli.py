@@ -398,8 +398,15 @@ def main(argv=None) -> int:
         if table == "1" and (args.steps or args.orders):
             raise ValueError("table 1 is defined at fixed h = 0.025, M = 4; "
                              "use --table custom to vary them")
-        csv_text = run_table(RunConfig(table=table, **params))
-    except (BiharmError, ValueError, ArithmeticError) as exc:
+        cfg = RunConfig(table=table, **params)
+        try:
+            csv_text = run_table(cfg)
+        except ArithmeticError as exc:
+            # the bare text ("intermediate overflow in fsum") names no input;
+            # DEQuadrature checks the other floating-point inputs, so name delta
+            raise ValueError(f"the run leaves the floating-point range at "
+                             f"delta = {cfg.delta}: {exc}") from exc
+    except (BiharmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -14,6 +14,12 @@ lattice offset d = k - m alone, not on h, n or the density.  Its rows are
 built once per (D, M, rule) for |d| in blocks of _BLOCK and kept in one
 byte-bounded LRU; every sigma table gathers its rows by |d| and sums them
 block by block in row order, which is the same sequential sum as one pass.
+At small t the Gaussian of a large |d| is exactly 0 in binary64, so the
+blocks are banded: a Gaussian block records each row's first nonzero node
+column, read off its values, and every block holds its rows from the
+block's first live column on.  A table sums each block's run of rows only
+from the run's own first live column; the skipped terms are exact zeros,
+so the sums are those over all columns bit for bit.
 A support-checked sigma table depends only on its vector's samples, the
 first offset k - m_lo, D, M and the rule, so the same LRU keeps it across
 calls as its own entry, keyed by the exact sample bytes.
@@ -59,9 +65,10 @@ SATURATION_CUTOFF = 6
 
 # kernel rows are cached in blocks of _BLOCK consecutive |d| values, in one
 # least-recently-used cache shared by all (D, M, rule) with the sigma tables.
-# 128 rows was the fastest of 32..256 on Table 2.  The 32 MiB bound holds the
-# largest working set of Tables 1-4, blocks and tables together (27.4 MiB,
-# Table 4): counted in one process per table, none of them rebuilds a block
+# 128 rows was the fastest of 32..256 on Table 2 with full-width blocks.  The
+# 32 MiB bound holds the largest working set of Tables 1-4, banded blocks and
+# tables together (12.9 MiB, Table 4): counted in one process per table, none
+# of them rebuilds a block
 _BLOCK = 128
 _CACHE_BYTES = 32 << 20
 # a vector of more sample bytes than this keeps no sigma tables across calls,
@@ -177,9 +184,28 @@ def _gauss_rows(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
     return np.exp(-(d * d)[:, None] * inv[None, :])
 
 
-def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool) -> tuple:
-    """(Q_M,), or (Q_M, R_M) when with_r, at x = d / sqrt(D) and the rule's nodes."""
-    t = rule.arrays().t[None, :]
+def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> tuple:
+    """(starts, rows): the Gaussian rows of offsets d from node column
+    starts.min() on, and each row's first nonzero column.
+
+    The starts are read off the values, so every column before a row's start
+    is an exact zero of that row on any rule.  They are capped at two columns
+    before the end, because numpy sums a one-column stack pairwise rather
+    than row by row.
+    """
+    rows = _gauss_rows(d, D, rule)
+    live = rows != 0.0
+    cols = rows.shape[1]
+    starts = np.where(live.any(axis=1), live.argmax(axis=1), cols)
+    np.minimum(starts, max(cols - 2, 0), out=starts)
+    return starts, np.ascontiguousarray(rows[:, starts.min():])
+
+
+def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool,
+               start: int = 0) -> tuple:
+    """(Q_M,), or (Q_M, R_M) when with_r, at x = d / sqrt(D) and the rule's
+    nodes from column start on."""
+    t = rule.arrays().t[None, start:]
     x = d[:, None] / math.sqrt(D)
     # Q alone goes through the public qm_poly, whose calls the benchmark's
     # tracer counts as kernel builds
@@ -187,31 +213,38 @@ def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool
 
 
 def _row_block(keys: tuple, build) -> list:
-    """The cached kernel row blocks under keys; on a miss, build() gives one
-    array per key in one pass and the missing ones are stored.
+    """The cached kernel blocks under keys; on a miss, build() gives one
+    array, or tuple of arrays, per key in one pass and the missing ones are
+    stored read-only.
 
     A block already cached is kept, not replaced: a rebuild equals it bit for
     bit.
     """
     blocks = [_ROW_BLOCKS.get(key) for key in keys]
     if any(block is None for block in blocks):
-        for i, rows in enumerate(build()):
+        for i, block in enumerate(build()):
             if blocks[i] is None:
-                rows.flags.writeable = False
-                blocks[i] = rows
-                _ROW_BLOCKS.put(keys[i], rows, rows.nbytes)
+                arrays = block if isinstance(block, tuple) else (block,)
+                for array in arrays:
+                    array.flags.writeable = False
+                blocks[i] = block
+                _ROW_BLOCKS.put(keys[i], block, sum(array.nbytes for array in arrays))
     return blocks
 
 
 def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
                  with_r: bool) -> list:
     """The kernel rows d = d0, d0 - 1, ..., d0 - L + 1 as runs that each read
-    one cached block: a list of (table row slice, Gaussian rows, poly rows).
+    one cached block: a list of (table row slice, first live column c,
+    Gaussian rows, poly rows), the rows holding the node columns c.. only.
 
-    Blocks hold the rows |d| = b B .. b B + B - 1 (B = _BLOCK); the kernel is
-    even in d bit for bit, so rows with d >= 0 are read backwards.  Q_M rows
-    have one key whether or not R_M is needed, so the n = 3 path and the
-    n >= 5 paths share them.
+    Blocks hold the rows |d| = b B .. b B + B - 1 (B = _BLOCK) from the
+    block's first live column on, the smallest start of its rows; c is the
+    smallest start of the run's own rows, so every column before c is an
+    exact zero of the run.  The kernel is even
+    in d bit for bit, so rows with d >= 0 are read backwards.  Q_M rows have
+    one key whether or not R_M is needed, so the n = 3 path and the n >= 5
+    paths share them.
     """
     runs = []
     i = 0
@@ -225,11 +258,14 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
             n = min(_BLOCK - r, L - i)
             rows = slice(r, r + n)
         offsets = b * _BLOCK + np.arange(_BLOCK, dtype=float)
-        [gauss] = _row_block((("gauss", D, rule, b),),
-                             lambda: (_gauss_rows(offsets, D, rule),))
+        [(starts, gauss)] = _row_block((("gauss", D, rule, b),),
+                                       lambda: (_gauss_block(offsets, D, rule),))
+        c0 = rule.node_count - gauss.shape[1]
         polys = _row_block((("Q", D, M, rule, b), ("R", D, M, rule, b))[:1 + with_r],
-                           lambda: _poly_rows(offsets, D, M, rule, with_r))
-        runs.append((slice(i, i + n), gauss[rows], tuple(p[rows] for p in polys)))
+                           lambda: _poly_rows(offsets, D, M, rule, with_r, c0))
+        c = int(starts[rows].min())
+        runs.append((slice(i, i + n), c, gauss[rows, c - c0:],
+                     tuple(p[rows, c - c0:] for p in polys)))
         i += n
     return runs
 
@@ -239,32 +275,36 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
     """out = norm * sum_m vec[m] gauss[m] poly[m] over the node columns,
     support-checked.
 
-    The terms vec[:, None] * gauss * poly are formed one run at a time in
-    buf[1:]; from the second run on, the partial sum is carried in buf[0], so
-    the row-order sum is the same sequential sum as over all rows at once.
+    The terms vec[:, None] * gauss * poly of a run are formed in buf[1:] at
+    the run's live columns c.. only, with the partial sum carried in buf[0],
+    so each column gets the row-order sum that numpy forms over all rows at
+    once.  That sum starts at +0 and is never -0, so the exact zeros of the
+    columns before c leave it unchanged bit for bit; at the first and last
+    row they are boundary terms of 0.
     A column can fail the support check only if its boundary term exceeds
     _SUPPORT_TOL |sum|, since the check scales by max(|sum|, peak); the terms
     of such columns alone are formed again for their peak.
     """
-    sums = None
-    for rows, gauss, polys in runs:
+    sums = np.zeros(len(out))
+    boundary = np.zeros(len(out))
+    for rows, c, gauss, polys in runs:
         n = rows.stop - rows.start
-        terms = buf[1:n + 1]
+        terms = buf[1:n + 1, c:]
         np.multiply(vec[rows, None], gauss, out=terms)
         terms *= polys[which]
-        if sums is None:
-            first = np.abs(terms[0])
-            sums = np.sum(terms, axis=0)
-        else:
-            buf[0] = sums
-            sums = np.sum(buf[:n + 1], axis=0)
-    boundary = np.maximum(first, np.abs(terms[-1]))
+        if rows.start == 0:
+            np.abs(terms[0], out=boundary[c:])
+        buf[0, c:] = sums[c:]
+        np.sum(buf[:n + 1, c:], axis=0, out=sums[c:])
+    np.maximum(boundary[c:], np.abs(terms[-1]), out=boundary[c:])
     cols = np.flatnonzero(boundary > _SUPPORT_TOL * np.abs(sums))
     if cols.size:
         peak = np.zeros(cols.size)
-        for rows, gauss, polys in runs:
-            terms = vec[rows, None] * gauss[:, cols] * polys[which][:, cols]
-            np.maximum(peak, np.max(np.abs(terms), axis=0), out=peak)
+        for rows, c, gauss, polys in runs:
+            i = np.searchsorted(cols, c)
+            live = cols[i:] - c
+            terms = vec[rows, None] * gauss[:, live] * polys[which][:, live]
+            np.maximum(peak[i:], np.max(np.abs(terms), axis=0), out=peak[i:])
         _check_support(boundary[cols], peak, sums[cols])
     np.multiply(norm, sums, out=out)
 

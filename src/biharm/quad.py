@@ -93,8 +93,8 @@ class DEQuadrature:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0 and self.tau > 0.0):
-            raise ValueError("quadrature parameters a, b, tau must be positive")
+        if not all(0.0 < p < math.inf for p in (self.a, self.b, self.tau)):
+            raise ValueError("quadrature parameters a, b, tau must be positive and finite")
         if self.s_begin >= self.s_end:
             raise ValueError("node index range must be nonempty")
 
@@ -106,13 +106,20 @@ class DEQuadrature:
         """The node table.  Cached; treat the returned arrays as read-only."""
         if "arrays" not in self._cache:
             u = self.tau * np.arange(self.s_begin, self.s_end, dtype=float)
-            log_t, log_tprime = _log_transform(u, self.a, self.b)
-            log_weight = math.log(self.tau) + log_t + log_tprime
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                log_t, log_tprime = _log_transform(u, self.a, self.b)
+                log_weight = math.log(self.tau) + log_t + log_tprime
                 t = np.exp(log_t)
                 weight = np.exp(log_weight)
-            self._cache["arrays"] = NodeTable(u, t, log_t, _log1p(t, log_t),
-                                              log_weight, weight)
+            log1pt = _log1p(t, log_t)
+            # NodeTable promises finite logarithms; where a * b or the
+            # transform overflows they are not, and the node sums of such a
+            # rule come out as 0 or NaN
+            if not all(np.all(np.isfinite(x)) for x in (log_t, log1pt, log_weight)):
+                raise ValueError(f"quadrature rule a = {self.a}, b = {self.b}, "
+                                 f"tau = {self.tau} has node logarithms beyond the "
+                                 "binary64 range")
+            self._cache["arrays"] = NodeTable(u, t, log_t, log1pt, log_weight, weight)
         return self._cache["arrays"]
 
 

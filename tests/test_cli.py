@@ -112,13 +112,27 @@ def test_unsupported_dimension_is_a_config_error(capsys):
 
 
 def test_floating_point_overflow_is_a_config_error(capsys):
-    # a shape parameter this small overflows the node sums; the run must end
-    # in an error line, not a traceback
+    # a shape parameter this small overflows the node sums, this large the
+    # prefactor; the run must end in an error line that names delta, not a
+    # traceback or the bare overflow text
+    for delta in ("1e-300", "1e300"):
+        rc, out, err = _run(capsys, ["--table", "custom", "--dims", "5", "--orders", "2",
+                                     "--steps", "10", "--delta", delta])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and f"delta = {float(delta)}" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--quad-tau", "inf"), ("--quad-b", "inf"), ("--quad-a", "1e308")])
+def test_degenerate_quadrature_rule_is_a_config_error(capsys, flag, value):
+    # these rules have no node inside the binary64 range: every kernel factor
+    # reads 0, and the run printed approx = 0.0 with exit 0
     rc, out, err = _run(capsys, ["--table", "custom", "--dims", "5", "--orders", "2",
-                                 "--steps", "10", "--delta", "1e-300"])
+                                 "--steps", "10", flag, value])
     assert rc == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error: quadrature")
 
 
 @pytest.mark.parametrize("field, value", [

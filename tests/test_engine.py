@@ -274,11 +274,30 @@ def _empty_caches():
     engine._axis_sigma_tables.cache_clear()
 
 
+def _check_banded(blocks, node_count):
+    """Check one build's blocks: _BLOCK rows each, all starting at the
+    Gaussian block's first live column.  A Gaussian block is (starts, rows):
+    each row is exactly zero before its start and, unless the start is
+    capped two columns before the end, nonzero at it."""
+    widths = set()
+    for block in blocks:
+        if isinstance(block, tuple):
+            starts, block = block
+            c0 = node_count - block.shape[1]
+            assert len(starts) == engine._BLOCK and c0 == starts.min()
+            for row, start in zip(block, starts - c0):
+                assert not row[:start].any()
+                assert row[start] != 0.0 or start + c0 == node_count - 2
+        assert len(block) == engine._BLOCK
+        widths.add(block.shape[1])
+    assert len(widths) == 1
+
+
 @pytest.fixture
 def row_blocks(monkeypatch):
     """Start from empty kernel row and sigma table caches and record the key
     of every block stored, checking that a build happens only when one of its
-    blocks is missing and that every block has _BLOCK rows."""
+    blocks is missing and that every block has the banded layout."""
     _empty_caches()
     builds = []
     row_block = engine._row_block
@@ -288,10 +307,10 @@ def row_blocks(monkeypatch):
             missing = [key for key in keys if key not in engine._ROW_BLOCKS]
             assert missing
             builds.extend(missing)
-            block = build()
-            assert len(block) == len(keys)
-            assert all(len(rows) == engine._BLOCK for rows in block)
-            return block
+            blocks = build()
+            assert len(blocks) == len(keys)
+            _check_banded(blocks, keys[0][-2].node_count)
+            return blocks
         return row_block(keys, logged)
 
     monkeypatch.setattr(engine, "_row_block", counted)
@@ -301,12 +320,14 @@ def row_blocks(monkeypatch):
 
 def _held_bytes():
     """The cache's running byte total, checked against its entries: each
-    holds one read-only array, counted as its bytes plus, for a sigma table,
-    the sample bytes in its key."""
+    holds one read-only array, or a Gaussian block's (starts, rows), counted
+    as its bytes plus, for a sigma table, the sample bytes in its key."""
     cache = engine._ROW_BLOCKS
     for key, (value, size) in cache._entries.items():
-        assert size == value.nbytes + (len(key[2]) if _is_table_key(key) else 0)
-        assert not value.flags.writeable
+        arrays = value if isinstance(value, tuple) else (value,)
+        assert size == (sum(array.nbytes for array in arrays)
+                        + (len(key[2]) if _is_table_key(key) else 0))
+        assert not any(array.flags.writeable for array in arrays)
     assert cache.nbytes == sum(size for _, size in cache._entries.values())
     return cache.nbytes
 
@@ -377,14 +398,15 @@ def _positive_density(n, grid):
 
 def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
     # offsets 10^5 apart read only the blocks around |d| = 0 and 10^5, each
-    # of _BLOCK rows; under a bound of four blocks, plus room for the batch's
-    # 10 distinct sigma tables, each counted with the samples of its vector
-    # (65), the cache evicts, stays within the bound, and the batch still
-    # gives the values of one-point calls
+    # of _BLOCK rows, those near 10^5 only from their first live node column
+    # on (past column 200); under a bound of three full-width blocks, plus
+    # room for the batch's 10 distinct sigma tables, each counted with the
+    # samples of its vector (65), the cache evicts, stays within the bound,
+    # and the batch still gives the values of one-point calls
     rule = DEQuadrature()
     block_bytes = engine._BLOCK * rule.node_count * 8
     table_bytes = 10 * (rule.node_count + 65) * 8
-    monkeypatch.setattr(engine, "_CACHE_BYTES", 4 * block_bytes + table_bytes)
+    monkeypatch.setattr(engine, "_CACHE_BYTES", 3 * block_bytes + table_bytes)
     grid = GridSpec(0.2)
     # at n = 6 the rule still resolves the far-field potential
     dens = _positive_density(6, grid)
@@ -394,6 +416,7 @@ def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
     assert sorted(row_blocks, key=repr) == sorted(
         [("gauss", 5.0, rule, b) for b in (0, 780, 781)]
         + [("Q", 5.0, 3, rule, b) for b in (0, 780, 781)], key=repr)
+    assert not all(key in engine._ROW_BLOCKS for key in row_blocks)
     assert _held_bytes() <= engine._CACHE_BYTES
     for point, sample in zip(points, batch):
         assert sample.value == evaluate(dens, [point], 6, grid, 3, rule)[0].value
@@ -502,6 +525,19 @@ def test_large_vectors_keep_no_tables(sigma_calls, row_blocks, monkeypatch):
     _held_bytes()
 
 
+def test_table_4_working_set_is_banded():
+    # Table 4 (n = 3, Q and R blocks, h down to 1/160) from empty caches:
+    # with full-width blocks the cache held 27.4 MiB after it, with banded
+    # blocks 12.9 MiB; the count is exact, so it does not vary between runs
+    from biharm import cli
+
+    _empty_caches()
+    cli.run_table(cli.RunConfig(table="4", dims=cli._TABLE_DIMS["4"],
+                                orders=cli._TABLE_ORDERS["4"], steps=cli._TABLE_STEPS["4"]))
+    assert _held_bytes() < 14 * 2 ** 20
+    _empty_caches()
+
+
 def test_byte_lru_counts_only_held_values(monkeypatch):
     # an evicted value is no longer counted, even once an equal key holds a
     # new value; an entry larger than the bound evicts everything, itself too
@@ -518,11 +554,20 @@ def test_byte_lru_counts_only_held_values(monkeypatch):
     assert cache.nbytes == 0 and "d" not in cache
 
 
-def _eager_support_refusal(vec, runs, which):
-    """(refused, sums) by the eager rule: every |term| formed and a column
-    refused where its boundary term exceeds _SUPPORT_TOL max(|sum|, peak)."""
-    terms = np.concatenate([vec[rows, None] * gauss * polys[which]
-                            for rows, gauss, polys in runs])
+def _full_width_terms(vec, runs, which, node_count):
+    """The terms vec[m] gauss[m] poly[m] of banded runs, with the exact zeros
+    before each run's first live column written out."""
+    terms = np.zeros((len(vec), node_count))
+    for rows, c, gauss, polys in runs:
+        terms[rows, c:] = vec[rows, None] * gauss * polys[which]
+    return terms
+
+
+def _eager_support_refusal(vec, runs, which, node_count):
+    """(refused, sums) by the eager rule: every |term| formed over all node
+    columns and a column refused where its boundary term exceeds
+    _SUPPORT_TOL max(|sum|, peak)."""
+    terms = _full_width_terms(vec, runs, which, node_count)
     # a sum over axis 0 adds the rows in order, as _sigma's carried runs do
     sums = np.sum(terms, axis=0)
     mags = np.abs(terms)
@@ -557,13 +602,13 @@ def test_lazy_support_check_matches_eager_rule(L, D, M, which, shape, data):
         half = max(L - 1, 1) / 2.0
         decades = data.draw(st.floats(15.0, 28.0))
         envelope = np.exp(-decades * math.log(10.0) * ((m - half) / half) ** 2)
-        kernel = np.concatenate([gauss * polys[which] for _, gauss, polys in runs])
+        kernel = _full_width_terms(np.ones(L), runs, which, rule.node_count)
         column = kernel[:, data.draw(st.integers(0, rule.node_count - 1))]
         vec = envelope * rng.normal(size=L)
         basis = envelope * envelope
         if basis @ column != 0.0:
             vec -= (vec @ column) / (basis @ column) * basis
-    refused, sums = _eager_support_refusal(vec, runs, which)
+    refused, sums = _eager_support_refusal(vec, runs, which, rule.node_count)
     out = np.empty(rule.node_count)
     buf = np.empty((engine._BLOCK + 1, rule.node_count))
     try:
@@ -573,6 +618,81 @@ def test_lazy_support_check_matches_eager_rule(L, D, M, which, shape, data):
     else:
         assert not refused
         assert out.tobytes() == sums.tobytes()
+
+
+def _full_width_table(vec, k, m_lo, D, M, rule, which):
+    """sigma_Q (which = 0) or sigma_R of one vector with no cache and no
+    banding: the row-order sum of vec[m] gauss[m] poly[m] over all node
+    columns, from kernel rows built at d = k - m directly."""
+    d = (k - m_lo - np.arange(len(vec))).astype(float)
+    terms = vec[:, None] * engine._gauss_rows(d, D, rule)
+    terms *= engine._poly_rows(d, D, M, rule, True)[which]
+    norm = np.exp(-0.5 * (math.log(math.pi * D) + rule.arrays().log1pt))
+    return norm * np.sum(terms, axis=0)
+
+
+def test_banded_tables_keep_every_bit(rule):
+    # banded blocks skip only exact zeros, so every table equals the
+    # full-width sum bit for bit, signed zeros included: the h = 1/160 factor
+    # vectors at offsets inside the window (runs across many blocks, d of
+    # both signs), and the 3-sample lattice delta of tensor_weight at offsets
+    # that straddle block boundaries or lie so far out that the low-t node
+    # columns are dead in every row
+    D = 5.0
+    m_lo, *vecs = engine._gaussian_factor_vectors(GridSpec(1.0 / 160, delta=D))
+    delta = np.array([0.0, 1.0, 0.0])
+    offsets = (-500, 0, 127, 160, 700)
+    cases = [(vecs[i % 3], k, m_lo) for i, k in enumerate(offsets)]
+    cases += [(delta, k, -1) for k in (0, 3, 127, 128, -128, -256, 3000, -3000)]
+    for M in (1, 2, 3, 4):
+        for vec, k, lo in cases:
+            _empty_caches()
+            tables = engine._sigma_tables([(vec, k)], lo, D, M, rule, True)[id(vec), k]
+            for which, table in enumerate(tables):
+                want = _full_width_table(vec, k, lo, D, M, rule, which)
+                assert table.tobytes() == want.tobytes(), (M, k, which)
+    _empty_caches()
+
+
+def test_banded_tables_keep_every_bit_when_one_column_is_live():
+    # on a 180-node rule the last node column is the first live one of the
+    # rows |d| = 288..324, and numpy sums a one-column stack pairwise, not
+    # row by row; terms of one magnitude and random sign make the two orders
+    # round differently, so only a band of two columns keeps the table's bits
+    short = DEQuadrature(s_end=180)
+    d = np.arange(330.0, 287.0, -1.0)
+    last = engine._gauss_rows(d, 5.0, short)[:, -1]
+    assert np.count_nonzero(last) == 37
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        # zero ends keep the boundary terms inside the support check
+        vec = np.zeros(len(d))
+        vec[1:-1] = np.where(last[1:-1] > 1e-300,
+                             rng.normal(size=len(d) - 2) / np.maximum(last[1:-1], 1e-300), 0.0)
+        _empty_caches()
+        tables = engine._sigma_tables([(vec, 330)], 0, 5.0, 2, short, True)[id(vec), 330]
+        for which, table in enumerate(tables):
+            want = _full_width_table(vec, 330, 0, 5.0, 2, short, which)
+            assert table.tobytes() == want.tobytes(), (seed, which)
+    _empty_caches()
+
+
+@pytest.mark.parametrize("side", ("first", "last"))
+def test_window_cut_inside_a_live_column_is_refused(side, rule):
+    # the window of e^{-x^2} at h = 1/160 is cut on one side at |x| = 1.875,
+    # where the sample is 3% of the peak, and ends at |x| = 6.5 on the other;
+    # the cut row lies in a run whose first live column is well past 0, and
+    # at the wide nodes after it its term is a large share of the sum
+    grid = GridSpec(1.0 / 160)
+    m_lo, g0, _, _ = engine._gaussian_factor_vectors(grid)
+    lo, hi = (-300, -m_lo) if side == "first" else (m_lo, 300)
+    vec = g0[lo - m_lo:hi - m_lo + 1]
+    runs = engine._kernel_runs(-lo, len(vec), grid.delta, 4, rule, False)
+    assert runs[0 if side == "first" else -1][1] > 100
+    _empty_caches()
+    with pytest.raises(SupportTruncated):
+        engine._sigma_tables([(vec, 0)], lo, grid.delta, 4, rule)
+    _empty_caches()
 
 
 def test_empty_batch_gives_no_samples():

@@ -67,6 +67,14 @@ def test_rule_validation():
         DEQuadrature(a=-1.0)
     with pytest.raises(ValueError):
         DEQuadrature(s_begin=10, s_end=10)
+    for param in ("a", "b", "tau"):
+        with pytest.raises(ValueError):
+            DEQuadrature(**{param: math.inf})
+    # finite parameters whose node logarithms leave the binary64 range: a b
+    # overflows, or the transform overflows at the far nodes
+    for params in ({"a": 1e308}, {"tau": 10.0}):
+        with pytest.raises(ValueError, match="binary64"):
+            DEQuadrature(**params).arrays()
     # a fractional order is refused, not truncated
     with pytest.raises(ValueError):
         qm_poly(2.7, 0.5, 0.25)
