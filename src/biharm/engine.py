@@ -88,9 +88,6 @@ class _ByteLRU:
         self._entries: OrderedDict = OrderedDict()
         self.nbytes = 0
 
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
     def get(self, key):
         """The value under key, now the most recently used, or None."""
         entry = self._entries.get(key)
@@ -246,6 +243,7 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
     one key whether or not R_M is needed, so the n = 3 path and the n >= 5
     paths share them.
     """
+    cols = rule.node_count
     runs = []
     i = 0
     while i < L:
@@ -260,7 +258,7 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
         offsets = b * _BLOCK + np.arange(_BLOCK, dtype=float)
         [(starts, gauss)] = _row_block((("gauss", D, rule, b),),
                                        lambda: (_gauss_block(offsets, D, rule),))
-        c0 = rule.node_count - gauss.shape[1]
+        c0 = cols - gauss.shape[1]
         polys = _row_block((("Q", D, M, rule, b), ("R", D, M, rule, b))[:1 + with_r],
                            lambda: _poly_rows(offsets, D, M, rule, with_r, c0))
         c = int(starts[rows].min())
@@ -368,12 +366,15 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
 
     The node sum is fsum_p weights[p] fsum_s c_ps with c_ps the n-fold product
     of the factor tables times the node weight for n >= 5, and the two-term
-    n = 3 bracket times tau * Phi'.  The points are validated and the tables
-    of the call built up front, each (vector, offset) pair of a dimension
-    once; a table reads only its own offset's kernel rows, so values do not
-    depend on the rest of the batch.  Per point, one gather of table rows per
-    dimension forms the (terms, nodes) contributions, multiplied in the order
-    j = 0 .. n-1 and summed exactly row by row in one pass (quad._row_sums).
+    n = 3 bracket times tau * Phi'; every node's t and weight is finite
+    (DEQuadrature.arrays), so past _LOG_PRODUCT_DIM dimensions alone is the
+    product a signed exp of a log sum.  The points are validated and the
+    tables of the call built up front, each (vector, offset) pair of a
+    dimension once; a table reads only its own offset's kernel rows, so
+    values do not depend on the rest of the batch.  Per point, one gather of
+    table rows per dimension forms the (terms, nodes) contributions,
+    multiplied in the order j = 0 .. n-1 and summed exactly row by row in
+    one pass (quad._row_sums).
     """
     points = [tuple(int_value(c, "grid index") for c in point) for point in points]
     if any(len(point) != n for point in points):
@@ -393,11 +394,10 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     tables = _sigma_tables(((vectors[v], k) for v, k in rows), density.m_lo, D, M, rule, n == 3)
     sigma = np.stack([tables[key] for key in rows], axis=1)
     q = sigma[0]
-    log_form = n > 3 and (n > _LOG_PRODUCT_DIM or not np.all(np.isfinite(nodes.weight)))
+    log_form = n > _LOG_PRODUCT_DIM
     if n == 3:
         # the n = 3 bracket needs tau * Phi' and Phi separately
-        with np.errstate(over="ignore"):
-            tau_phiprime = np.exp(nodes.log_weight - nodes.log_t)
+        tau_phiprime = np.exp(nodes.log_weight - nodes.log_t)
         r = sigma[1]
     elif log_form:
         # the n-fold product as a signed exp of a log sum
@@ -410,12 +410,7 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
             q0, q1, q2 = (q.take(rows, axis=0) for rows in at)
             r0, r1, r2 = (r.take(rows, axis=0) for rows in at)
             r_sum = r0 * q1 * q2 + q0 * r1 * q2 + q0 * q1 * r2
-            with np.errstate(invalid="ignore", over="ignore"):
-                # where t overflowed to inf the R-sum is exactly 0; such
-                # dead nodes contribute 0, not inf * 0
-                bracket = q0 * q1 * q2 + np.where(r_sum == 0.0, 0.0, nodes.t * r_sum)
-                contrib = tau_phiprime * bracket
-            contrib = np.where((bracket == 0.0) & ~np.isfinite(contrib), 0.0, contrib)
+            contrib = tau_phiprime * (q0 * q1 * q2 + nodes.t * r_sum)
         elif log_form:
             signs = sign.take(at[0], axis=0)
             logs = log_mag.take(at[0], axis=0)

@@ -4,7 +4,8 @@ the t-parameterized polynomial factors of the tensor-product basis.
 The substitution t = Phi(u) maps the half-line integrals onto the real line
 with doubly exponentially decaying integrands, so the plain trapezoidal rule
 with a few hundred nodes reaches near machine accuracy.  Node tables are
-immutable; log-magnitude companions of every node quantity are kept because
+immutable and end where t or the weight leaves binary64, so every node
+quantity is finite; log-magnitude companions of them are kept because
 the high-dimensional assembly must form n-fold products in the log domain.
 Every node sum of the package, here and in the engine, goes through
 _node_sum, which refuses a rule whose last node still carries weight and
@@ -57,20 +58,10 @@ def _log_transform(u, a: float, b: float):
     return log_t, log_tprime
 
 
-def _log1p(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
-    """log(1 + t) per node; where t overflowed to +inf the finite log t stands
-    in, which equals log(1 + t) to working precision there."""
-    out = np.log1p(t)
-    inf = np.isinf(t)
-    out[inf] = log_t[inf]
-    return out
-
-
 class NodeTable(NamedTuple):
-    """Per-node arrays of a rule, in ascending node order.
-
-    t = Phi(u) and weight = tau * Phi * Phi' may be +inf beyond the binary64
-    range; log_t, log1pt = log(1 + t) and log_weight are always finite.
+    """Per-node arrays of a rule, in ascending node order, all finite:
+    u, t = Phi(u), log_t, log1pt = log(1 + t), log_weight and
+    weight = tau * Phi * Phi', some of it positive.
     """
 
     u: np.ndarray
@@ -83,7 +74,12 @@ class NodeTable(NamedTuple):
 
 @dataclass(frozen=True)
 class DEQuadrature:
-    """Trapezoidal rule of step tau at nodes u_s = tau * s, s_begin <= s < s_end."""
+    """Trapezoidal rule of step tau at nodes u_s = tau * s, s_begin <= s < s_end.
+
+    The node table ends just before the first node whose t or weight
+    overflows binary64: past it the integrands have long decayed, and the
+    tail check of every node sum still covers the last node kept.
+    """
 
     a: float = 6.0
     b: float = 5.0
@@ -100,7 +96,8 @@ class DEQuadrature:
 
     @property
     def node_count(self) -> int:
-        return self.s_end - self.s_begin
+        """The length of the node table."""
+        return len(self.arrays().t)
 
     def arrays(self) -> NodeTable:
         """The node table.  Cached; treat the returned arrays as read-only."""
@@ -111,15 +108,19 @@ class DEQuadrature:
                 log_weight = math.log(self.tau) + log_t + log_tprime
                 t = np.exp(log_t)
                 weight = np.exp(log_weight)
-            log1pt = _log1p(t, log_t)
-            # NodeTable promises finite logarithms; where a * b or the
-            # transform overflows they are not, and the node sums of such a
-            # rule come out as 0 or NaN
-            if not all(np.all(np.isfinite(x)) for x in (log_t, log1pt, log_weight)):
-                raise ValueError(f"quadrature rule a = {self.a}, b = {self.b}, "
-                                 f"tau = {self.tau} has node logarithms beyond the "
-                                 "binary64 range")
-            self._cache["arrays"] = NodeTable(u, t, log_t, log1pt, log_weight, weight)
+            name = f"quadrature rule a = {self.a}, b = {self.b}, tau = {self.tau}"
+            # where a * b or the transform overflows the node logarithms are
+            # not finite, and the node sums of such a rule come out as 0 or NaN
+            if not (np.all(np.isfinite(log_t)) and np.all(np.isfinite(log_weight))):
+                raise ValueError(f"{name} has node logarithms beyond the binary64 range")
+            over = np.flatnonzero(~(np.isfinite(t) & np.isfinite(weight)))
+            end = int(over[0]) if over.size else len(u)
+            u, t, log_t, log_weight, weight = (x[:end] for x in (u, t, log_t, log_weight, weight))
+            # a rule whose weights all underflow or overflow sums every
+            # integrand to 0
+            if not np.any(weight > 0.0):
+                raise ValueError(f"{name} has no node with a positive finite weight")
+            self._cache["arrays"] = NodeTable(u, t, log_t, np.log1p(t), log_weight, weight)
         return self._cache["arrays"]
 
 

@@ -124,10 +124,12 @@ def test_floating_point_overflow_is_a_config_error(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--quad-tau", "inf"), ("--quad-b", "inf"), ("--quad-a", "1e308")])
+    ("--quad-tau", "inf"), ("--quad-b", "inf"), ("--quad-a", "1e308"),
+    ("--quad-a", "1e10"), ("--quad-a", "1e100")])
 def test_degenerate_quadrature_rule_is_a_config_error(capsys, flag, value):
-    # these rules have no node inside the binary64 range: every kernel factor
-    # reads 0, and the run printed approx = 0.0 with exit 0
+    # these rules have no node with a positive weight inside the binary64
+    # range: every node sum reads 0, and the run printed approx = 0.0 with
+    # exit 0
     rc, out, err = _run(capsys, ["--table", "custom", "--dims", "5", "--orders", "2",
                                  "--steps", "10", flag, value])
     assert rc == 2

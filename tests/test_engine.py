@@ -239,10 +239,11 @@ def test_evaluate_permutation_and_sign_invariance():
 
 
 def test_three_dims_long_rule_matches_default(rule):
-    # a 500-node rule runs t past the binary64 range; those dead nodes must
-    # add nothing (inf * 0 once made the n = 3 bracket NaN)
+    # a 500-node rule runs t past the binary64 range at its far nodes; its
+    # table ends before them, and the n = 3 bracket over the nodes it keeps
+    # must agree with the default rule's
     long_rule = DEQuadrature(s_end=500)
-    assert np.isinf(long_rule.arrays().t[-1])
+    assert long_rule.node_count == 376
     grid = GridSpec(1.0 / 20)
     dens = build_test_density(3, grid)
     points = [(20, 20, 20), (0, 5, -10)]
@@ -252,12 +253,10 @@ def test_three_dims_long_rule_matches_default(rule):
         assert a.value == pytest.approx(b.value, rel=1e-14)
 
 
-def test_log_product_branch_matches_default(rule):
-    # past the binary64 range of the node weights the n >= 5 products are
-    # formed as signed exps of log sums; they must agree with the default
-    # rule's plain products, and a batch must equal its one-point calls
+def test_long_rule_matches_default(rule):
+    # the n >= 5 products over the long rule's kept nodes must agree with
+    # the default rule's, and a batch must equal its one-point calls
     long_rule = DEQuadrature(s_end=500)
-    assert not np.all(np.isfinite(long_rule.arrays().weight))
     grid = GridSpec(1.0 / 20)
     dens = build_test_density(5, grid)
     points = [(20, 20, 20, 0, -4), (0, 5, -10, 3, 3), (1, -1, 0, 2, 7)]
@@ -266,6 +265,19 @@ def test_log_product_branch_matches_default(rule):
     for point, a, b in zip(points, got, want):
         assert a.value == pytest.approx(b.value, rel=1e-14)
         assert a.value == evaluate(dens, [point], 5, grid, 4, long_rule)[0].value
+
+
+def test_log_product_branch_matches_symmetric_path(rule):
+    # past _LOG_PRODUCT_DIM dimensions the per-node products are signed exps
+    # of log sums; on e^{-|x|^2} as a rank-1 product of e^{-x_j^2} factors
+    # they must agree with the symmetric path's closed collapse
+    n = engine._LOG_PRODUCT_DIM + 1
+    grid = GridSpec(0.1)
+    m_lo, g0, _, _ = engine._gaussian_factor_vectors(grid)
+    dens = SeparatedDensity((1.0,), ((g0,) * n,), m_lo)
+    [got] = evaluate(dens, [(10,) + (0,) * (n - 1)], n, grid, 2, rule)
+    want = evaluate_symmetric(IsotropicGaussianPolyDensity(1.0, 0.0, 0.0, n), 10, grid, 2, rule)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
 
 
 def _empty_caches():
@@ -304,7 +316,7 @@ def row_blocks(monkeypatch):
 
     def counted(keys, build):
         def logged():
-            missing = [key for key in keys if key not in engine._ROW_BLOCKS]
+            missing = [key for key in keys if key not in engine._ROW_BLOCKS._entries]
             assert missing
             builds.extend(missing)
             blocks = build()
@@ -416,7 +428,7 @@ def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
     assert sorted(row_blocks, key=repr) == sorted(
         [("gauss", 5.0, rule, b) for b in (0, 780, 781)]
         + [("Q", 5.0, 3, rule, b) for b in (0, 780, 781)], key=repr)
-    assert not all(key in engine._ROW_BLOCKS for key in row_blocks)
+    assert not all(key in engine._ROW_BLOCKS._entries for key in row_blocks)
     assert _held_bytes() <= engine._CACHE_BYTES
     for point, sample in zip(points, batch):
         assert sample.value == evaluate(dens, [point], 6, grid, 3, rule)[0].value
@@ -547,11 +559,11 @@ def test_byte_lru_counts_only_held_values(monkeypatch):
     cache.put("a", [], 60)
     cache.put("b", [], 30)
     cache.put("c", [], 30)
-    assert "a" not in cache and cache.nbytes == 60
+    assert "a" not in cache._entries and cache.nbytes == 60
     cache.put("a", new, 10)
     assert cache.nbytes == 70 and cache.get("a") is new
     cache.put("d", [], 101)
-    assert cache.nbytes == 0 and "d" not in cache
+    assert cache.nbytes == 0 and "d" not in cache._entries
 
 
 def _full_width_terms(vec, runs, which, node_count):

@@ -52,12 +52,16 @@ def test_de_transform_decay_and_overflow():
     assert nodes.t[at[-40.0]] == 0.0
     ts = [nodes.t[at[u]] for u in (-3.0, -1.0, 0.0, 0.5)]
     assert ts == sorted(ts)
-    # beyond the binary64 range t and the weight are +inf while their logs,
-    # and log(1 + t), stay finite
-    s = at[2.0]
-    assert math.isinf(nodes.t[s]) and math.isinf(nodes.weight[s])
-    assert np.all(np.isfinite(nodes.log_t)) and np.all(np.isfinite(nodes.log_weight))
-    assert nodes.log1pt[s] == nodes.log_t[s]
+    # the table ends before u = 2.0, at the last node whose t and weight are
+    # inside the binary64 range: every array it keeps is finite, and t
+    # overflows at the next node
+    rule = _u_grid_rule()
+    assert 2.0 not in at and nodes.u[-1] == 1.0 and rule.node_count == len(nodes.u)
+    assert all(np.all(np.isfinite(col)) for col in nodes)
+    t, _ = _transform(1.0, rule.a, rule.b)
+    assert nodes.t[-1] == pytest.approx(t, rel=1e-14)
+    with pytest.raises(OverflowError):
+        _transform(1.0 + rule.tau, rule.a, rule.b)
 
 
 def test_rule_validation():
@@ -82,6 +86,37 @@ def test_rule_validation():
         rm_poly(2.7, 0.5, 0.25)
 
 
+def test_rule_without_a_live_node_is_refused():
+    # at a = 1e10 the weights jump from below the binary64 range to past it
+    # between two nodes; every node sum of such a rule read 0
+    for a in (1e10, 1e100):
+        with pytest.raises(ValueError, match="no node with a positive finite weight"):
+            integral_phi2(5, 0.0, DEQuadrature(a=a))
+        with pytest.raises(ValueError, match="no node with a positive finite weight"):
+            tensor_weight((0,) * 5, 1, 5.0, DEQuadrature(a=a))
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_log_uniform(1e-3, 1e12), b=_log_uniform(1e-3, 1e3), tau=_log_uniform(1e-4, 10.0),
+       s_begin=st.integers(-1000, 1000), count=st.integers(1, 800))
+def test_node_table_is_finite_or_refused(a, b, tau, s_begin, count):
+    # a rule either refuses to build its table or keeps, in one length of at
+    # least one node, only finite values with some positive weight
+    rule = DEQuadrature(a=a, b=b, tau=tau, s_begin=s_begin, s_end=s_begin + count)
+    try:
+        nodes = rule.arrays()
+    except ValueError:
+        return
+    assert {len(col) for col in nodes} == {rule.node_count}
+    assert 1 <= rule.node_count <= count
+    assert all(np.all(np.isfinite(col)) for col in nodes)
+    assert np.any(nodes.weight > 0.0)
+
+
 def test_rule_node_table(rule):
     nodes = rule.arrays()
     assert all(len(col) == 300 for col in nodes)
@@ -89,8 +124,7 @@ def test_rule_node_table(rule):
     for s in (0, 57, 200, 299):
         t, tprime = _transform(nodes.u[s], rule.a, rule.b)
         assert nodes.t[s] == pytest.approx(t, rel=1e-14)
-        if math.isfinite(t * tprime):
-            assert nodes.weight[s] == pytest.approx(rule.tau * t * tprime, rel=1e-13)
+        assert nodes.weight[s] == pytest.approx(rule.tau * t * tprime, rel=1e-13)
         assert nodes.log1pt[s] == pytest.approx(math.log1p(t), rel=1e-14)
 
 
