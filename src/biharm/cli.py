@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import engine, kernels, quad, specfun
-from .errors import BiharmError, UnsupportedDimension
+from .errors import BiharmError
 from .kernels import GridSpec, dim_value, int_value, order_value
 from .quad import DEQuadrature
 
@@ -106,10 +106,6 @@ def _potential(n: int, M: int, h_inv: int, x1: float, delta: float, rule, cache)
         if dens is None:
             dens = cache[h_inv] = engine.build_test_density(3, grid)
         return engine.evaluate(dens, [(k1, k1, k1)], 3, grid, M, rule)[0].value
-    if n == 4:
-        raise UnsupportedDimension(
-            "n = 4 has no one-dimensional integral representation; "
-            "supported dimensions are n = 3 and n >= 5")
     dens = engine.IsotropicGaussianPolyDensity(
         c0=4.0 * n * (n + 2), c1=-16.0 * (n + 2), c2=16.0, n=n)
     return engine.evaluate_symmetric(dens, k1, grid, M, rule).value

@@ -2,8 +2,10 @@
 cubature from one-dimensional discrete convolutions.
 
 Every per-dimension convolution sum carries its own (pi D (1+t))^{-1/2}
-normalization, so the n-fold per-node products stay O(1) and can be formed as
-exp of a log sum without overflow even at n = 1e7.  Node row sums are
+normalization, so the n-fold per-node products stay O(1): evaluate forms
+them as plain products, with relative error near n u (u = 2^-53), and only
+evaluate_symmetric, whose power a0^(n-1) leaves binary64 at large n, forms
+its node values as exp of a log sum.  Node row sums are
 correctly rounded, equal to math.fsum's bit for bit: a vectorised error-free
 pass with a proven bound, math.fsum where the bound cannot certify a row
 (quad._row_sums).  They are certified against the quadrature tail, and the
@@ -53,9 +55,6 @@ __all__ = [
 # legitimate radius-6.5 windows stay below ~3e-15 (the x^4-weighted factors
 # at wide nodes), real truncation shows up at 1e-3 and above
 _SUPPORT_TOL = 1e-13
-
-# above this dimension, per-node products switch to sign-tracked log form
-_LOG_PRODUCT_DIM = 1000
 
 # build_test_density expands at most this many dimensions (rank ~ n^2 / 2)
 RANK_DIM_CAP = 64
@@ -367,8 +366,9 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     The node sum is fsum_p weights[p] fsum_s c_ps with c_ps the n-fold product
     of the factor tables times the node weight for n >= 5, and the two-term
     n = 3 bracket times tau * Phi'; every node's t and weight is finite
-    (DEQuadrature.arrays), so past _LOG_PRODUCT_DIM dimensions alone is the
-    product a signed exp of a log sum.  The points are validated and the
+    (DEQuadrature.arrays), and the normalized factors stay O(1), so the
+    plain product serves every n, where a log sum would lose accuracy as n
+    grows.  The points are validated and the
     tables of the call built up front, each (vector, offset) pair of a
     dimension once; a table reads only its own offset's kernel rows, so
     values do not depend on the rest of the batch.  Per point, one gather of
@@ -394,16 +394,10 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     tables = _sigma_tables(((vectors[v], k) for v, k in rows), density.m_lo, D, M, rule, n == 3)
     sigma = np.stack([tables[key] for key in rows], axis=1)
     q = sigma[0]
-    log_form = n > _LOG_PRODUCT_DIM
     if n == 3:
         # the n = 3 bracket needs tau * Phi' and Phi separately
         tau_phiprime = np.exp(nodes.log_weight - nodes.log_t)
         r = sigma[1]
-    elif log_form:
-        # the n-fold product as a signed exp of a log sum
-        sign = np.sign(q)
-        with np.errstate(divide="ignore"):
-            log_mag = np.log(np.abs(q))
 
     for point, at in zip(points, index):
         if n == 3:
@@ -411,13 +405,6 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
             r0, r1, r2 = (r.take(rows, axis=0) for rows in at)
             r_sum = r0 * q1 * q2 + q0 * r1 * q2 + q0 * q1 * r2
             contrib = tau_phiprime * (q0 * q1 * q2 + nodes.t * r_sum)
-        elif log_form:
-            signs = sign.take(at[0], axis=0)
-            logs = log_mag.take(at[0], axis=0)
-            for rows in at[1:]:
-                signs *= sign.take(rows, axis=0)
-                logs += log_mag.take(rows, axis=0)
-            contrib = _exp_nodes(nodes.log_weight + logs, signs)
         else:
             contrib = q.take(at[0], axis=0)
             for rows in at[1:]:
@@ -528,7 +515,9 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
     """
     n = density.n
     if n < 5:
-        raise UnsupportedDimension("the symmetric fast path requires n >= 5")
+        raise UnsupportedDimension(
+            f"the symmetric fast path requires n >= 5, got n = {n}; n = 3 goes "
+            "through evaluate, and n = 4 has no one-dimensional integral representation")
     M = order_value(M)
     k1 = int_value(k1, "axis index k1")
     nodes = rule.arrays()

@@ -255,7 +255,7 @@ def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
     # under permutations and sign flips of the coordinates
     from .quad import _row_sums
 
-    return _row_sums(terms.reshape(1, -1), min_rows=1)[0]
+    return _row_sums(terms.reshape(1, -1))[0]
 
 
 def _direct_radial(density: RadialProfile, grid: GridSpec, n: int, M: int,

@@ -1,10 +1,12 @@
 """Command-line harness: schema, reproducibility, run-parameter checks, exit
-codes, the README's command lines, and the built-in verification suite."""
+codes, the README's command lines and code, and the built-in verification
+suite."""
 
 import csv
 import hashlib
 import math
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -155,6 +157,21 @@ def test_readme_command_lines_parse():
     parser = cli._build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_python_blocks_print_what_they_claim(capsys):
+    # each fenced python block of the README runs, and every value it prints
+    # is within a factor of 2 of the "# ~X" comment on its print line
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        claims = [float(x) for x in re.findall(r"print\(.*# ~(\S+)", block)]
+        exec(compile(block, "README.md", "exec"), {})
+        printed = [float(x) for x in capsys.readouterr().out.split()]
+        assert claims and len(printed) == len(claims)
+        for got, claim in zip(printed, claims):
+            assert claim / 2 <= got <= 2 * claim
 
 
 def test_argparse_rejects_unknown_flag(capsys):

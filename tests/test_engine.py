@@ -267,17 +267,28 @@ def test_long_rule_matches_default(rule):
         assert a.value == evaluate(dens, [point], 5, grid, 4, long_rule)[0].value
 
 
-def test_log_product_branch_matches_symmetric_path(rule):
-    # past _LOG_PRODUCT_DIM dimensions the per-node products are signed exps
-    # of log sums; on e^{-|x|^2} as a rank-1 product of e^{-x_j^2} factors
-    # they must agree with the symmetric path's closed collapse
-    n = engine._LOG_PRODUCT_DIM + 1
+def test_products_match_symmetric_path_at_large_n(rule):
+    # every n >= 5 forms its per-node contributions as plain n-fold products;
+    # on e^{-|x|^2} as a rank-1 product of e^{-x_j^2} factors they must agree
+    # with the symmetric path's log-domain collapse far past n = 1000, where
+    # a log sum of the factors was off by up to 2.4e-12 at n = 5000
     grid = GridSpec(0.1)
     m_lo, g0, _, _ = engine._gaussian_factor_vectors(grid)
+    for n, M in itertools.product((1001, 5000), (1, 4)):
+        dens = SeparatedDensity((1.0,), ((g0,) * n,), m_lo)
+        [got] = evaluate(dens, [(10,) + (0,) * (n - 1)], n, grid, M, rule)
+        want = evaluate_symmetric(IsotropicGaussianPolyDensity(1.0, 0.0, 0.0, n),
+                                  10, grid, M, rule)
+        # relative: pytest.approx's default absolute tolerance of 1e-12
+        # would pass any pair of values as small as these (down to 4.5e-62)
+        assert abs(got.value / want.value - 1.0) < 1e-13
+    # a batch equals its one-point calls
+    n = 1001
     dens = SeparatedDensity((1.0,), ((g0,) * n,), m_lo)
-    [got] = evaluate(dens, [(10,) + (0,) * (n - 1)], n, grid, 2, rule)
-    want = evaluate_symmetric(IsotropicGaussianPolyDensity(1.0, 0.0, 0.0, n), 10, grid, 2, rule)
-    assert got.value == pytest.approx(want.value, rel=1e-12)
+    points = [(10,) + (0,) * (n - 1), (0,) * n, (3, -5) + (1,) * (n - 2)]
+    batch = evaluate(dens, points, n, grid, 2, rule)
+    for point, sample in zip(points, batch):
+        assert sample.value == evaluate(dens, [point], n, grid, 2, rule)[0].value
 
 
 def _empty_caches():
@@ -779,9 +790,11 @@ def test_clipped_window_is_refused(n, M, side, data):
 
 
 def test_symmetric_requires_five_dims():
-    dens = IsotropicGaussianPolyDensity(60.0, -80.0, 16.0, 3)
-    with pytest.raises(UnsupportedDimension):
-        evaluate_symmetric(dens, 0, GridSpec(0.1), 1)
+    # the refusal names the dimension it got and the path that covers n = 3
+    for n in (3, 4):
+        dens = IsotropicGaussianPolyDensity(60.0, -80.0, 16.0, n)
+        with pytest.raises(UnsupportedDimension, match=f"n = {n};.*n = 3 goes through evaluate"):
+            evaluate_symmetric(dens, 0, GridSpec(0.1), 1)
 
 
 def _test_density_coeffs(n):

@@ -9,6 +9,7 @@ zero-offset lattice weight) are asserted through it in test_acceptance.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from biharm import quad
 from biharm.cli import _printed_node_polys
-from biharm.engine import tensor_weight
+from biharm.engine import IsotropicGaussianPolyDensity, evaluate_symmetric, tensor_weight
 from biharm.errors import QuadratureDivergence
-from biharm.kernels import phi2
+from biharm.kernels import GridSpec, phi2
 from biharm.quad import DEQuadrature, integral_phi2, qm_poly, rm_poly
 
 
@@ -160,6 +161,19 @@ def test_rm_poly_matches_reference_forms():
         assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-14)) < 1e-12
 
 
+def test_node_exponents_are_not_clamped():
+    # node values are e^expo up to the top of the binary64 range, and an
+    # exponent past it raises instead of being clamped at e^709; so does the
+    # symmetric path at a shape parameter that drives its exponents there
+    assert quad._exp_nodes(np.array([709.5]))[0] == np.exp(709.5)
+    assert quad._exp_nodes(np.array([-800.0, -np.inf]), -1.0).tolist() == [0.0, 0.0]
+    with pytest.raises(FloatingPointError):
+        quad._exp_nodes(np.array([0.0, 710.0]))
+    dens = IsotropicGaussianPolyDensity(140.0, -112.0, 16.0, 5)
+    with pytest.raises(ArithmeticError):
+        evaluate_symmetric(dens, 0, GridSpec(0.1, delta=1e-300), 2)
+
+
 def test_integral_three_dim_form(rule):
     for r in (0.5, 2.0):
         assert integral_phi2(3, r, rule) == pytest.approx(phi2(3, r), rel=1e-12)
@@ -252,18 +266,19 @@ _KINDS = ("onesigned", "wide", "subnormal", "cancel", "tie", "zeros", "nonfinite
 
 @settings(max_examples=200, deadline=None)
 @given(cols=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
-       kinds=st.lists(st.sampled_from(_KINDS), min_size=quad._FSUM_ROWS,
-                      max_size=quad._FSUM_ROWS + 4),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=8),
        edges=st.lists(st.tuples(st.integers(0, 10 ** 6), st.floats(width=64)), max_size=4))
 def test_row_sums_equal_fsum(cols, seed, kinds, edges):
     # every row sum is math.fsum's bit for bit (signed zeros included), and a
-    # stack with a row that math.fsum refuses raises the same exception type
+    # stack with a row that math.fsum refuses raises the same exception type;
+    # with no size threshold every stack drawn takes the vectorised pass
     rng = np.random.default_rng(seed)
     rows = np.array([_hard_row(rng, kind, cols) for kind in kinds])
     for i, x in edges:
         rows[i % len(rows), (i // len(rows)) % cols] = x
     want = _sums_or_error(lambda: [math.fsum(row.tolist()) for row in rows])
-    assert _sums_or_error(lambda: quad._row_sums(rows)) == want
+    with mock.patch.object(quad, "_FSUM_VALUES", 0):
+        assert _sums_or_error(lambda: quad._row_sums(rows)) == want
 
 
 def test_uncertified_rows_fall_back_to_fsum(monkeypatch):
@@ -277,7 +292,7 @@ def test_uncertified_rows_fall_back_to_fsum(monkeypatch):
     rows = np.array([_tie_row(rng, 300), rng.uniform(0.5, 1.5, 300),
                      _cancelling_row(rng, 300), rng.uniform(-1.0, 2.0, 300),
                      _tie_row(rng, 7).tolist() + [0.0] * 293, power])
-    assert len(rows) >= quad._FSUM_ROWS
+    assert rows.size >= quad._FSUM_VALUES
     want = [math.fsum(row.tolist()) for row in rows]
     fsum = math.fsum
     summed = []
