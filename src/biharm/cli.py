@@ -16,7 +16,6 @@ import numpy as np
 from . import engine, kernels, quad, specfun
 from .errors import BiharmError
 from .kernels import GridSpec, dim_value, int_value, order_value
-from .quad import DEQuadrature
 
 __all__ = ["RunConfig", "RateRow", "run_table", "run_verify", "main"]
 
@@ -42,11 +41,7 @@ class RunConfig:
     dims: tuple = ()
     orders: tuple = ()
     steps: tuple = ()
-    delta: float = 5.0
-    quad_a: float = 6.0
-    quad_b: float = 5.0
-    quad_tau: float = 0.003
-    quad_nodes: int = 300
+    delta: float = GridSpec.delta
 
     def __post_init__(self) -> None:
         if self.table not in ("1", "2", "3", "4", "custom"):
@@ -57,16 +52,15 @@ class RunConfig:
         store = functools.partial(object.__setattr__, self)
         store("dims", tuple(map(dim_value, self.dims)))
         store("orders", tuple(map(order_value, self.orders)))
-        store("steps", tuple(_count(s, "reciprocal grid width 1/h") for s in self.steps))
-        store("quad_nodes", _count(self.quad_nodes, "quad_nodes"))
-        if not (self.delta > 0 and self.quad_a > 0 and self.quad_b > 0 and self.quad_tau > 0):
-            raise ValueError("delta and quadrature parameters must be positive")
+        store("steps", tuple(map(_count, self.steps)))
+        if not self.delta > 0:
+            raise ValueError("delta must be positive")
 
 
-def _count(value, what: str) -> int:
-    value = int_value(value, what)
+def _count(value) -> int:
+    value = int_value(value, "reciprocal grid width 1/h")
     if value < 1:
-        raise ValueError(f"{what} must be at least 1")
+        raise ValueError("reciprocal grid width 1/h must be at least 1")
     return value
 
 
@@ -93,7 +87,7 @@ def _fmt(x: float) -> str:
     return f"{x:.15e}"
 
 
-def _potential(n: int, M: int, h_inv: int, x1: float, delta: float, rule, cache) -> float:
+def _potential(n: int, M: int, h_inv: int, x1: float, delta: float) -> float:
     # engine functions are looked up at call time, so that wrappers put on
     # the engine module (the per-item timers of bench/child.py) see each call
     h = 1.0 / h_inv
@@ -102,13 +96,11 @@ def _potential(n: int, M: int, h_inv: int, x1: float, delta: float, rule, cache)
         raise ValueError(f"x1 = {x1} does not lie on the grid h = 1/{h_inv}")
     grid = GridSpec(h=h, delta=delta)
     if n == 3:
-        dens = cache.get(h_inv)
-        if dens is None:
-            dens = cache[h_inv] = engine.build_test_density(3, grid)
-        return engine.evaluate(dens, [(k1, k1, k1)], 3, grid, M, rule)[0].value
+        dens = engine.build_test_density(3, grid)
+        return engine.evaluate(dens, [(k1, k1, k1)], 3, grid, M)[0].value
     dens = engine.IsotropicGaussianPolyDensity(
         c0=4.0 * n * (n + 2), c1=-16.0 * (n + 2), c2=16.0, n=n)
-    return engine.evaluate_symmetric(dens, k1, grid, M, rule).value
+    return engine.evaluate_symmetric(dens, k1, grid, M).value
 
 
 def _compute_rows(cfg: RunConfig) -> list:
@@ -117,17 +109,14 @@ def _compute_rows(cfg: RunConfig) -> list:
     Points are x1 * e1 for n >= 5 (fast symmetric path) and x1 * (1,1,1) for
     n = 3 (general tensor path); the exact potential is e^{-|x|^2}.
     """
-    rule = DEQuadrature(a=cfg.quad_a, b=cfg.quad_b, tau=cfg.quad_tau,
-                        s_begin=0, s_end=cfg.quad_nodes)
     x1_list = _TABLE1_X1 if cfg.table == "1" else (1.0,)
     rows = []
-    cache: dict = {}
     for n in cfg.dims:
         for M in cfg.orders:
             for x1 in x1_list:
                 prev = None
                 for h_inv in cfg.steps:
-                    approx = _potential(n, M, h_inv, x1, cfg.delta, rule, cache)
+                    approx = _potential(n, M, h_inv, x1, cfg.delta)
                     exact = math.exp(-(3.0 if n == 3 else 1.0) * x1 * x1)
                     abs_err = abs(approx - exact)
                     rel_err = abs_err / abs(exact)
@@ -313,11 +302,10 @@ def _verify_checks(level: str):
         dev = max(dev, abs(fast / full - 1.0))
     yield "symmetric path vs tensor path", dev <= 1e-12, f"max_rel={dev:.2e} tol=1e-12"
 
-    cache: dict = {}
     for name, full_only, n, h_inv, x1, label, expected in _ANCHORS:
         if full_only and level != "full":
             continue
-        err = abs(_potential(n, 4, h_inv, x1, 5.0, rule, cache) - math.exp(-x1 * x1))
+        err = abs(_potential(n, 4, h_inv, x1, 5.0) - math.exp(-x1 * x1))
         ref = float(expected)
         yield name, ref / 2 <= err <= 2 * ref, f"{label}={err:.2e} expected~{expected}"
 
@@ -356,14 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="reciprocal grid widths 1/h")
     p.add_argument("--delta", type=float,
                    help=f"Gaussian shape parameter D (default {RunConfig.delta})")
-    p.add_argument("--quad-a", type=float,
-                   help=f"quadrature transform parameter a (default {RunConfig.quad_a})")
-    p.add_argument("--quad-b", type=float,
-                   help=f"quadrature transform parameter b (default {RunConfig.quad_b})")
-    p.add_argument("--quad-tau", type=float,
-                   help=f"quadrature step tau (default {RunConfig.quad_tau})")
-    p.add_argument("--quad-nodes", type=int,
-                   help=f"number of quadrature nodes (default {RunConfig.quad_nodes})")
     p.add_argument("--out", help="write CSV here instead of stdout")
     return p
 
@@ -391,7 +371,7 @@ def main(argv=None) -> int:
             csv_text = run_table(cfg)
         except ArithmeticError as exc:
             # the bare text ("intermediate overflow in fsum") names no input;
-            # DEQuadrature checks the other floating-point inputs, so name delta
+            # delta is the only floating-point flag, so name it
             raise ValueError(f"the run leaves the floating-point range at "
                              f"delta = {cfg.delta}: {exc}") from exc
     except (BiharmError, ValueError) as exc:

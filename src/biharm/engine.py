@@ -445,7 +445,7 @@ def tensor_weight(k, M, D: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
         raise ValueError("k must be a flat index vector")
     n = dim_value(len(k))
     if n < 5:
-        raise ValueError("tensor weights are defined for n >= 5")
+        raise UnsupportedDimension("tensor weights are defined for n >= 5")
     if not D > 0.0:
         raise ValueError("shape parameter D must be positive")
     # zero ends keep the one-sample support inside the window

@@ -17,7 +17,7 @@ class RankBudgetExceeded(BiharmError):
     """A separated representation would exceed the configured rank budget."""
 
 
-class UnsupportedDimension(BiharmError):
+class UnsupportedDimension(BiharmError, ValueError):
     """The requested space dimension is outside the method's domain."""
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureDivergence
+from .errors import QuadratureDivergence, UnsupportedDimension
 from .kernels import dim_value, order_value
 
 __all__ = [
@@ -260,7 +260,7 @@ def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     """
     n = dim_value(n)
     if n == 4:
-        raise ValueError("the integral representation covers n = 3 and n >= 5 only")
+        raise UnsupportedDimension("the integral representation covers n = 3 and n >= 5 only")
     nodes = rule.arrays()
     log1pt = nodes.log1pt
     r2 = float(r) * float(r)

@@ -124,6 +124,8 @@ def test_evaluate_rejects_bad_inputs():
     dens = build_test_density(5, grid)
     with pytest.raises(UnsupportedDimension):
         evaluate(dens, [(0, 0, 0, 0)], 4, grid, 1)
+    with pytest.raises(UnsupportedDimension):
+        tensor_weight((0,) * 4, 1, 5.0)
     with pytest.raises(ValueError):
         evaluate(dens, [(0, 0, 0)], 5, grid, 1)
     with pytest.raises(ValueError):

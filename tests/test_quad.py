@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from biharm import quad
 from biharm.cli import _printed_node_polys
 from biharm.engine import IsotropicGaussianPolyDensity, evaluate_symmetric, tensor_weight
-from biharm.errors import QuadratureDivergence
+from biharm.errors import QuadratureDivergence, UnsupportedDimension
 from biharm.kernels import GridSpec, phi2
 from biharm.quad import DEQuadrature, integral_phi2, qm_poly, rm_poly
 
@@ -185,6 +185,8 @@ def test_integral_six_dim_at_zero(rule):
 
 def test_integral_rejects_four_dims(rule):
     with pytest.raises(ValueError):
+        integral_phi2(4, 1.0, rule)
+    with pytest.raises(UnsupportedDimension):
         integral_phi2(4, 1.0, rule)
     with pytest.raises(ValueError):
         integral_phi2(5.9, 1.0, rule)
