@@ -176,9 +176,21 @@ _ANCHORS = (
 )
 
 
+def _spread(count: int, step: float, lo: float, hi: float) -> np.ndarray:
+    """lo + (hi - lo) frac(i step) for i = 1..count: the Weyl sequence of an
+    irrational step, evenly spread over [lo, hi) and the same on every run,
+    without the import of numpy.random."""
+    return lo + (hi - lo) * (np.arange(1, count + 1) * step % 1.0)
+
+
+# Weyl steps: the golden ratio's fractional part and that of sqrt(2), which
+# together spread the (x, t) pairs over their rectangle
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SILVER = math.sqrt(2.0) - 1.0
+
+
 def _verify_checks(level: str):
     """Yield (name, ok, detail) for each cross-module invariant."""
-    rng = np.random.default_rng(20240611)
     rule = quad.DEFAULT_RULE
 
     def rel_dev(approx, ref):
@@ -220,8 +232,8 @@ def _verify_checks(level: str):
         yield (f"node-sum integral vs closed form, n={n}", dev <= 1e-11,
                f"max_rel={dev:.2e} tol=1e-11")
 
-    xs = rng.uniform(-3.0, 3.0, size=100)
-    ts = rng.uniform(0.0, 10.0, size=100)
+    xs = _spread(100, _GOLDEN, -3.0, 3.0)
+    ts = _spread(100, _SILVER, 0.0, 10.0)
     q_refs, r_refs = _printed_node_polys(xs, ts)
     for m, q_ref, r_ref in zip((1, 2, 3, 4), q_refs, r_refs):
         dev_q = rel_dev(quad.qm_poly(m, xs, ts), q_ref)
@@ -276,13 +288,14 @@ def _verify_checks(level: str):
     h = 0.2
     grid = GridSpec(h=h, delta=5.0)
     m_half = 5
-    inner = rng.uniform(0.5, 1.5, size=2 * m_half + 1)
+    inner = _spread(2 * m_half + 1, _GOLDEN, 0.5, 1.5)
     vec = np.zeros(2 * m_half + 3)
     vec[1:-1] = inner
     dens = engine.SeparatedDensity(weights=(1.0,), factors=((vec,) * 5,),
                                    m_lo=-(m_half + 1))
     box = functools.reduce(np.multiply.outer, (inner,) * 5)
-    points = [tuple(int(c) for c in rng.integers(-3, 4, size=5)) for _ in range(3)]
+    coords = np.floor(_spread(3 * 5, _SILVER, -3.0, 4.0)).astype(int).tolist()
+    points = [tuple(coords[5 * i:5 * i + 5]) for i in range(3)]
     dev = 0.0
     tensor = engine.evaluate(dens, points, 5, grid, 1, rule)
     for sample, point in zip(tensor, points):

@@ -14,14 +14,25 @@ product order over dimensions is fixed, so results are reproducible bit for bit.
 The convolution kernel e^{-d^2/(D(1+t))} Q_M(d/sqrt(D), t) depends on the
 lattice offset d = k - m alone, not on h, n or the density.  Its rows are
 built once per (D, M, rule) for |d| in blocks of _BLOCK and kept in one
-byte-bounded LRU; every sigma table gathers its rows by |d| and sums them
-block by block in row order, which is the same sequential sum as one pass.
-At small t the Gaussian of a large |d| is exactly 0 in binary64, so the
-blocks are banded: a Gaussian block records each row's first nonzero node
-column, read off its values, and every block holds its rows from the
-block's first live column on.  A table sums each block's run of rows only
-from the run's own first live column; the skipped terms are exact zeros,
-so the sums are those over all columns bit for bit.
+byte-bounded LRU.  At small t the Gaussian of a large |d| is exactly 0 in
+binary64, so the blocks are banded: a Gaussian block records each row's
+first nonzero node column, read off its values, and every block holds its
+rows from the block's first live column on.  Each block also has one pad
+row at each end: 1.0 in the Q_M and R_M blocks, scratch in the Gaussian
+blocks.
+A sigma table reads its rows by |d| in runs, one per block: rows with
+d >= 1 downwards in |d|, rows with d <= 0 upwards, so that every run after
+the first starts at the top or the bottom of its block, next to a pad.  Each
+run is one np.einsum("m,ms,ms->s") pass from the run's own first live column
+on, which forms (vec gauss) poly and adds it to each column's sum row by row,
+the order of numpy's sum over all rows at once.  einsum starts at +0, so a
+run carries the sum so far in as its leading row: the sum is written into the
+Gaussian pad, and the poly pad and the vector's entry are 1.0, so the row
+adds (1 sum) 1 = sum exactly.  The pad write and the einsum that reads it
+hold one module lock, since numpy releases the interpreter lock inside
+einsum and every thread shares the cached pads.  The columns a run skips are
+exact zeros, so every table is the one-pass sum over all rows and columns,
+bit for bit.
 A support-checked sigma table depends only on its vector's samples, the
 first offset k - m_lo, D, M and the rule, so the same LRU keeps it across
 calls as its own entry, keyed by the exact sample bytes.
@@ -30,6 +41,7 @@ calls as its own entry, keyed by the exact sample bytes.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,7 +88,8 @@ _VECTOR_BYTES = _CACHE_BYTES // 64
 
 
 class _ByteLRU:
-    """Least-recently-used store bounded at _CACHE_BYTES.
+    """Least-recently-used store bounded at _CACHE_BYTES, safe to share
+    between threads.
 
     Each entry counts the bytes given when it is stored; the total is kept
     as entries come and go, and every addition evicts the least recently
@@ -85,30 +98,41 @@ class _ByteLRU:
 
     def __init__(self) -> None:
         self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
         self.nbytes = 0
 
     def get(self, key):
         """The value under key, now the most recently used, or None."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
 
     def put(self, key, value, nbytes: int) -> None:
-        """Store value under key, which holds no entry yet, counted as nbytes."""
-        self._entries[key] = (value, nbytes)
-        self.nbytes += nbytes
-        while self.nbytes > _CACHE_BYTES:
-            _, (_, size) = self._entries.popitem(last=False)
-            self.nbytes -= size
+        """Store value under key, counted as nbytes, unless key holds an
+        entry already: one that another thread stored since it was missed."""
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = (value, nbytes)
+            self.nbytes += nbytes
+            while self.nbytes > _CACHE_BYTES:
+                _, (_, size) = self._entries.popitem(last=False)
+                self.nbytes -= size
 
     def clear(self) -> None:
-        self._entries.clear()
-        self.nbytes = 0
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
 
 
 _ROW_BLOCKS = _ByteLRU()
+
+# held for each write of a pad row of a cached Gaussian block and the einsum
+# that reads it (_sigma): the pads are scratch shared by every thread
+_PAD_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -180,38 +204,60 @@ def _gauss_rows(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
     return np.exp(-(d * d)[:, None] * inv[None, :])
 
 
+def _padded(d: np.ndarray) -> np.ndarray:
+    """d with a 0 at each end: the block rows built there become its pads."""
+    return np.concatenate(([0.0], d, [0.0]))
+
+
 def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> tuple:
-    """(starts, rows): the Gaussian rows of offsets d from node column
-    starts.min() on, and each row's first nonzero column.
+    """(starts, rows): each row's first nonzero column, and the Gaussian rows
+    of offsets d from node column starts.min() on.
 
     The starts are read off the values, so every column before a row's start
     is an exact zero of that row on any rule.  They are capped at two columns
-    before the end, because numpy sums a one-column stack pairwise rather
-    than row by row.
+    before the end, so that no run has one column: numpy does not promise to
+    add a one-column stack row by row (np.sum adds it pairwise).  rows is a
+    view of the rows
+    1..len(d) of its base, whose first and last rows are scratch pads for the
+    carried sums of _sigma.
     """
-    rows = _gauss_rows(d, D, rule)
-    live = rows != 0.0
-    cols = rows.shape[1]
+    block = _gauss_rows(_padded(d), D, rule)
+    block[0] = block[-1] = 0.0
+    live = block[1:-1] != 0.0
+    cols = block.shape[1]
     starts = np.where(live.any(axis=1), live.argmax(axis=1), cols)
     np.minimum(starts, max(cols - 2, 0), out=starts)
-    return starts, np.ascontiguousarray(rows[:, starts.min():])
+    c0 = starts.min()
+    if c0:
+        block = block[:, c0:].copy()
+    return starts, block[1:-1]
 
 
 def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool,
                start: int = 0) -> tuple:
     """(Q_M,), or (Q_M, R_M) when with_r, at x = d / sqrt(D) and the rule's
-    nodes from column start on."""
+    nodes from column start on.
+
+    Each is a read-only view of the rows 1..len(d) of its base, whose first
+    and last rows hold 1.0.  The recurrence runs over the base's rows, pads
+    included, so the rows are its results, not copies of them.
+    """
     t = rule.arrays().t[None, start:]
-    x = d[:, None] / math.sqrt(D)
+    x = _padded(d)[:, None] / math.sqrt(D)
     # Q alone goes through the public qm_poly, whose calls the benchmark's
     # tracer counts as kernel builds
-    return _node_polys(M, x, t, True) if with_r else (qm_poly(M, x, t),)
+    blocks = _node_polys(M, x, t, True) if with_r else (qm_poly(M, x, t),)
+    for block in blocks:
+        block[0] = block[-1] = 1.0
+        block.flags.writeable = False
+    return tuple(block[1:-1] for block in blocks)
 
 
 def _row_block(keys: tuple, build) -> list:
     """The cached kernel blocks under keys; on a miss, build() gives one
     array, or tuple of arrays, per key in one pass and the missing ones are
-    stored read-only.
+    stored read-only, each counted as the bytes of its arrays, or of their
+    bases where they are views.
 
     A block already cached is kept, not replaced: a rebuild equals it bit for
     bit.
@@ -224,7 +270,8 @@ def _row_block(keys: tuple, build) -> list:
                 for array in arrays:
                     array.flags.writeable = False
                 blocks[i] = block
-                _ROW_BLOCKS.put(keys[i], block, sum(array.nbytes for array in arrays))
+                held = (array if array.base is None else array.base for array in arrays)
+                _ROW_BLOCKS.put(keys[i], block, sum(array.nbytes for array in held))
     return blocks
 
 
@@ -232,15 +279,15 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
                  with_r: bool) -> list:
     """The kernel rows d = d0, d0 - 1, ..., d0 - L + 1 as runs that each read
     one cached block: a list of (table row slice, first live column c,
-    Gaussian rows, poly rows), the rows holding the node columns c.. only.
+    Gaussian rows, poly rows), the rows holding the node columns c.. only,
+    each led by the block row read just before the run's first.
 
     Blocks hold the rows |d| = b B .. b B + B - 1 (B = _BLOCK) from the
-    block's first live column on, the smallest start of its rows; c is the
-    smallest start of the run's own rows, so every column before c is an
-    exact zero of the run.  The kernel is even
-    in d bit for bit, so rows with d >= 0 are read backwards.  Q_M rows have
-    one key whether or not R_M is needed, so the n = 3 path and the n >= 5
-    paths share them.
+    block's first live column on; c is the smallest start of the run's own
+    rows, so every column before c is an exact zero of the run.  The kernel
+    is even in d bit for bit, so the runs can follow the pads (module
+    docstring).  Q_M rows have one key whether or not R_M is needed, so the
+    n = 3 path and the n >= 5 paths share them.
     """
     cols = rule.node_count
     runs = []
@@ -248,34 +295,36 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
     while i < L:
         d = d0 - i
         b, r = divmod(abs(d), _BLOCK)
-        if d >= 0:
-            n = min(r + 1, L - i)
-            rows = slice(r, r - n if r >= n else None, -1)
+        # block rows lo..hi - 1 are the run's, at rows lo + 1..hi of the base
+        if d >= 1:
+            n = min(d - max(b * _BLOCK, 1) + 1, L - i)
+            lo, hi = r - n + 1, r + 1
+            rows = slice(hi + 1, lo, -1)
         else:
             n = min(_BLOCK - r, L - i)
-            rows = slice(r, r + n)
+            lo, hi = r, r + n
+            rows = slice(lo, hi + 1)
         offsets = b * _BLOCK + np.arange(_BLOCK, dtype=float)
         [(starts, gauss)] = _row_block((("gauss", D, rule, b),),
                                        lambda: (_gauss_block(offsets, D, rule),))
         c0 = cols - gauss.shape[1]
         polys = _row_block((("Q", D, M, rule, b), ("R", D, M, rule, b))[:1 + with_r],
                            lambda: _poly_rows(offsets, D, M, rule, with_r, c0))
-        c = int(starts[rows].min())
-        runs.append((slice(i, i + n), c, gauss[rows, c - c0:],
-                     tuple(p[rows, c - c0:] for p in polys)))
+        c = int(starts[lo:hi].min())
+        runs.append((slice(i, i + n), c, gauss.base[rows, c - c0:],
+                     tuple(p.base[rows, c - c0:] for p in polys)))
         i += n
     return runs
 
 
 def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
-           buf: np.ndarray, out: np.ndarray) -> None:
+           out: np.ndarray) -> None:
     """out = norm * sum_m vec[m] gauss[m] poly[m] over the node columns,
     support-checked.
 
-    The terms vec[:, None] * gauss * poly of a run are formed in buf[1:] at
-    the run's live columns c.. only, with the partial sum carried in buf[0],
-    so each column gets the row-order sum that numpy forms over all rows at
-    once.  That sum starts at +0 and is never -0, so the exact zeros of the
+    Each run is one einsum pass over its live columns c.., and every run
+    after the first carries the sum so far in through its leading pad row
+    (module docstring).  The sum is never -0, so the exact zeros of the
     columns before c leave it unchanged bit for bit; at the first and last
     row they are boundary terms of 0.
     A column can fail the support check only if its boundary term exceeds
@@ -284,23 +333,30 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
     """
     sums = np.zeros(len(out))
     boundary = np.zeros(len(out))
+    # weights[m + 1] = vec[m]; weights[i] = 1.0 for the run that starts at
+    # table row i, over vec[i - 1], which the run before has used
+    weights = np.empty(len(vec) + 1)
+    weights[1:] = vec
     for rows, c, gauss, polys in runs:
-        n = rows.stop - rows.start
-        terms = buf[1:n + 1, c:]
-        np.multiply(vec[rows, None], gauss, out=terms)
-        terms *= polys[which]
+        poly = polys[which]
         if rows.start == 0:
-            np.abs(terms[0], out=boundary[c:])
-        buf[0, c:] = sums[c:]
-        np.sum(buf[:n + 1, c:], axis=0, out=sums[c:])
-    np.maximum(boundary[c:], np.abs(terms[-1]), out=boundary[c:])
+            np.einsum("m,ms,ms->s", weights[1:rows.stop + 1], gauss[1:], poly[1:],
+                      out=sums[c:])
+            np.abs(weights[1] * gauss[1] * poly[1], out=boundary[c:])
+        else:
+            weights[rows.start] = 1.0
+            with _PAD_LOCK:
+                gauss[0] = sums[c:]
+                np.einsum("m,ms,ms->s", weights[rows.start:rows.stop + 1], gauss, poly,
+                          out=sums[c:])
+    np.maximum(boundary[c:], np.abs(weights[-1] * gauss[-1] * poly[-1]), out=boundary[c:])
     cols = np.flatnonzero(boundary > _SUPPORT_TOL * np.abs(sums))
     if cols.size:
         peak = np.zeros(cols.size)
         for rows, c, gauss, polys in runs:
             i = np.searchsorted(cols, c)
             live = cols[i:] - c
-            terms = vec[rows, None] * gauss[:, live] * polys[which][:, live]
+            terms = vec[rows, None] * gauss[1:, live] * polys[which][1:, live]
             np.maximum(peak[i:], np.max(np.abs(terms), axis=0), out=peak[i:])
         _check_support(boundary[cols], peak, sums[cols])
     np.multiply(norm, sums, out=out)
@@ -330,7 +386,6 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
             contents[id(vec)] = vec.tobytes() if vec.nbytes <= _VECTOR_BYTES else None
     log1pt = rule.arrays().log1pt
     norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
-    buf = np.empty((_BLOCK + 1, len(log1pt)))
     tables: dict = {}
     for k, vecs in needed.items():
         runs = None
@@ -344,7 +399,7 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
                     if runs is None:
                         runs = _kernel_runs(k - m_lo, len(vec), D, M, rule, with_r)
                     table = np.empty(len(log1pt))
-                    _sigma(vec, runs, which, norm, buf, table)
+                    _sigma(vec, runs, which, norm, table)
                     table.flags.writeable = False
                     if content is not None:
                         _ROW_BLOCKS.put(table_key, table, table.nbytes + len(content))
@@ -503,6 +558,27 @@ def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tu
     return tuple(tables[id(vec), k][0] for vec in vecs)
 
 
+@lru_cache(maxsize=256)
+def _axis_origin(grid: GridSpec, M: int, rule: DEQuadrature) -> tuple:
+    """The node arrays of evaluate_symmetric that depend on the offset-0
+    tables a0, b0, c0 alone, not on n or k1: beta = b0 / a0 and chi = c0 / a0
+    (0 where a0 = 0), log|a0| (-inf there) and the sign of a0 (-1.0 where
+    a0 < 0, else 1.0), all read-only."""
+    a0, b0, c0v = _axis_sigma_tables(grid, M, 0, rule)
+    live = a0 != 0.0
+    beta = np.zeros_like(a0)
+    chi = np.zeros_like(a0)
+    beta[live] = b0[live] / a0[live]
+    chi[live] = c0v[live] / a0[live]
+    with np.errstate(divide="ignore"):
+        log_a0 = np.log(np.abs(a0))
+    sign_a0 = np.where(a0 < 0.0, -1.0, 1.0)
+    arrays = (beta, chi, log_a0, sign_a0)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
                        grid: GridSpec, M, rule: DEQuadrature = DEFAULT_RULE) -> PotentialSample:
     """Potential of an isotropic density at the axis point k1 * h * e_1, in O(nodes * line)
@@ -523,13 +599,7 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
     nodes = rule.arrays()
     D = grid.delta
     a1, b1, c1v = _axis_sigma_tables(grid, M, k1, rule)
-    a0, b0, c0v = _axis_sigma_tables(grid, M, 0, rule)
-
-    live = a0 != 0.0
-    beta = np.zeros_like(a0)
-    chi = np.zeros_like(a0)
-    beta[live] = b0[live] / a0[live]
-    chi[live] = c0v[live] / a0[live]
+    beta, chi, log_a0, sign_a0 = _axis_origin(grid, M, rule)
     big = float(n)  # n(n-1)-type coefficients round at ~1 ulp for n > 9e7
     g = (
         density.c0 * a1
@@ -541,10 +611,10 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
             + (big - 1.0) * (big - 2.0) * a1 * beta * beta
         )
     )
-    sign = np.sign(g) * np.where((a0 < 0.0) & ((n - 1) % 2 == 1), -1.0, 1.0)
+    sign = np.sign(g) * (sign_a0 if (n - 1) % 2 == 1 else 1.0)
     # dead nodes (a0 = 0 or g = 0) have expo = -inf and contribute nothing
     with np.errstate(divide="ignore", invalid="ignore"):
-        expo = nodes.log_weight + (big - 1.0) * np.log(np.abs(a0)) + np.log(np.abs(g))
+        expo = nodes.log_weight + (big - 1.0) * log_a0 + np.log(np.abs(g))
     value = (grid.h * math.sqrt(D)) ** 4 / 16.0 * _node_sum([_exp_nodes(expo, sign)])
     return PotentialSample(point=(k1,), value=value, method="symmetric",
                            M=M, h=grid.h, delta=grid.delta)
@@ -556,6 +626,11 @@ def saturation_epsilon0(M, D: float, n) -> float:
     S is the lattice sum over one dimension of g(sqrt(D) m) with
     g(xi) = e^{-pi^2 xi^2} sum_{k<M} (pi^2 xi^2)^k / k!, the Fourier transform
     of the tensor factor (g(0) = 1), truncated at |m| <= SATURATION_CUTOFF.
+    g(sqrt(D) m) is the chance that a Poisson variable of mean pi^2 D m^2
+    stays below M, so it falls with |m|, like a Gaussian once pi^2 D m^2
+    passes M.  The truncation is refused unless the first term it drops, at
+    |m| = SATURATION_CUTOFF + 1, is below the last bit of S - 1.  An S^n - 1
+    past the binary64 range is refused too.
     """
     M = order_value(M)
     if not D > 0.0:
@@ -563,12 +638,22 @@ def saturation_epsilon0(M, D: float, n) -> float:
     n = int_value(n, "dimension")
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    m = np.arange(1, SATURATION_CUTOFF + 1, dtype=float)
+    m = np.arange(1, SATURATION_CUTOFF + 2, dtype=float)
     xi2 = math.pi ** 2 * D * m * m
     series = np.ones_like(xi2)
     term = np.ones_like(xi2)
     for k in range(1, M):
         term = term * xi2 / k
         series += term
-    s_minus_1 = 2.0 * float(np.sum(np.exp(-xi2) * series))
-    return float(np.expm1(n * np.log1p(s_minus_1)))
+    g = np.exp(-xi2) * series
+    s_minus_1 = 2.0 * float(np.sum(g[:-1]))
+    if 2.0 * g[-1] > 2.0 ** -53 * s_minus_1:
+        raise ValueError(
+            f"the lattice sum over |m| <= {SATURATION_CUTOFF} drops a term of "
+            f"{2.0 * g[-1]:.3e} at |m| = {SATURATION_CUTOFF + 1}, against S - 1 = "
+            f"{s_minus_1:.3e}; D = {D} is too small for this estimate")
+    with np.errstate(over="ignore"):
+        eps0 = float(np.expm1(n * np.log1p(s_minus_1)))
+    if eps0 == math.inf:
+        raise ValueError(f"S^n - 1 leaves the binary64 range at M = {M}, D = {D}, n = {n}")
+    return eps0

@@ -6,9 +6,12 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -186,6 +189,21 @@ def test_verify_quick_passes(capsys):
     assert len(checks) >= 12
     assert all(l.startswith("PASS") for l in checks)
     assert lines[-1].endswith(f"{len(checks)}/{len(checks)} checks passed")
+
+
+def test_verify_full_leaves_numpy_random_unloaded():
+    # the invariant inputs are fixed Weyl sequences: importing numpy.random
+    # for them cost a cold --verify full about 10 ms
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import contextlib, io, sys\n"
+            "from biharm import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['--verify', 'full'])\n"
+            "print(rc, 'numpy.random' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):

@@ -11,6 +11,8 @@ through internal path equivalence.
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -294,16 +296,19 @@ def test_products_match_symmetric_path_at_large_n(rule):
 
 
 def _empty_caches():
-    """Empty the kernel row and sigma table cache and the axis table cache."""
+    """Empty the kernel row and sigma table cache and the axis table caches."""
     engine._ROW_BLOCKS.clear()
     engine._axis_sigma_tables.cache_clear()
+    engine._axis_origin.cache_clear()
 
 
 def _check_banded(blocks, node_count):
     """Check one build's blocks: _BLOCK rows each, all starting at the
-    Gaussian block's first live column.  A Gaussian block is (starts, rows):
-    each row is exactly zero before its start and, unless the start is
-    capped two columns before the end, nonzero at it."""
+    Gaussian block's first live column, each the rows 1.._BLOCK of a base
+    with one pad row at each end.  A Gaussian block is (starts, rows): each
+    row is exactly zero before its start and, unless the start is capped two
+    columns before the end, nonzero at it; its pads are scratch.  Q_M and R_M
+    pads hold 1.0 and their bases are read-only."""
     widths = set()
     for block in blocks:
         if isinstance(block, tuple):
@@ -313,7 +318,11 @@ def _check_banded(blocks, node_count):
             for row, start in zip(block, starts - c0):
                 assert not row[:start].any()
                 assert row[start] != 0.0 or start + c0 == node_count - 2
-        assert len(block) == engine._BLOCK
+        else:
+            assert np.all(block.base[[0, -1]] == 1.0)
+            assert not block.base.flags.writeable
+        assert len(block) == engine._BLOCK and len(block.base) == engine._BLOCK + 2
+        assert block.base[1:-1].tobytes() == block.tobytes()
         widths.add(block.shape[1])
     assert len(widths) == 1
 
@@ -346,11 +355,13 @@ def row_blocks(monkeypatch):
 def _held_bytes():
     """The cache's running byte total, checked against its entries: each
     holds one read-only array, or a Gaussian block's (starts, rows), counted
-    as its bytes plus, for a sigma table, the sample bytes in its key."""
+    as the bytes of the arrays their views fill (a kernel block's padded
+    base) plus, for a sigma table, the sample bytes in its key."""
     cache = engine._ROW_BLOCKS
     for key, (value, size) in cache._entries.items():
         arrays = value if isinstance(value, tuple) else (value,)
-        assert size == (sum(array.nbytes for array in arrays)
+        owners = [array if array.base is None else array.base for array in arrays]
+        assert size == (sum(owner.nbytes for owner in owners)
                         + (len(key[2]) if _is_table_key(key) else 0))
         assert not any(array.flags.writeable for array in arrays)
     assert cache.nbytes == sum(size for _, size in cache._entries.values())
@@ -581,10 +592,11 @@ def test_byte_lru_counts_only_held_values(monkeypatch):
 
 def _full_width_terms(vec, runs, which, node_count):
     """The terms vec[m] gauss[m] poly[m] of banded runs, with the exact zeros
-    before each run's first live column written out."""
+    before each run's first live column written out; a run's views are led
+    by the row read before its first."""
     terms = np.zeros((len(vec), node_count))
     for rows, c, gauss, polys in runs:
-        terms[rows, c:] = vec[rows, None] * gauss * polys[which]
+        terms[rows, c:] = vec[rows, None] * gauss[1:] * polys[which][1:]
     return terms
 
 
@@ -635,9 +647,8 @@ def test_lazy_support_check_matches_eager_rule(L, D, M, which, shape, data):
             vec -= (vec @ column) / (basis @ column) * basis
     refused, sums = _eager_support_refusal(vec, runs, which, rule.node_count)
     out = np.empty(rule.node_count)
-    buf = np.empty((engine._BLOCK + 1, rule.node_count))
     try:
-        engine._sigma(vec, runs, which, np.ones(rule.node_count), buf, out)
+        engine._sigma(vec, runs, which, np.ones(rule.node_count), out)
     except SupportTruncated:
         assert refused
     else:
@@ -699,6 +710,81 @@ def test_banded_tables_keep_every_bit_when_one_column_is_live():
         for which, table in enumerate(tables):
             want = _full_width_table(vec, 330, 0, 5.0, 2, short, which)
             assert table.tobytes() == want.tobytes(), (seed, which)
+    _empty_caches()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, engine._BLOCK + 1), cols=st.integers(1, 300),
+       descending=st.booleans(), carried=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_einsum_adds_rows_in_order(rows, cols, descending, carried, seed):
+    # _sigma's one einsum pass per run must add (vec gauss) poly to each
+    # column row by row, as a loop over the rows does, on the views
+    # _kernel_runs hands it: rows of a padded block read downwards or upwards
+    # from a pad, from any first column, into a slice of the sums.  When the
+    # run is carried, the pad row holds the sum so far and 1.0s, and enters
+    # the sum exactly.  Magnitudes over 26 decades and both signs make a
+    # reordered sum round differently somewhere
+    rng = np.random.default_rng(seed)
+    shape = (engine._BLOCK + 2, 300)
+    gauss = rng.normal(size=shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+    poly = rng.normal(size=shape)
+    weights = rng.normal(size=rows)
+    c = 300 - cols
+    pad = engine._BLOCK + 1 if descending else 0
+    if carried:
+        gauss[pad] = rng.normal(size=300) * 1e10
+        poly[pad] = weights[0] = 1.0
+    view = (slice(pad, pad - rows, -1) if descending else slice(0, rows), slice(c, None))
+    sums = np.zeros(300)
+    np.einsum("m,ms,ms->s", weights, gauss[view], poly[view], out=sums[c:])
+    want = np.zeros(cols)
+    for w, g, p in zip(weights, gauss[view], poly[view]):
+        want = want + (w * g) * p
+    assert sums[c:].tobytes() == want.tobytes()
+    assert not sums[:c].any()
+
+
+def test_concurrent_evaluate_calls_match_serial_ones(monkeypatch):
+    # threads share the cached kernel blocks and carry their sums through
+    # the same pad rows; with no table cached across calls, every call runs
+    # _sigma over 521 samples, 5 blocks, and eight threads on a short switch
+    # interval interleave there.  Every value must be the serial call's bit
+    # for bit, and the cache's byte count must stay exact
+    monkeypatch.setattr(engine, "_VECTOR_BYTES", 0)
+    grid = GridSpec(1.0 / 40)
+    dens = _positive_density(5, grid)
+    jobs = [[((3 * t + i, -i, 2 * t, 0, i - t),) for i in range(3)] for t in range(8)]
+
+    def run(points):
+        return [evaluate(dens, point, 5, grid, M)[0].value for point in points for M in (2, 4)]
+
+    _empty_caches()
+    want = [run(points) for points in jobs]
+    got = [None] * len(jobs)
+    failures = []
+
+    def worker(t):
+        try:
+            got[t] = run(jobs[t])
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _empty_caches()
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+    _held_bytes()
     _empty_caches()
 
 
@@ -863,6 +949,8 @@ def test_symmetric_tables_shared_across_dimensions():
     assert shared == fresh
     tables = engine._axis_sigma_tables(grid, 3, 20, DEQuadrature())
     assert not any(table.flags.writeable for table in tables)
+    # so are the n-independent node arrays formed from the offset-0 tables
+    assert not any(array.flags.writeable for array in engine._axis_origin(grid, 3, DEQuadrature()))
 
 
 def test_short_rule_is_refused():
@@ -922,6 +1010,25 @@ def test_saturation_epsilon0_one_dim_base_case():
 
 def test_saturation_epsilon0_vanishes_for_large_shape():
     assert saturation_epsilon0(1, 500.0, 5) == 0.0
+
+
+def test_saturation_epsilon0_refuses_a_cutoff_that_drops_terms():
+    # at D = 1e-6 every term up to |m| = 6 is about 1, so the truncated sum
+    # gave S = 13 and 13^5 - 1 where S is near 1000; at D = 0.01 the term at
+    # |m| = 7 is still 1.6e-2 of S - 1 = 4.6
+    for M, D, n in ((1, 1e-6, 5), (4, 1e-6, 5), (1, 0.01, 10 ** 7)):
+        with pytest.raises(ValueError, match="too small for this estimate"):
+            saturation_epsilon0(M, D, n)
+
+
+def test_saturation_epsilon0_refuses_overflow():
+    # at M = 1, D = 1 the cutoff drops nothing (e^{-49 pi^2} is 0 in
+    # binary64) and S - 1 = 2 e^{-pi^2}, so S^n leaves binary64 past
+    # n = 6.9e6 instead of returning inf
+    assert saturation_epsilon0(1, 1.0, 10 ** 6) == pytest.approx(
+        math.expm1(10 ** 6 * math.log1p(2.0 * math.exp(-math.pi ** 2))), rel=1e-9)
+    with pytest.raises(ValueError, match="binary64 range"):
+        saturation_epsilon0(1, 1.0, 10 ** 8)
 
 
 # --- test density construction ---
