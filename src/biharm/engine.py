@@ -10,6 +10,10 @@ correctly rounded, equal to math.fsum's bit for bit: a vectorised error-free
 pass with a proven bound, math.fsum where the bound cannot certify a row
 (quad._row_sums).  They are certified against the quadrature tail, and the
 product order over dimensions is fixed, so results are reproducible bit for bit.
+evaluate assembles each distinct point of a call once, in chunks of points
+bounded by _CHUNK_VALUES: per chunk, one gather of table rows per dimension
+forms the products and one quad._point_sums pass certifies all their row
+sums, and a repeated point takes its value.
 
 The convolution kernel e^{-d^2/(D(1+t))} Q_M(d/sqrt(D), t) depends on the
 lattice offset d = k - m alone, not on h, n or the density.  Its rows are
@@ -50,7 +54,8 @@ import numpy as np
 
 from .errors import RankBudgetExceeded, SupportTruncated, UnsupportedDimension
 from .kernels import GridSpec, PotentialSample, dim_value, int_value, order_value
-from .quad import DEFAULT_RULE, DEQuadrature, _exp_nodes, _node_polys, _node_sum, qm_poly
+from .quad import (DEFAULT_RULE, DEQuadrature, _exp_nodes, _node_polys, _node_sum,
+                   _point_sums, qm_poly)
 
 __all__ = [
     "SeparatedDensity",
@@ -85,6 +90,10 @@ _CACHE_BYTES = 32 << 20
 # a vector of more sample bytes than this keeps no sigma tables across calls,
 # so that one large density cannot crowd the kernel blocks out of the cache
 _VECTOR_BYTES = _CACHE_BYTES // 64
+
+# evaluate assembles its distinct points in chunks of at most this many
+# (point, term, node) values; a point that alone holds more is one chunk
+_CHUNK_VALUES = 1 << 15
 
 
 class _ByteLRU:
@@ -177,10 +186,6 @@ class IsotropicGaussianPolyDensity:
     c1: float
     c2: float
     n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("dimension must be at least 3")
 
 
 def _check_support(boundary: np.ndarray, peak: np.ndarray, sums: np.ndarray) -> None:
@@ -415,57 +420,76 @@ def _positions(keys) -> tuple:
 
 
 def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
-               rule: DEQuadrature):
-    """Yield (point, certified node sum) for each grid index vector.
+               rule: DEQuadrature) -> list:
+    """(point, certified node sum) for each grid index vector, in order.
 
     The node sum is fsum_p weights[p] fsum_s c_ps with c_ps the n-fold product
     of the factor tables times the node weight for n >= 5, and the two-term
     n = 3 bracket times tau * Phi'; every node's t and weight is finite
     (DEQuadrature.arrays), and the normalized factors stay O(1), so the
     plain product serves every n, where a log sum would lose accuracy as n
-    grows.  The points are validated and the
-    tables of the call built up front, each (vector, offset) pair of a
-    dimension once; a table reads only its own offset's kernel rows, so
-    values do not depend on the rest of the batch.  Per point, one gather of
-    table rows per dimension forms the (terms, nodes) contributions,
-    multiplied in the order j = 0 .. n-1 and summed exactly row by row in
-    one pass (quad._row_sums).
+    grows.  The points are validated and the tables of the call built up
+    front, each (vector, offset) pair of a dimension once; a table reads only
+    its own offset's kernel rows, so values do not depend on the rest of the
+    batch.  Each distinct point is assembled once, and a repeat takes its
+    value.  The distinct points go in chunks of at most _CHUNK_VALUES
+    (point, term, node) values, or one point where a point alone holds more:
+    one gather of table rows per dimension forms the chunk's contributions,
+    multiplied in the order j = 0 .. n-1, and one quad._point_sums pass sums
+    them exactly and checks every point's tail.  Every product keeps its
+    operands and their order, so a value does not depend on its chunk.
     """
     points = [tuple(int_value(c, "grid index") for c in point) for point in points]
     if any(len(point) != n for point in points):
         raise ValueError(f"evaluation point must have {n} coordinates")
     if not points:
-        return
+        return []
+    order, distinct = _positions(points)
     nodes = rule.arrays()
     vectors = {id(vec): vec for term in density.factors for vec in term}
-    rows: dict = {}  # (id(vec), k) -> table row, over the pairs of every dimension
-    index = np.empty((len(points), n, density.rank), dtype=np.intp)
-    for j, (col, coords) in enumerate(zip(zip(*density.factors), zip(*points))):
-        (vpos, ids), (kpos, ks) = _positions(map(id, col)), _positions(coords)
-        # index[i, j, p]: the row that term p reads at point i, from the grid
-        # of rows over dimension j's distinct vectors x distinct offsets
-        grid = np.array([[rows.setdefault((v, k), len(rows)) for k in ks] for v in ids])
-        index[:, j] = grid[vpos[None, :], kpos[:, None]]
-    tables = _sigma_tables(((vectors[v], k) for v, k in rows), density.m_lo, D, M, rule, n == 3)
-    sigma = np.stack([tables[key] for key in rows], axis=1)
+    vpos, ids = _positions(id(vec) for term in density.factors for vec in term)
+    kpos, ks = _positions(k for point in distinct for k in point)
+    # codes[i, j, p] = v K + k: term p reads the pair (vector v, offset k) in
+    # dimension j at point i, v and k positions among the distinct vectors
+    # and the K distinct offsets; each pair used is one table row
+    codes = vpos.reshape(density.rank, n).T * len(ks) + kpos.reshape(len(distinct), n, 1)
+    row_of = np.zeros(len(ids) * len(ks), dtype=np.intp)
+    row_of[codes] = 1
+    used = np.flatnonzero(row_of)
+    row_of[used] = np.arange(len(used))
+    index = row_of[codes]
+    pairs = [(vectors[ids[c // len(ks)]], ks[c % len(ks)]) for c in used.tolist()]
+    tables = _sigma_tables(pairs, density.m_lo, D, M, rule, n == 3)
+    sigma = np.stack([tables[id(vec), k] for vec, k in pairs], axis=1)
     q = sigma[0]
     if n == 3:
         # the n = 3 bracket needs tau * Phi' and Phi separately
         tau_phiprime = np.exp(nodes.log_weight - nodes.log_t)
         r = sigma[1]
 
-    for point, at in zip(points, index):
+    chunk = max(1, _CHUNK_VALUES // (density.rank * q.shape[1]))
+    totals = []
+    for at in (index[i:i + chunk] for i in range(0, len(distinct), chunk)):
         if n == 3:
-            q0, q1, q2 = (q.take(rows, axis=0) for rows in at)
-            r0, r1, r2 = (r.take(rows, axis=0) for rows in at)
-            r_sum = r0 * q1 * q2 + q0 * r1 * q2 + q0 * q1 * r2
-            contrib = tau_phiprime * (q0 * q1 * q2 + nodes.t * r_sum)
+            # tau_phiprime * (q0 q1 q2 + t (r0 q1 q2 + q0 r1 q2 + q0 q1 r2)),
+            # each product and sum of the plain expression in its order, in
+            # place so that fewer of the chunk's stacks are held at once
+            q0, q1, q2 = (q.take(at[:, j], axis=0) for j in range(3))
+            contrib = q0 * q1
+            r_sum = r.take(at[:, 0], axis=0) * q1 * q2
+            r_sum += q0 * r.take(at[:, 1], axis=0) * q2
+            r_sum += contrib * r.take(at[:, 2], axis=0)
+            r_sum *= nodes.t
+            contrib *= q2
+            contrib += r_sum
+            contrib *= tau_phiprime
         else:
-            contrib = q.take(at[0], axis=0)
-            for rows in at[1:]:
-                contrib *= q.take(rows, axis=0)
+            contrib = q.take(at[:, 0], axis=0)
+            for j in range(1, n):
+                contrib *= q.take(at[:, j], axis=0)
             contrib *= nodes.weight
-        yield point, _node_sum(contrib, density.weights)
+        totals += _point_sums(contrib, density.weights)
+    return [(point, totals[i]) for point, i in zip(points, order.tolist())]
 
 
 def evaluate(density: SeparatedDensity, points, n, grid: GridSpec, M,
@@ -589,7 +613,7 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
     combinatorial polynomial in the moment ratios; the n-th power is carried
     in log form with an explicit sign, which keeps n ~ 1e8 in range.
     """
-    n = density.n
+    n = int_value(density.n, "dimension")
     if n < 5:
         raise UnsupportedDimension(
             f"the symmetric fast path requires n >= 5, got n = {n}; n = 3 goes "
@@ -615,7 +639,7 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
     # dead nodes (a0 = 0 or g = 0) have expo = -inf and contribute nothing
     with np.errstate(divide="ignore", invalid="ignore"):
         expo = nodes.log_weight + (big - 1.0) * log_a0 + np.log(np.abs(g))
-    value = (grid.h * math.sqrt(D)) ** 4 / 16.0 * _node_sum([_exp_nodes(expo, sign)])
+    value = (grid.h * math.sqrt(D)) ** 4 / 16.0 * _node_sum(_exp_nodes(expo, sign))
     return PotentialSample(point=(k1,), value=value, method="symmetric",
                            M=M, h=grid.h, delta=grid.delta)
 

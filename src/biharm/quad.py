@@ -9,8 +9,10 @@ quantity is finite; log-magnitude companions of them are kept for the node
 sums formed in the log domain: integral_phi2's and evaluate_symmetric's,
 whose power a0^(n-1) leaves binary64 at large n.
 Every node sum of the package, here and in the engine, goes through
-_node_sum, which refuses a rule whose last node still carries weight and
-returns the node rows' math.fsum sums bit for bit.
+_point_sums, which takes the node rows of any number of points at once,
+sums them all in one pass to math.fsum's results bit for bit, and refuses a
+rule whose last node still carries weight at any point; _node_sum is its
+one-point case.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def _exp_nodes(expo: np.ndarray, factor=1.0) -> np.ndarray:
         return factor * np.exp(expo)
 
 
-def _row_sums(rows) -> list:
+def _row_sums(rows: np.ndarray) -> list:
     """math.fsum of each node row, bit for bit, from one vectorised pass.
 
     Stacks of fewer than _FSUM_VALUES values, and rows of 2^26 or more
@@ -208,17 +210,17 @@ def _row_sums(rows) -> list:
     overflow), rows with |r| <= 2^-1021 (h rounds to 0; zero sums included),
     exact ties and rows whose cancellation leaves B above h.
     """
-    if len(rows) * len(rows[0]) < _FSUM_VALUES or len(rows[0]) >= 2 ** 26:
-        return [math.fsum(row.tolist()) for row in rows]
-    rows = np.asarray(rows)
-    cols = rows.shape[1]
+    count, cols = rows.shape
+    if count * cols < _FSUM_VALUES or cols >= 2 ** 26:
+        # a memoryview hands math.fsum the values as floats with no list
+        return [math.fsum(memoryview(row)) for row in rows]
     with np.errstate(over="ignore", invalid="ignore"):
         _, e = np.frexp(np.max(np.abs(rows), axis=1))
         sigma = np.ldexp(1.0, e + math.ceil(math.log2(cols + 2)))[:, None]
         q = sigma + rows
         q -= sigma
-        p = rows - q
         hi = np.sum(q, axis=1)
+        p = np.subtract(rows, q, out=q)
         lo = np.sum(p, axis=1)
         bound = (2.0 * cols * 2.0 ** -53) * np.sum(np.abs(p, out=p), axis=1) + 2.0 ** -1074
         r = hi + lo
@@ -232,23 +234,35 @@ def _row_sums(rows) -> list:
     return sums
 
 
-def _node_sum(contribs, weights=(1.0,)) -> float:
-    """Certified node sum fsum_p weights[p] * fsum_s contribs[p][s].
+def _point_sums(contribs: np.ndarray, weights) -> list:
+    """Certified node sums fsum_p weights[p] * fsum_s contribs[i, p, s], one
+    per point i of a (points, terms, nodes) array.
 
-    contribs is a (terms, nodes) array or a list of node rows; its row sums
-    are math.fsum's, bit for bit (_row_sums).  The rule is trusted only if
-    the last node's share of the combined sum sum_p weights[p] * contribs[p]
-    stays within _TAIL_TOL; otherwise the integrand has not decayed by the
-    end of the node range.
+    The row sums of all points come from one _row_sums pass, math.fsum's bit
+    for bit.  The rule is trusted only if, at every point, the last node's
+    share of the combined sum sum_p weights[p] * contribs[i, p] stays within
+    _TAIL_TOL; otherwise the integrand has not decayed by the end of the node
+    range.
     """
-    total = math.fsum(w * s for w, s in zip(weights, _row_sums(contribs)))
-    tail = math.fsum(w * c[-1] for w, c in zip(weights, contribs))
-    if abs(tail) > _TAIL_TOL * abs(total):
-        raise QuadratureDivergence(
-            f"final-node contribution {tail:.3e} exceeds {_TAIL_TOL:.0e} of the "
-            f"accumulated value {total:.3e}; extend the node range"
-        )
-    return total
+    points, terms, cols = contribs.shape
+    sums = _row_sums(contribs.reshape(points * terms, cols))
+    totals = []
+    for i, last in enumerate(contribs[:, :, -1].tolist()):
+        total = math.fsum(w * s for w, s in zip(weights, sums[i * terms:(i + 1) * terms]))
+        tail = math.fsum(w * c for w, c in zip(weights, last))
+        if abs(tail) > _TAIL_TOL * abs(total):
+            raise QuadratureDivergence(
+                f"final-node contribution {tail:.3e} exceeds {_TAIL_TOL:.0e} of the "
+                f"accumulated value {total:.3e}; extend the node range"
+            )
+        totals.append(total)
+    return totals
+
+
+def _node_sum(row) -> float:
+    """The certified sum of one node row: _point_sums at one point of one
+    term of weight 1."""
+    return _point_sums(row.reshape(1, 1, -1), (1.0,))[0]
 
 
 def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
@@ -267,10 +281,10 @@ def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     if n >= 5:
         # tau * Phi * Phi' * e^{-r^2/(1+t)} (1+t)^{-n/2}, all in log form
         expo = nodes.log_weight - r2 * np.exp(-log1pt) - 0.5 * n * log1pt
-        return _node_sum([_exp_nodes(expo)]) / 16.0
+        return _node_sum(_exp_nodes(expo)) / 16.0
     # tau * Phi' * e^{-r^2/(1+t)} [(1+t)^{-3/2} + t r^2 (1+t)^{-5/2}]
     log_phiprime = nodes.log_weight - nodes.log_t  # log(tau * Phi')
     base = log_phiprime - r2 * np.exp(-log1pt)
     contrib = (_exp_nodes(base - 1.5 * log1pt)
                + _exp_nodes(base + nodes.log_t - 2.5 * log1pt, r2))
-    return -_node_sum([contrib]) / 8.0
+    return -_node_sum(contrib) / 8.0

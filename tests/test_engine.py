@@ -13,6 +13,7 @@ import itertools
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -818,14 +819,55 @@ def test_batch_values_do_not_depend_on_the_batch(n, M, data):
     # a call builds the tables of all its points together; every value must
     # still equal the one-point call bit for bit, with tables built anew
     grid = GridSpec(0.2)
-    # coordinates stay inside the sample window, where the support check passes
-    batch = data.draw(st.lists(st.tuples(*[st.integers(-20, 20)] * n),
-                               min_size=2, max_size=5))
+    # coordinates stay inside the sample window, where the support check
+    # passes; the batch draws from a few points, so it often repeats one
+    pool = data.draw(st.lists(st.tuples(*[st.integers(-20, 20)] * n),
+                              min_size=1, max_size=4))
+    batch = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6))
     dens = _positive_density(n, grid)
     got = evaluate(dens, batch, n, grid, M)
     for point, sample in zip(batch, got):
         engine._ROW_BLOCKS.clear()
         assert sample.value == evaluate(dens, [point], n, grid, M)[0].value, point
+
+
+@pytest.mark.parametrize("n", (3, 5))
+@pytest.mark.parametrize("per_chunk", (1, 2, 3))
+def test_chunked_batch_matches_one_point_calls(n, per_chunk):
+    # a batch of 7 distinct points, with repeats, that spans several chunks:
+    # each distinct point is assembled once, its repeats take its value, and
+    # every value is the one-point call's bit for bit
+    grid = GridSpec(0.2)
+    dens = build_test_density(n, grid)
+    distinct = [tuple((3 * i + 5 * j) % 11 - 5 for j in range(n)) for i in range(7)]
+    batch = distinct[:4] + distinct[1::2] + distinct[3:] + distinct[:1]
+    want = [evaluate(dens, [point], n, grid, 3)[0].value for point in batch]
+    chunk = per_chunk * dens.rank * DEQuadrature().node_count
+    with mock.patch.object(engine, "_CHUNK_VALUES", chunk), \
+            mock.patch.object(engine, "_point_sums", wraps=engine._point_sums) as sums:
+        got = evaluate(dens, batch, n, grid, 3)
+    assert [s.point for s in got] == batch
+    assert [s.value for s in got] == want
+    assert [call.args[0].shape[0] for call in sums.call_args_list] == \
+        [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (7 % per_chunk > 0)
+
+
+@pytest.mark.parametrize("n, s_end", ((3, 250), (5, 230)))
+def test_batch_with_one_divergent_point_is_refused(n, s_end):
+    # the rule has decayed at the near points but not at the far one: the
+    # whole call is refused, whichever chunk the far point falls in
+    short = DEQuadrature(s_end=s_end)
+    grid = GridSpec(1.0 / 20)
+    dens = build_test_density(n, grid)
+    near = [(c,) + (0,) * (n - 1) for c in (0, 5, 10)]
+    far = (30,) + (0,) * (n - 1)
+    evaluate(dens, near, n, grid, 4, short)
+    with pytest.raises(QuadratureDivergence):
+        evaluate(dens, [far], n, grid, 4, short)
+    for chunk in (1, engine._CHUNK_VALUES):
+        with mock.patch.object(engine, "_CHUNK_VALUES", chunk), \
+                pytest.raises(QuadratureDivergence):
+            evaluate(dens, near[:2] + [far] + near[2:], n, grid, 4, short)
 
 
 @settings(max_examples=20, deadline=None)
@@ -883,6 +925,12 @@ def test_symmetric_requires_five_dims():
         dens = IsotropicGaussianPolyDensity(60.0, -80.0, 16.0, n)
         with pytest.raises(UnsupportedDimension, match=f"n = {n};.*n = 3 goes through evaluate"):
             evaluate_symmetric(dens, 0, GridSpec(0.1), 1)
+
+
+def test_symmetric_refuses_fractional_dimension():
+    # a fractional n is not a dimension, not a value between two of them
+    with pytest.raises(ValueError, match="dimension must be an integer, got 5.5"):
+        evaluate_symmetric(IsotropicGaussianPolyDensity(1.0, 0.0, 0.0, 5.5), 3, GridSpec(0.1), 2)
 
 
 def _test_density_coeffs(n):

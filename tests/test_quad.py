@@ -273,14 +273,16 @@ _KINDS = ("onesigned", "wide", "subnormal", "cancel", "tie", "zeros", "nonfinite
 def test_row_sums_equal_fsum(cols, seed, kinds, edges):
     # every row sum is math.fsum's bit for bit (signed zeros included), and a
     # stack with a row that math.fsum refuses raises the same exception type;
-    # with no size threshold every stack drawn takes the vectorised pass
+    # with no size threshold every stack drawn takes the vectorised pass, and
+    # with all values under it every stack is summed by math.fsum row by row
     rng = np.random.default_rng(seed)
     rows = np.array([_hard_row(rng, kind, cols) for kind in kinds])
     for i, x in edges:
         rows[i % len(rows), (i // len(rows)) % cols] = x
     want = _sums_or_error(lambda: [math.fsum(row.tolist()) for row in rows])
-    with mock.patch.object(quad, "_FSUM_VALUES", 0):
-        assert _sums_or_error(lambda: quad._row_sums(rows)) == want
+    for threshold in (0, rows.size + 1):
+        with mock.patch.object(quad, "_FSUM_VALUES", threshold):
+            assert _sums_or_error(lambda: quad._row_sums(rows)) == want
 
 
 def test_uncertified_rows_fall_back_to_fsum(monkeypatch):
