@@ -53,8 +53,8 @@ class RunConfig:
         store("dims", tuple(map(dim_value, self.dims)))
         store("orders", tuple(map(order_value, self.orders)))
         store("steps", tuple(map(_count, self.steps)))
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
 
 
 def _count(value) -> int:
@@ -263,7 +263,7 @@ def _verify_checks(level: str):
 
     samples = np.zeros(21)
     samples[10 + 3] = 1.0
-    [(table,)] = engine._sigma_tables([(samples, 3)], -10, 5.0, 1, rule).values()
+    [(table,)] = engine._sigma_tables([(samples, 3)], -10, 5.0, 1, rule)
     got = float(table[40])
     ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + nodes.t[40]))
     dev = rel_dev(got, ref)

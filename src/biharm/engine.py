@@ -19,23 +19,23 @@ The convolution kernel e^{-d^2/(D(1+t))} Q_M(d/sqrt(D), t) depends on the
 lattice offset d = k - m alone, not on h, n or the density.  Its rows are
 built once per (D, M, rule) for |d| in blocks of _BLOCK and kept in one
 byte-bounded LRU.  At small t the Gaussian of a large |d| is exactly 0 in
-binary64, so the blocks are banded: a Gaussian block records each row's
-first nonzero node column, read off its values, and every block holds its
-rows from the block's first live column on.  Each block also has one pad
-row at each end: 1.0 in the Q_M and R_M blocks, scratch in the Gaussian
-blocks.
+binary64, so the blocks are banded: each holds its rows from the block's
+first live node column on, the first column that is nonzero in any of its
+Gaussian rows.  Each block also has one pad row at each end: 1.0 in the Q_M
+and R_M blocks, scratch in the Gaussian blocks.
 A sigma table reads its rows by |d| in runs, one per block: rows with
 d >= 1 downwards in |d|, rows with d <= 0 upwards, so that every run after
 the first starts at the top or the bottom of its block, next to a pad.  Each
-run is one np.einsum("m,ms,ms->s") pass from the run's own first live column
-on, which forms (vec gauss) poly and adds it to each column's sum row by row,
-the order of numpy's sum over all rows at once.  einsum starts at +0, so a
-run carries the sum so far in as its leading row: the sum is written into the
+run is one np.einsum("m,ms,ms->s") pass over its block's columns, which
+forms (vec gauss) poly and adds it to each column's sum row by row, the
+order of numpy's sum over all rows at once.  einsum starts at +0, so a run
+carries the sum so far in as its leading row: the sum is written into the
 Gaussian pad, and the poly pad and the vector's entry are 1.0, so the row
 adds (1 sum) 1 = sum exactly.  The pad write and the einsum that reads it
 hold one module lock, since numpy releases the interpreter lock inside
-einsum and every thread shares the cached pads.  The columns a run skips are
-exact zeros, so every table is the one-pass sum over all rows and columns,
+einsum and every thread shares the cached pads.  The columns a block drops
+are exact zeros of all its rows, and a zero term leaves a sum that is never
+-0 unchanged, so every table is the one-pass sum over all rows and columns,
 bit for bit.
 A support-checked sigma table depends only on its vector's samples, the
 first offset k - m_lo, D, M and the rule, so the same LRU keeps it across
@@ -214,28 +214,24 @@ def _padded(d: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], d, [0.0]))
 
 
-def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> tuple:
-    """(starts, rows): each row's first nonzero column, and the Gaussian rows
-    of offsets d from node column starts.min() on.
+def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
+    """The Gaussian rows of offsets d from the block's first live node column
+    on: the first column nonzero in any row, read off the values, so every
+    column before it is an exact zero of every row on any rule.
 
-    The starts are read off the values, so every column before a row's start
-    is an exact zero of that row on any rule.  They are capped at two columns
-    before the end, so that no run has one column: numpy does not promise to
-    add a one-column stack row by row (np.sum adds it pairwise).  rows is a
-    view of the rows
-    1..len(d) of its base, whose first and last rows are scratch pads for the
-    carried sums of _sigma.
+    The column is capped two before the end, so that no run has one column:
+    numpy does not promise to add a one-column stack row by row (np.sum adds
+    it pairwise).  The rows are a view of the rows 1..len(d) of a base whose
+    first and last rows are scratch pads for the carried sums of _sigma.
     """
     block = _gauss_rows(_padded(d), D, rule)
     block[0] = block[-1] = 0.0
-    live = block[1:-1] != 0.0
-    cols = block.shape[1]
-    starts = np.where(live.any(axis=1), live.argmax(axis=1), cols)
-    np.minimum(starts, max(cols - 2, 0), out=starts)
-    c0 = starts.min()
+    live = block[1:-1].any(axis=0)
+    cols = len(live)
+    c0 = min(int(live.argmax()) if live.any() else cols, max(cols - 2, 0))
     if c0:
         block = block[:, c0:].copy()
-    return starts, block[1:-1]
+    return block[1:-1]
 
 
 def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool,
@@ -260,9 +256,8 @@ def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool
 
 def _row_block(keys: tuple, build) -> list:
     """The cached kernel blocks under keys; on a miss, build() gives one
-    array, or tuple of arrays, per key in one pass and the missing ones are
-    stored read-only, each counted as the bytes of its arrays, or of their
-    bases where they are views.
+    array per key in one pass and the missing ones are stored read-only,
+    each counted as the bytes of its padded base.
 
     A block already cached is kept, not replaced: a rebuild equals it bit for
     bit.
@@ -271,28 +266,23 @@ def _row_block(keys: tuple, build) -> list:
     if any(block is None for block in blocks):
         for i, block in enumerate(build()):
             if blocks[i] is None:
-                arrays = block if isinstance(block, tuple) else (block,)
-                for array in arrays:
-                    array.flags.writeable = False
+                block.flags.writeable = False
                 blocks[i] = block
-                held = (array if array.base is None else array.base for array in arrays)
-                _ROW_BLOCKS.put(keys[i], block, sum(array.nbytes for array in held))
+                _ROW_BLOCKS.put(keys[i], block, block.base.nbytes)
     return blocks
 
 
 def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
                  with_r: bool) -> list:
     """The kernel rows d = d0, d0 - 1, ..., d0 - L + 1 as runs that each read
-    one cached block: a list of (table row slice, first live column c,
-    Gaussian rows, poly rows), the rows holding the node columns c.. only,
-    each led by the block row read just before the run's first.
+    one cached block: a list of (table row slice, the block's first live
+    column c, Gaussian rows, poly rows), the rows holding the node columns
+    c.. only, each led by the block row read just before the run's first.
 
-    Blocks hold the rows |d| = b B .. b B + B - 1 (B = _BLOCK) from the
-    block's first live column on; c is the smallest start of the run's own
-    rows, so every column before c is an exact zero of the run.  The kernel
-    is even in d bit for bit, so the runs can follow the pads (module
-    docstring).  Q_M rows have one key whether or not R_M is needed, so the
-    n = 3 path and the n >= 5 paths share them.
+    Blocks hold the rows |d| = b B .. b B + B - 1 (B = _BLOCK) from c on.
+    The kernel is even in d bit for bit, so the runs can follow the pads
+    (module docstring).  Q_M rows have one key whether or not R_M is needed,
+    so the n = 3 path and the n >= 5 paths share them.
     """
     cols = rule.node_count
     runs = []
@@ -310,14 +300,12 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
             lo, hi = r, r + n
             rows = slice(lo, hi + 1)
         offsets = b * _BLOCK + np.arange(_BLOCK, dtype=float)
-        [(starts, gauss)] = _row_block((("gauss", D, rule, b),),
-                                       lambda: (_gauss_block(offsets, D, rule),))
-        c0 = cols - gauss.shape[1]
+        [gauss] = _row_block((("gauss", D, rule, b),),
+                             lambda: (_gauss_block(offsets, D, rule),))
+        c = cols - gauss.shape[1]
         polys = _row_block((("Q", D, M, rule, b), ("R", D, M, rule, b))[:1 + with_r],
-                           lambda: _poly_rows(offsets, D, M, rule, with_r, c0))
-        c = int(starts[lo:hi].min())
-        runs.append((slice(i, i + n), c, gauss.base[rows, c - c0:],
-                     tuple(p.base[rows, c - c0:] for p in polys)))
+                           lambda: _poly_rows(offsets, D, M, rule, with_r, c))
+        runs.append((slice(i, i + n), c, gauss.base[rows], tuple(p.base[rows] for p in polys)))
         i += n
     return runs
 
@@ -327,7 +315,7 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
     """out = norm * sum_m vec[m] gauss[m] poly[m] over the node columns,
     support-checked.
 
-    Each run is one einsum pass over its live columns c.., and every run
+    Each run is one einsum pass over its block's columns c.., and every run
     after the first carries the sum so far in through its leading pad row
     (module docstring).  The sum is never -0, so the exact zeros of the
     columns before c leave it unchanged bit for bit; at the first and last
@@ -368,48 +356,47 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
 
 
 def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
-                  with_r: bool = False) -> dict:
+                  with_r: bool = False) -> list:
     """Normalized per-dimension convolution sums for (vector, offset) pairs.
 
     All vectors have one length on the index range starting at m_lo.  Returns
-    {(id(vec), k): (sigma_Q,), or (sigma_Q, sigma_R) when with_r}, where
+    one tuple per pair, in order: (sigma_Q,), or (sigma_Q, sigma_R) when
+    with_r, where
     sigma_P(k, t_s) = (pi D (1+t_s))^{-1/2} *
         sum_m vec[m] e^{-(k-m)^2/(D(1+t_s))} P_M((k-m)/sqrt(D), t_s)
     at the rule's nodes t_s.  The kernel depends on d = k - m alone, so its
-    rows come from the h-independent block cache; the vectors at one offset
-    share one gather of them, made only if one of their tables is not
-    cached.  A table that passes its support check is cached, read-only, as
-    its own entry keyed (Q or R, dtype, exact sample bytes, k - m_lo, D, M,
-    rule): a byte-equal vector finds it, an edited one does not, and a
-    vector of more than _VECTOR_BYTES keeps none.
+    rows come from the h-independent block cache; the pairs go in order of
+    offset, the vectors at one offset share one gather of them, and the
+    gather and the normalization are made only if a table is not cached.
+    A table that passes its support check is cached, read-only, as its own
+    entry keyed (Q or R, dtype, exact sample bytes, k - m_lo, D, M, rule): a
+    byte-equal vector finds it, an edited one does not, and a vector of more
+    than _VECTOR_BYTES keeps none.
     """
-    needed: dict = {}
     contents: dict = {}
-    for vec, k in pairs:
-        needed.setdefault(k, {})[id(vec)] = vec
+    norm = run_k = None
+    tables = [None] * len(pairs)
+    for i in sorted(range(len(pairs)), key=lambda i: pairs[i][1]):
+        vec, k = pairs[i]
         if id(vec) not in contents:
             contents[id(vec)] = vec.tobytes() if vec.nbytes <= _VECTOR_BYTES else None
-    log1pt = rule.arrays().log1pt
-    norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
-    tables: dict = {}
-    for k, vecs in needed.items():
-        runs = None
-        for key, vec in vecs.items():
-            content = contents[key]
-            found = []
-            for which in range(1 + with_r):
-                table_key = ("QR"[which], vec.dtype.str, content, k - m_lo, D, M, rule)
-                table = _ROW_BLOCKS.get(table_key)
-                if table is None:
-                    if runs is None:
-                        runs = _kernel_runs(k - m_lo, len(vec), D, M, rule, with_r)
-                    table = np.empty(len(log1pt))
-                    _sigma(vec, runs, which, norm, table)
-                    table.flags.writeable = False
-                    if content is not None:
-                        _ROW_BLOCKS.put(table_key, table, table.nbytes + len(content))
-                found.append(table)
-            tables[key, k] = tuple(found)
+        content = contents[id(vec)]
+        found = []
+        for which in range(1 + with_r):
+            table_key = ("QR"[which], vec.dtype.str, content, k - m_lo, D, M, rule)
+            table = _ROW_BLOCKS.get(table_key)
+            if table is None:
+                if run_k != k:
+                    run_k, runs = k, _kernel_runs(k - m_lo, len(vec), D, M, rule, with_r)
+                if norm is None:
+                    norm = np.exp(-0.5 * (math.log(math.pi * D) + rule.arrays().log1pt))
+                table = np.empty(len(norm))
+                _sigma(vec, runs, which, norm, table)
+                table.flags.writeable = False
+                if content is not None:
+                    _ROW_BLOCKS.put(table_key, table, table.nbytes + len(content))
+            found.append(table)
+        tables[i] = tuple(found)
     return tables
 
 
@@ -459,8 +446,7 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     row_of[used] = np.arange(len(used))
     index = row_of[codes]
     pairs = [(vectors[ids[c // len(ks)]], ks[c % len(ks)]) for c in used.tolist()]
-    tables = _sigma_tables(pairs, density.m_lo, D, M, rule, n == 3)
-    sigma = np.stack([tables[id(vec), k] for vec, k in pairs], axis=1)
+    sigma = np.stack(_sigma_tables(pairs, density.m_lo, D, M, rule, n == 3), axis=1)
     q = sigma[0]
     if n == 3:
         # the n = 3 bracket needs tau * Phi' and Phi separately
@@ -525,8 +511,8 @@ def tensor_weight(k, M, D: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     n = dim_value(len(k))
     if n < 5:
         raise UnsupportedDimension("tensor weights are defined for n >= 5")
-    if not D > 0.0:
-        raise ValueError("shape parameter D must be positive")
+    if not 0.0 < D < math.inf:
+        raise ValueError("shape parameter D must be positive and finite")
     # zero ends keep the one-sample support inside the window
     delta = np.array([0.0, 1.0, 0.0])
     density = SeparatedDensity(weights=(1.0,), factors=((delta,) * n,), m_lo=-1)
@@ -579,7 +565,7 @@ def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tu
     computes them once; they are the table cache's read-only arrays."""
     m_lo, *vecs = _gaussian_factor_vectors(grid)
     tables = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, rule)
-    return tuple(tables[id(vec), k][0] for vec in vecs)
+    return tuple(q for q, in tables)
 
 
 @lru_cache(maxsize=256)
@@ -657,8 +643,8 @@ def saturation_epsilon0(M, D: float, n) -> float:
     past the binary64 range is refused too.
     """
     M = order_value(M)
-    if not D > 0.0:
-        raise ValueError("shape parameter D must be positive")
+    if not 0.0 < D < math.inf:
+        raise ValueError("shape parameter D must be positive and finite")
     n = int_value(n, "dimension")
     if n < 1:
         raise ValueError("dimension must be at least 1")

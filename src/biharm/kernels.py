@@ -49,12 +49,12 @@ class GridSpec:
     radius: float = 6.5
 
     def __post_init__(self) -> None:
-        if not self.h > 0.0:
-            raise ValueError("grid step h must be positive")
-        if not self.delta > 0.0:
-            raise ValueError("shape parameter delta must be positive")
-        if not self.radius > 0.0:
-            raise ValueError("truncation radius must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError("grid step h must be positive and finite")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("shape parameter delta must be positive and finite")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("truncation radius must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,17 @@ def test_floating_point_overflow_is_a_config_error(capsys):
         assert err.startswith("error:") and f"delta = {float(delta)}" in err
 
 
+@pytest.mark.parametrize("delta", ("0", "-1", "nan", "inf"))
+def test_non_finite_or_nonpositive_delta_is_a_config_error(capsys, delta):
+    # an infinite delta used to fail only at the first potential value, with
+    # an error line that named no input
+    rc, out, err = _run(capsys, ["--table", "custom", "--dims", "5", "--orders", "2",
+                                 "--steps", "10", "--delta", delta])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: delta must be positive and finite\n"
+
+
 @pytest.mark.parametrize("field, value", [
     ("dims", (5.5,)), ("orders", (2.5,)), ("steps", (10.5,))])
 def test_run_config_refuses_fractional_counts(field, value):

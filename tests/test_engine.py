@@ -56,7 +56,7 @@ def _dense_samples(dens):
 
 def _conv(samples, k, m_lo, D, M, rule):
     """The normalized convolution sum of one vector at offset k, per node."""
-    [(table,)] = engine._sigma_tables([(samples, k)], m_lo, D, M, rule).values()
+    [(table,)] = engine._sigma_tables([(samples, k)], m_lo, D, M, rule)
     return table
 
 
@@ -146,6 +146,9 @@ def test_evaluate_rejects_bad_inputs():
         evaluate_symmetric(IsotropicGaussianPolyDensity(1.0, 0.0, 0.0, 5), 0.5, grid, 1)
     with pytest.raises(ValueError):
         saturation_epsilon0(1, 5.0, 5.7)
+    # an infinite shape parameter is refused, not summed to 0.0
+    with pytest.raises(ValueError, match="finite"):
+        tensor_weight((0,) * 5, 1, math.inf)
 
 
 def test_evaluate_accuracy_five_dims():
@@ -303,22 +306,23 @@ def _empty_caches():
     engine._axis_origin.cache_clear()
 
 
-def _check_banded(blocks, node_count):
-    """Check one build's blocks: _BLOCK rows each, all starting at the
-    Gaussian block's first live column, each the rows 1.._BLOCK of a base
-    with one pad row at each end.  A Gaussian block is (starts, rows): each
-    row is exactly zero before its start and, unless the start is capped two
-    columns before the end, nonzero at it; its pads are scratch.  Q_M and R_M
-    pads hold 1.0 and their bases are read-only."""
+def _check_banded(keys, blocks):
+    """Check one build's blocks: _BLOCK rows each, all of one width, each
+    the rows 1.._BLOCK of a base with one pad row at each end.  A Gaussian
+    block holds the block's rows from its first live column on: every row is
+    exactly zero before it and, unless it is capped two columns before the
+    end, some row is nonzero at it; its pads are scratch.  Q_M and R_M pads
+    hold 1.0 and their bases are read-only."""
     widths = set()
-    for block in blocks:
-        if isinstance(block, tuple):
-            starts, block = block
-            c0 = node_count - block.shape[1]
-            assert len(starts) == engine._BLOCK and c0 == starts.min()
-            for row, start in zip(block, starts - c0):
-                assert not row[:start].any()
-                assert row[start] != 0.0 or start + c0 == node_count - 2
+    for key, block in zip(keys, blocks):
+        if key[0] == "gauss":
+            _, D, rule, b = key
+            full = engine._gauss_rows(b * engine._BLOCK + np.arange(engine._BLOCK, dtype=float),
+                                      D, rule)
+            c0 = rule.node_count - block.shape[1]
+            assert not full[:, :c0].any()
+            assert full[:, c0].any() or c0 == rule.node_count - 2
+            assert block.tobytes() == full[:, c0:].tobytes()
         else:
             assert np.all(block.base[[0, -1]] == 1.0)
             assert not block.base.flags.writeable
@@ -344,7 +348,7 @@ def row_blocks(monkeypatch):
             builds.extend(missing)
             blocks = build()
             assert len(blocks) == len(keys)
-            _check_banded(blocks, keys[0][-2].node_count)
+            _check_banded(keys, blocks)
             return blocks
         return row_block(keys, logged)
 
@@ -355,16 +359,14 @@ def row_blocks(monkeypatch):
 
 def _held_bytes():
     """The cache's running byte total, checked against its entries: each
-    holds one read-only array, or a Gaussian block's (starts, rows), counted
-    as the bytes of the arrays their views fill (a kernel block's padded
-    base) plus, for a sigma table, the sample bytes in its key."""
+    holds one read-only array, counted as the bytes of the array its view
+    fills (a kernel block's padded base) plus, for a sigma table, the sample
+    bytes in its key."""
     cache = engine._ROW_BLOCKS
     for key, (value, size) in cache._entries.items():
-        arrays = value if isinstance(value, tuple) else (value,)
-        owners = [array if array.base is None else array.base for array in arrays]
-        assert size == (sum(owner.nbytes for owner in owners)
-                        + (len(key[2]) if _is_table_key(key) else 0))
-        assert not any(array.flags.writeable for array in arrays)
+        owner = value if value.base is None else value.base
+        assert size == owner.nbytes + (len(key[2]) if _is_table_key(key) else 0)
+        assert not value.flags.writeable
     assert cache.nbytes == sum(size for _, size in cache._entries.values())
     return cache.nbytes
 
@@ -672,19 +674,30 @@ def test_banded_tables_keep_every_bit(rule):
     # banded blocks skip only exact zeros, so every table equals the
     # full-width sum bit for bit, signed zeros included: the h = 1/160 factor
     # vectors at offsets inside the window (runs across many blocks, d of
-    # both signs), and the 3-sample lattice delta of tensor_weight at offsets
-    # that straddle block boundaries or lie so far out that the low-t node
-    # columns are dead in every row
+    # both signs), the same vectors with zero ends, which pass the support
+    # check, at offsets wholly on one side of the window, and the 3-sample
+    # lattice delta of tensor_weight at offsets that straddle block
+    # boundaries or lie so far out that the low-t node columns are dead in
+    # every row
     D = 5.0
     m_lo, *vecs = engine._gaussian_factor_vectors(GridSpec(1.0 / 160, delta=D))
     delta = np.array([0.0, 1.0, 0.0])
     offsets = (-500, 0, 127, 160, 700)
     cases = [(vecs[i % 3], k, m_lo) for i, k in enumerate(offsets)]
+    ends = [np.concatenate(([0.0], vec[1:-1], [0.0])) for vec in vecs]
+    offsets = (3000, -3000, 1500, -2000)
+    cases += [(ends[i % 3], k, m_lo) for i, k in enumerate(offsets)]
     cases += [(delta, k, -1) for k in (0, 3, 127, 128, -128, -256, 3000, -3000)]
+    # at k = 1500 the last run, at k = -2000 the first, lacks its block's
+    # smallest |d| and is still zero in the block's first live column: those
+    # runs sum zero columns before their own rows' first live one
+    for k, run in ((1500, -1), (-2000, 0)):
+        _, _, gauss, _ = engine._kernel_runs(k - m_lo, len(vecs[0]), D, 1, rule, False)[run]
+        assert not gauss[1:, 0].any()
     for M in (1, 2, 3, 4):
         for vec, k, lo in cases:
             _empty_caches()
-            tables = engine._sigma_tables([(vec, k)], lo, D, M, rule, True)[id(vec), k]
+            [tables] = engine._sigma_tables([(vec, k)], lo, D, M, rule, True)
             for which, table in enumerate(tables):
                 want = _full_width_table(vec, k, lo, D, M, rule, which)
                 assert table.tobytes() == want.tobytes(), (M, k, which)
@@ -707,7 +720,7 @@ def test_banded_tables_keep_every_bit_when_one_column_is_live():
         vec[1:-1] = np.where(last[1:-1] > 1e-300,
                              rng.normal(size=len(d) - 2) / np.maximum(last[1:-1], 1e-300), 0.0)
         _empty_caches()
-        tables = engine._sigma_tables([(vec, 330)], 0, 5.0, 2, short, True)[id(vec), 330]
+        [tables] = engine._sigma_tables([(vec, 330)], 0, 5.0, 2, short, True)
         for which, table in enumerate(tables):
             want = _full_width_table(vec, 330, 0, 5.0, 2, short, which)
             assert table.tobytes() == want.tobytes(), (seed, which)
@@ -1067,6 +1080,13 @@ def test_saturation_epsilon0_refuses_a_cutoff_that_drops_terms():
     for M, D, n in ((1, 1e-6, 5), (4, 1e-6, 5), (1, 0.01, 10 ** 7)):
         with pytest.raises(ValueError, match="too small for this estimate"):
             saturation_epsilon0(M, D, n)
+
+
+@pytest.mark.parametrize("D", (0.0, -1.0, math.nan, math.inf))
+def test_saturation_epsilon0_refuses_bad_shape(D):
+    # an infinite D gave nan with only a RuntimeWarning
+    with pytest.raises(ValueError, match="positive and finite"):
+        saturation_epsilon0(2, D, 5)
 
 
 def test_saturation_epsilon0_refuses_overflow():

@@ -140,6 +140,14 @@ def _gaussian_box(h, m_max):
     return np.exp(-(x * x + y * y + z * z))
 
 
+@pytest.mark.parametrize("field", ("h", "delta", "radius"))
+@pytest.mark.parametrize("value", (0.0, -1.0, math.nan, math.inf))
+def test_grid_spec_refuses_bad_parameters(field, value):
+    params = {"h": 0.1, field: value}
+    with pytest.raises(ValueError, match="positive and finite"):
+        GridSpec(**params)
+
+
 def test_direct_cubature_zero_density():
     grid = GridSpec(0.5)
     out = direct_cubature(np.zeros((3, 3, 3)), grid, 2, (0.5, 0.0, 0.0), 3)
