@@ -9,8 +9,7 @@ double-exponential quadrature, which keeps dimensions up to 1e8 tractable.
 from .errors import (BiharmError, DimensionTooLarge, NonConvergence,
                      QuadratureDivergence, RankBudgetExceeded, SupportTruncated,
                      UnsupportedDimension)
-from .kernels import (GridSpec, PotentialSample, RadialProfile, direct_cubature,
-                      phi2, phi2M)
+from .kernels import GridSpec, PotentialSample, direct_cubature, phi2, phi2M
 from .quad import DEFAULT_RULE, DEQuadrature, integral_phi2, qm_poly, rm_poly
 from .engine import (IsotropicGaussianPolyDensity, SeparatedDensity, build_test_density,
                      evaluate, evaluate_symmetric, saturation_epsilon0, tensor_weight)
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BiharmError", "DimensionTooLarge", "NonConvergence", "QuadratureDivergence",
     "RankBudgetExceeded", "SupportTruncated", "UnsupportedDimension",
-    "GridSpec", "PotentialSample", "RadialProfile",
+    "GridSpec", "PotentialSample",
     "direct_cubature", "phi2", "phi2M",
     "DEFAULT_RULE", "DEQuadrature", "integral_phi2", "qm_poly", "rm_poly",
     "IsotropicGaussianPolyDensity", "SeparatedDensity", "build_test_density",

@@ -166,13 +166,13 @@ def _printed_node_polys(x, t):
     return (q1, q2, q3, q4), (r1, r2, r3, r4)
 
 
-# benchmark anchors of --verify: (name, full level only, n, 1/h, x1, error
-# label, frozen error); each passes within a factor of 2 of its frozen error
+# benchmark anchors of --verify: (name, n, 1/h, x1, error label, frozen
+# error); each passes within a factor of 2 of its frozen error
 _ANCHORS = (
-    ("n=5 benchmark anchor (h=1/20)", False, 5, 20, 1.0, "abs_err", "7.0e-09"),
-    ("n=1e4 benchmark anchor (x1=0)", True, 10**4, 40, 0.0, "rel_err", "2.58e-07"),
-    ("n=5e4 benchmark anchor (h=1/40)", True, 5 * 10**4, 40, 1.0, "abs_err", "4.7e-07"),
-    ("n=1e7 benchmark anchor (h=1/40)", True, 10**7, 40, 1.0, "abs_err", "9.5e-05"),
+    ("n=5 benchmark anchor (h=1/20)", 5, 20, 1.0, "abs_err", "7.0e-09"),
+    ("n=1e4 benchmark anchor (x1=0)", 10**4, 40, 0.0, "rel_err", "2.58e-07"),
+    ("n=5e4 benchmark anchor (h=1/40)", 5 * 10**4, 40, 1.0, "abs_err", "4.7e-07"),
+    ("n=1e7 benchmark anchor (h=1/40)", 10**7, 40, 1.0, "abs_err", "9.5e-05"),
 )
 
 
@@ -189,7 +189,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SILVER = math.sqrt(2.0) - 1.0
 
 
-def _verify_checks(level: str):
+def _verify_checks():
     """Yield (name, ok, detail) for each cross-module invariant."""
     rule = quad.DEFAULT_RULE
 
@@ -315,27 +315,23 @@ def _verify_checks(level: str):
         dev = max(dev, abs(fast / full - 1.0))
     yield "symmetric path vs tensor path", dev <= 1e-12, f"max_rel={dev:.2e} tol=1e-12"
 
-    for name, full_only, n, h_inv, x1, label, expected in _ANCHORS:
-        if full_only and level != "full":
-            continue
+    for name, n, h_inv, x1, label, expected in _ANCHORS:
         err = abs(_potential(n, 4, h_inv, x1, 5.0) - math.exp(-x1 * x1))
         ref = float(expected)
         yield name, ref / 2 <= err <= 2 * ref, f"{label}={err:.2e} expected~{expected}"
 
 
-def run_verify(level: str = "quick"):
+def run_verify():
     """Run the invariant suite; returns (all_passed, report lines)."""
-    if level not in ("quick", "full"):
-        raise ValueError(f"unknown verification level {level!r}")
     lines = []
     n_pass = n_fail = 0
-    for name, ok, detail in _verify_checks(level):
+    for name, ok, detail in _verify_checks():
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name:45s} {detail}")
         if ok:
             n_pass += 1
         else:
             n_fail += 1
-    lines.append(f"{level} verification: {n_pass}/{n_pass + n_fail} checks passed")
+    lines.append(f"full verification: {n_pass}/{n_pass + n_fail} checks passed")
     return n_fail == 0, lines
 
 
@@ -347,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--table", choices=("1", "2", "3", "4", "custom"),
                       help="emit a benchmark table as CSV")
-    mode.add_argument("--verify", choices=("quick", "full"),
+    mode.add_argument("--verify", choices=("full",),
                       help="run the cross-module invariant suite")
     p.add_argument("--dims", type=int, nargs="+", metavar="N",
                    help="dimensions (default: the selected table's)")
@@ -364,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.verify is not None:
-        ok, lines = run_verify(args.verify)
+        ok, lines = run_verify()
         print("\n".join(lines))
         return 0 if ok else 1
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,13 +21,10 @@ from . import specfun
 __all__ = [
     "GridSpec",
     "PotentialSample",
-    "RadialProfile",
     "phi2",
     "phi2M",
     "direct_cubature",
 ]
-
-_EULER_GAMMA = float(np.euler_gamma)
 
 # Below this radius the n = 4 formula switches to its series form.
 _SERIES_RADIUS = 0.35
@@ -73,15 +69,6 @@ class PotentialSample:
             raise ValueError("potential value must be finite")
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Radial density given by a profile of the squared radius: f(x) = profile(|x|^2).
-
-    The profile callable must accept an ndarray of squared radii."""
-
-    profile: Callable[[np.ndarray], np.ndarray]
-
-
 def int_value(value, what: str) -> int:
     """value as an int; ValueError unless it is a whole number."""
     n = int(value)
@@ -117,7 +104,7 @@ def _phi2_dim4(r: np.ndarray) -> np.ndarray:
     small = r <= _SERIES_RADIUS
     x = r[small] ** 2
     # (gamma - 1)/16 + (1/16) sum_k (-1)^k x^k (1/(k k!) - 1/(k+1)!)
-    acc = np.full_like(x, _EULER_GAMMA - 1.0)
+    acc = np.full_like(x, specfun._EULER_GAMMA - 1.0)
     xk = np.ones_like(x)
     sign = 1.0
     fact = 1.0  # k!
@@ -258,8 +245,7 @@ def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
     return _row_sums(terms.reshape(1, -1))[0]
 
 
-def _direct_radial(density: RadialProfile, grid: GridSpec, n: int, M: int,
-                   x: np.ndarray) -> float:
+def _direct_radial(profile, grid: GridSpec, n: int, M: int, x: np.ndarray) -> float:
     nonzero = np.nonzero(x)[0]
     if len(nonzero) > 1:
         raise ValueError("the radial-profile route requires an axis-aligned point")
@@ -278,7 +264,7 @@ def _direct_radial(density: RadialProfile, grid: GridSpec, n: int, M: int,
     for m1 in range(-radius_idx, radius_idx + 1):
         vcap = vmax - m1 * m1
         v = np.arange(vcap + 1)
-        fvals = density.profile(h2 * (m1 * m1 + v))
+        fvals = profile(h2 * (m1 * m1 + v))
         dist2 = (x1 - grid.h * m1) ** 2 + h2 * v
         terms = counts[: vcap + 1] * fvals * phi2M(n, M, np.sqrt(dist2) / scale)
         partials.append(float(np.sum(terms)))
@@ -290,8 +276,9 @@ def direct_cubature(f_samples, grid: GridSpec, M, x, n) -> PotentialSample:
 
     ``f_samples`` is either an n-dimensional array of samples on a centred
     box (every axis of odd length, index 0 at its centre: entry i is f(h m)
-    with m = i - shape // 2) or a :class:`RadialProfile` (dense radial
-    densities, summed shell-by-shell at axis-aligned points).  The value is
+    with m = i - shape // 2) or a callable profile of the squared radius,
+    f(x) = profile(|x|^2), taking an ndarray (dense radial densities, summed
+    shell by shell at axis-aligned points).  The value is
 
         (h sqrt(delta))^4 / (pi delta)^{n/2} * sum_m f(hm) Phi_2M((x - hm)/(h sqrt(delta)))
     """
@@ -303,7 +290,7 @@ def direct_cubature(f_samples, grid: GridSpec, M, x, n) -> PotentialSample:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"evaluation point must have {n} coordinates")
-    if isinstance(f_samples, RadialProfile):
+    if callable(f_samples):
         total = _direct_radial(f_samples, grid, n, M, x)
     else:
         total = _direct_dense(np.asarray(f_samples, dtype=float), grid, n, M, x)

@@ -182,7 +182,7 @@ VERIFY_LINES = {
 @pytest.fixture(scope="module")
 def registry():
     """One run of the full --verify registry: name -> (ok, detail)."""
-    return {name: (ok, detail) for name, ok, detail in _verify_checks("full")}
+    return {name: (ok, detail) for name, ok, detail in _verify_checks()}
 
 
 def _report_lines(name, registry, key):

@@ -176,13 +176,17 @@ def test_readme_python_blocks_print_what_they_claim(capsys):
 
 
 def test_argparse_rejects_unknown_flag(capsys):
-    for extra in (["--bogus"], ["--threads", "2"], ["--config", "run.json"],
-                  ["--plot-out", "x.dat"], ["--quad-a", "6"], ["--quad-b", "5"],
-                  ["--quad-tau", "0.003"], ["--quad-nodes", "300"]):
+    # removed flags, then --verify's removed quick level
+    refused = [["--table", "4", *extra] for extra in (
+        ["--bogus"], ["--threads", "2"], ["--config", "run.json"],
+        ["--plot-out", "x.dat"], ["--quad-a", "6"], ["--quad-b", "5"],
+        ["--quad-tau", "0.003"], ["--quad-nodes", "300"])]
+    for argv in refused + [["--verify", "quick"]]:
         with pytest.raises(SystemExit) as exc:
-            cli.main(["--table", "4", *extra])
+            cli.main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+    assert "invalid choice: 'quick'" in err
 
 
 def test_mode_flag_is_required(capsys):
@@ -192,8 +196,8 @@ def test_mode_flag_is_required(capsys):
     capsys.readouterr()
 
 
-def test_verify_quick_passes(capsys):
-    rc, out, _ = _run(capsys, ["--verify", "quick"])
+def test_verify_full_passes(capsys):
+    rc, out, _ = _run(capsys, ["--verify", "full"])
     assert rc == 0
     lines = out.strip().splitlines()
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
@@ -218,11 +222,11 @@ def test_verify_full_leaves_numpy_random_unloaded():
 
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
-    def fake_checks(level):
+    def fake_checks():
         yield ("always-red", False, "forced failure for the exit-code path")
 
     monkeypatch.setattr(cli, "_verify_checks", fake_checks)
-    rc, out, _ = _run(capsys, ["--verify", "quick"])
+    rc, out, _ = _run(capsys, ["--verify", "full"])
     assert rc == 1
     assert out.startswith("FAIL")
     assert "always-red" in out

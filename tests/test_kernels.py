@@ -20,8 +20,7 @@ import pytest
 import biharm
 from biharm import kernels
 from biharm.errors import DimensionTooLarge
-from biharm.kernels import (GridSpec, RadialProfile, _shell_counts, direct_cubature,
-                            phi2, phi2M)
+from biharm.kernels import GridSpec, _shell_counts, direct_cubature, phi2, phi2M
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -167,8 +166,7 @@ def test_direct_cubature_radial_agrees_with_sparse():
     # independent summation strategies and must land on the same value
     grid = GridSpec(0.5)
     dense = direct_cubature(_gaussian_box(0.5, 13), grid, 2, (0.5, 0.0, 0.0), 3)
-    shell = direct_cubature(RadialProfile(lambda r2: np.exp(-r2)), grid, 2,
-                            (0.5, 0.0, 0.0), 3)
+    shell = direct_cubature(lambda r2: np.exp(-r2), grid, 2, (0.5, 0.0, 0.0), 3)
     assert shell.value == pytest.approx(dense.value, rel=1e-13)
 
 
@@ -179,8 +177,10 @@ def test_direct_cubature_benchmark_density():
     from biharm.engine import build_test_density, evaluate
 
     grid = GridSpec(1.0 / 40.0)
-    profile = RadialProfile(
-        lambda r2: 4.0 * np.exp(-r2) * (35.0 - 28.0 * r2 + 4.0 * r2 * r2))
+
+    def profile(r2):
+        return 4.0 * np.exp(-r2) * (35.0 - 28.0 * r2 + 4.0 * r2 * r2)
+
     direct = direct_cubature(profile, grid, 4, (1.0, 0.0, 0.0, 0.0, 0.0), 5)
     exact = math.exp(-1.0)
     assert abs(direct.value - exact) < 1e-9
@@ -215,7 +215,7 @@ def test_shell_counts_match_enumeration():
 
 def test_library_runs_without_scipy():
     # a fresh interpreter that finds the same biharm as this one loads no
-    # scipy module on import, for a table or for the quick verification
+    # scipy module on import, for a table or for the verification
     src = os.path.dirname(os.path.dirname(biharm.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -223,7 +223,7 @@ def test_library_runs_without_scipy():
         "import biharm, biharm.cli\n"
         "def loaded(): return [m for m in sys.modules if m.startswith('scipy')]\n"
         "seen = [loaded()]\n"
-        "for argv in (['--table', '1'], ['--verify', 'quick']):\n"
+        "for argv in (['--table', '1'], ['--verify', 'full']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert biharm.cli.main(argv) == 0, argv\n"
         "    seen.append(loaded())\n"
