@@ -189,136 +189,182 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SILVER = math.sqrt(2.0) - 1.0
 
 
+def _rel_dev(approx, ref) -> float:
+    approx = np.asarray(approx, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    return float(np.max(np.abs(approx - ref) / np.maximum(np.abs(ref), 1e-300)))
+
+
+def _within(dev: float, tol: float, label: str = "max_rel") -> tuple:
+    """(ok, detail) of a deviation held against its tolerance."""
+    return dev <= tol, f"{label}={dev:.2e} tol={tol:g}"
+
+
 def _verify_checks():
-    """Yield (name, ok, detail) for each cross-module invariant."""
-    rule = quad.DEFAULT_RULE
+    """Yield (name, ok, detail) for each cross-module invariant, in order.
 
-    def rel_dev(approx, ref):
-        approx = np.asarray(approx, dtype=float)
-        ref = np.asarray(ref, dtype=float)
-        return float(np.max(np.abs(approx - ref) / np.maximum(np.abs(ref), 1e-300)))
+    A check that raises a BiharmError fails with the error's text, and the
+    checks after it still run.
+    """
+    for name, check in _invariants(quad.DEFAULT_RULE):
+        try:
+            ok, detail = check()
+        except BiharmError as exc:
+            ok, detail = False, str(exc)
+        yield name, ok, detail
 
-    # closed-form values at r = 0 and r = 1, frozen from the explicit formulas
-    euler_gamma = 0.5772156649015329
-    e1_at_1 = 0.21938393439552029
-    anchors = [
-        (kernels.phi2(3, 0.0), -0.25),
-        (kernels.phi2(4, 0.0), (euler_gamma - 1.0) / 16.0),
-        (kernels.phi2(5, 0.0), 1.0 / 12.0),
-        (kernels.phi2(6, 0.0), 1.0 / 32.0),
-        (kernels.phi2(3, 1.0),
-         -math.exp(-1.0) / 8.0 - math.sqrt(math.pi) / 16.0 * math.erf(1.0) * 3.0),
-        (kernels.phi2(4, 1.0), (math.expm1(-1.0) - e1_at_1) / 16.0),
-        (kernels.phi2(5, 1.0),
-         (math.exp(-1.0) + math.sqrt(math.pi) * math.erf(1.0) / 2.0) / 16.0),
-        (kernels.phi2(6, 1.0), math.exp(-1.0) / 16.0),
-    ]
-    dev = max(rel_dev(a, b) for a, b in anchors)
-    yield "phi2 closed-form anchors", dev <= 1e-13, f"max_rel={dev:.2e} tol=1e-13"
 
-    # node u = 0 of the default rule (a = 6, b = 5): Phi and Phi'/Phi, with
-    # Phi' recovered from the weight tau * Phi * Phi'
+def _invariants(rule):
+    """Yield (name, check) for each invariant of the rule; check() gives
+    (ok, detail)."""
+
+    def phi2_anchors():
+        # closed-form values at r = 0 and r = 1, frozen from the explicit formulas
+        euler_gamma = 0.5772156649015329
+        e1_at_1 = 0.21938393439552029
+        anchors = [
+            (kernels.phi2(3, 0.0), -0.25),
+            (kernels.phi2(4, 0.0), (euler_gamma - 1.0) / 16.0),
+            (kernels.phi2(5, 0.0), 1.0 / 12.0),
+            (kernels.phi2(6, 0.0), 1.0 / 32.0),
+            (kernels.phi2(3, 1.0),
+             -math.exp(-1.0) / 8.0 - math.sqrt(math.pi) / 16.0 * math.erf(1.0) * 3.0),
+            (kernels.phi2(4, 1.0), (math.expm1(-1.0) - e1_at_1) / 16.0),
+            (kernels.phi2(5, 1.0),
+             (math.exp(-1.0) + math.sqrt(math.pi) * math.erf(1.0) / 2.0) / 16.0),
+            (kernels.phi2(6, 1.0), math.exp(-1.0) / 16.0),
+        ]
+        return _within(max(_rel_dev(a, b) for a, b in anchors), 1e-13)
+
+    yield "phi2 closed-form anchors", phi2_anchors
+
     nodes = rule.arrays()
-    t0 = nodes.t[0]
-    ref_t0 = math.exp(-30.0 + 6.0 * math.exp(-5.0))
-    ref_ratio = 60.0 * (1.0 + math.exp(-5.0))
-    dev = max(abs(t0 / ref_t0 - 1.0),
-              abs(nodes.weight[0] / (rule.tau * t0 * t0) / ref_ratio - 1.0))
-    yield "double-exponential transform anchor", dev <= 1e-13, f"max_rel={dev:.2e} tol=1e-13"
 
-    rs = [0.0, 0.5, 1.0, 2.0, 4.0]
+    def transform_anchor():
+        # node u = 0 of the default rule (a = 6, b = 5): Phi and Phi'/Phi,
+        # with Phi' recovered from the weight tau * Phi * Phi'
+        t0 = nodes.t[0]
+        ref_t0 = math.exp(-30.0 + 6.0 * math.exp(-5.0))
+        ref_ratio = 60.0 * (1.0 + math.exp(-5.0))
+        return _within(max(abs(t0 / ref_t0 - 1.0),
+                           abs(nodes.weight[0] / (rule.tau * t0 * t0) / ref_ratio - 1.0)),
+                       1e-13)
+
+    yield "double-exponential transform anchor", transform_anchor
+
     for n in (3, 5, 6, 10, 100):
-        dev = max(rel_dev(quad.integral_phi2(n, r, rule), kernels.phi2(n, r)) for r in rs)
-        yield (f"node-sum integral vs closed form, n={n}", dev <= 1e-11,
-               f"max_rel={dev:.2e} tol=1e-11")
+        def integral(n=n):
+            return _within(max(_rel_dev(quad.integral_phi2(n, r, rule), kernels.phi2(n, r))
+                               for r in (0.0, 0.5, 1.0, 2.0, 4.0)), 1e-11)
+
+        yield f"node-sum integral vs closed form, n={n}", integral
 
     xs = _spread(100, _GOLDEN, -3.0, 3.0)
     ts = _spread(100, _SILVER, 0.0, 10.0)
     q_refs, r_refs = _printed_node_polys(xs, ts)
     for m, q_ref, r_ref in zip((1, 2, 3, 4), q_refs, r_refs):
-        dev_q = rel_dev(quad.qm_poly(m, xs, ts), q_ref)
-        dev_r = rel_dev(quad.rm_poly(m, xs, ts), r_ref)
-        yield (f"Hermite-sum vs printed polynomial, order {m}",
-               max(dev_q, dev_r) <= 1e-12, f"max_rel={max(dev_q, dev_r):.2e} tol=1e-12")
+        def hermite(m=m, q_ref=q_ref, r_ref=r_ref):
+            return _within(max(_rel_dev(quad.qm_poly(m, xs, ts), q_ref),
+                               _rel_dev(quad.rm_poly(m, xs, ts), r_ref)), 1e-12)
 
-    half = quad.DEQuadrature(a=6.0, b=5.0, tau=0.0015, s_begin=0, s_end=600)
-    dev = max(rel_dev(quad.integral_phi2(n, r, half), quad.integral_phi2(n, r, rule))
-              for n in (5, 10, 100) for r in (0.0, 1.0, 2.0))
-    yield "node-spacing self-consistency", dev <= 1e-12, f"max_rel={dev:.2e} tol=1e-12"
+        yield f"Hermite-sum vs printed polynomial, order {m}", hermite
 
-    try:
+    def spacing():
+        half = quad.DEQuadrature(a=6.0, b=5.0, tau=0.0015, s_begin=0, s_end=600)
+        return _within(max(_rel_dev(quad.integral_phi2(n, r, half), quad.integral_phi2(n, r, rule))
+                           for n in (5, 10, 100) for r in (0.0, 1.0, 2.0)), 1e-12)
+
+    yield "node-spacing self-consistency", spacing
+
+    def tail():
         for n in (3, 5, 10, 100):
             for r in (0.0, 2.0):
                 quad.integral_phi2(n, r, rule)
-        yield "node-sum tail certification", True, "last-node share below 1e-16"
-    except BiharmError as exc:
-        yield "node-sum tail certification", False, str(exc)
+        return True, "last-node share below 1e-16"
+
+    yield "node-sum tail certification", tail
 
     for n in (5, 6):
-        ref = 16.0 * (math.pi * 5.0) ** (-n / 2.0) * quad.integral_phi2(n, 0.0, rule)
-        got = engine.tensor_weight((0,) * n, 1, 5.0, rule)
-        dev = rel_dev(got, ref)
-        yield (f"lattice weight at zero offset, n={n}", dev <= 1e-13,
-               f"max_rel={dev:.2e} tol=1e-13")
+        def lattice_weight(n=n):
+            ref = 16.0 * (math.pi * 5.0) ** (-n / 2.0) * quad.integral_phi2(n, 0.0, rule)
+            return _within(_rel_dev(engine.tensor_weight((0,) * n, 1, 5.0, rule), ref), 1e-13)
 
-    samples = np.zeros(21)
-    samples[10 + 3] = 1.0
-    [(table,)] = engine._sigma_tables([(samples, 3)], -10, 5.0, 1, rule)
-    got = float(table[40])
-    ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + nodes.t[40]))
-    dev = rel_dev(got, ref)
-    yield "convolution of a lattice delta", dev <= 1e-14, f"max_rel={dev:.2e} tol=1e-14"
+        yield f"lattice weight at zero offset, n={n}", lattice_weight
 
-    dev = 0.0
-    radii = np.array([0.0, 0.5, 1.0, 2.0])
-    for n in (3, 5, 6, 10):
-        for m in (2, 3):
-            step = (np.exp(-radii * radii) / 16.0
-                    * specfun.gen_laguerre(m - 2, n / 2.0 - 1.0, radii * radii)
-                    / ((m - 1) * m))
-            diff = kernels.phi2M(n, m + 1, radii) - kernels.phi2M(n, m, radii)
-            dev = max(dev, float(np.max(np.abs(diff - step))))
-    yield "order-increment ladder identity", dev <= 1e-13, f"max_abs={dev:.2e} tol=1e-13"
+    def lattice_delta():
+        samples = np.zeros(21)
+        samples[10 + 3] = 1.0
+        [(table,)] = engine._sigma_tables([(samples, 3)], -10, 5.0, 1, rule)
+        ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + nodes.t[40]))
+        return _within(_rel_dev(float(table[40]), ref), 1e-14)
 
-    eps0 = engine.saturation_epsilon0(1, 5.0, 5)
-    yield "saturation error floor", eps0 < 1e-19, f"eps0={eps0:.2e} tol=1e-19"
+    yield "convolution of a lattice delta", lattice_delta
 
-    # direct summation oracle on a compactly supported rank-1 density
-    # (zero-padded ends: the whole support is inside the sample window)
-    h = 0.2
-    grid = GridSpec(h=h, delta=5.0)
-    m_half = 5
-    inner = _spread(2 * m_half + 1, _GOLDEN, 0.5, 1.5)
-    vec = np.zeros(2 * m_half + 3)
-    vec[1:-1] = inner
-    dens = engine.SeparatedDensity(weights=(1.0,), factors=((vec,) * 5,),
-                                   m_lo=-(m_half + 1))
-    box = functools.reduce(np.multiply.outer, (inner,) * 5)
-    coords = np.floor(_spread(3 * 5, _SILVER, -3.0, 4.0)).astype(int).tolist()
-    points = [tuple(coords[5 * i:5 * i + 5]) for i in range(3)]
-    dev = 0.0
-    tensor = engine.evaluate(dens, points, 5, grid, 1, rule)
-    for sample, point in zip(tensor, points):
-        direct = kernels.direct_cubature(box, grid, 1,
-                                         np.asarray(point, dtype=float) * h, 5)
-        dev = max(dev, abs(sample.value / direct.value - 1.0))
-    yield "tensor path vs direct summation", dev <= 1e-10, f"max_rel={dev:.2e} tol=1e-10"
+    def ladder():
+        dev = 0.0
+        radii = np.array([0.0, 0.5, 1.0, 2.0])
+        for n in (3, 5, 6, 10):
+            for m in (2, 3):
+                step = (np.exp(-radii * radii) / 16.0
+                        * specfun.gen_laguerre(m - 2, n / 2.0 - 1.0, radii * radii)
+                        / ((m - 1) * m))
+                diff = kernels.phi2M(n, m + 1, radii) - kernels.phi2M(n, m, radii)
+                dev = max(dev, float(np.max(np.abs(diff - step))))
+        return _within(dev, 1e-13, "max_abs")
 
-    dev = 0.0
-    for n in (5, 6, 8):
-        grid = GridSpec(h=0.1, delta=5.0)
-        dens = engine.build_test_density(n, grid)
-        full = engine.evaluate(dens, [(10,) + (0,) * (n - 1)], n, grid, 2, rule)[0].value
-        iso = engine.IsotropicGaussianPolyDensity(
-            c0=4.0 * n * (n + 2), c1=-16.0 * (n + 2), c2=16.0, n=n)
-        fast = engine.evaluate_symmetric(iso, 10, grid, 2, rule).value
-        dev = max(dev, abs(fast / full - 1.0))
-    yield "symmetric path vs tensor path", dev <= 1e-12, f"max_rel={dev:.2e} tol=1e-12"
+    yield "order-increment ladder identity", ladder
+
+    def saturation():
+        eps0 = engine.saturation_epsilon0(1, 5.0, 5)
+        return eps0 < 1e-19, f"eps0={eps0:.2e} tol=1e-19"
+
+    yield "saturation error floor", saturation
+
+    def direct_oracle():
+        # direct summation oracle on a compactly supported rank-1 density
+        # (zero-padded ends: the whole support is inside the sample window)
+        h = 0.2
+        grid = GridSpec(h=h, delta=5.0)
+        m_half = 5
+        inner = _spread(2 * m_half + 1, _GOLDEN, 0.5, 1.5)
+        vec = np.zeros(2 * m_half + 3)
+        vec[1:-1] = inner
+        dens = engine.SeparatedDensity(weights=(1.0,), factors=((vec,) * 5,),
+                                       m_lo=-(m_half + 1))
+        box = functools.reduce(np.multiply.outer, (inner,) * 5)
+        coords = np.floor(_spread(3 * 5, _SILVER, -3.0, 4.0)).astype(int).tolist()
+        points = [tuple(coords[5 * i:5 * i + 5]) for i in range(3)]
+        dev = 0.0
+        tensor = engine.evaluate(dens, points, 5, grid, 1, rule)
+        for sample, point in zip(tensor, points):
+            direct = kernels.direct_cubature(box, grid, 1,
+                                             np.asarray(point, dtype=float) * h, 5)
+            dev = max(dev, abs(sample.value / direct.value - 1.0))
+        return _within(dev, 1e-10)
+
+    yield "tensor path vs direct summation", direct_oracle
+
+    def symmetric():
+        dev = 0.0
+        for n in (5, 6, 8):
+            grid = GridSpec(h=0.1, delta=5.0)
+            dens = engine.build_test_density(n, grid)
+            full = engine.evaluate(dens, [(10,) + (0,) * (n - 1)], n, grid, 2, rule)[0].value
+            iso = engine.IsotropicGaussianPolyDensity(
+                c0=4.0 * n * (n + 2), c1=-16.0 * (n + 2), c2=16.0, n=n)
+            fast = engine.evaluate_symmetric(iso, 10, grid, 2, rule).value
+            dev = max(dev, abs(fast / full - 1.0))
+        return _within(dev, 1e-12)
+
+    yield "symmetric path vs tensor path", symmetric
 
     for name, n, h_inv, x1, label, expected in _ANCHORS:
-        err = abs(_potential(n, 4, h_inv, x1, 5.0) - math.exp(-x1 * x1))
-        ref = float(expected)
-        yield name, ref / 2 <= err <= 2 * ref, f"{label}={err:.2e} expected~{expected}"
+        def anchor(n=n, h_inv=h_inv, x1=x1, label=label, expected=expected):
+            err = abs(_potential(n, 4, h_inv, x1, 5.0) - math.exp(-x1 * x1))
+            ref = float(expected)
+            return ref / 2 <= err <= 2 * ref, f"{label}={err:.2e} expected~{expected}"
+
+        yield name, anchor
 
 
 def run_verify():

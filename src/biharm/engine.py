@@ -31,12 +31,15 @@ forms (vec gauss) poly and adds it to each column's sum row by row, the
 order of numpy's sum over all rows at once.  einsum starts at +0, so a run
 carries the sum so far in as its leading row: the sum is written into the
 Gaussian pad, and the poly pad and the vector's entry are 1.0, so the row
-adds (1 sum) 1 = sum exactly.  The pad write and the einsum that reads it
-hold one module lock, since numpy releases the interpreter lock inside
-einsum and every thread shares the cached pads.  The columns a block drops
-are exact zeros of all its rows, and a zero term leaves a sum that is never
--0 unchanged, so every table is the one-pass sum over all rows and columns,
-bit for bit.
+adds (1 sum) 1 = sum exactly.  Q_1 = 1, so order 1 builds and caches no Q
+block: its runs carry None for the Q rows, and each is one
+np.einsum("m,ms->s") pass over the Gaussian rows alone, the same bits, since
+(vec gauss) 1 = vec gauss; n = 3 still builds R_1 = y^2.  The pad write and
+the einsum that reads it hold one module lock, since numpy releases the
+interpreter lock inside einsum and every thread shares the cached pads.
+The columns a block drops are exact zeros of all its rows, and a zero term
+leaves a sum that is never -0 unchanged, so every table is the one-pass sum
+over all rows and columns, bit for bit.
 A support-checked sigma table depends only on its vector's samples, the
 first offset k - m_lo, D, M and the rule, so the same LRU keeps it across
 calls as its own entry, keyed by the exact sample bytes.
@@ -81,10 +84,13 @@ SATURATION_CUTOFF = 6
 
 # kernel rows are cached in blocks of _BLOCK consecutive |d| values, in one
 # least-recently-used cache shared by all (D, M, rule) with the sigma tables.
-# 128 rows was the fastest of 32..256 on Table 2 with full-width blocks.  The
-# 32 MiB bound holds the largest working set of Tables 1-4, banded blocks and
-# tables together (12.9 MiB, Table 4): counted in one process per table, none
-# of them rebuilds a block
+# With banded blocks and no Q_1 blocks, 128 rows was the fastest of 32..512
+# on Table 2 from empty caches (48.7 ms; 51-66 ms for the others) and tied
+# with 64 on the tensor-batch benchmark's evaluate calls (55 ms; 60-69 ms for
+# 32, 256 and 512), medians of 7 runs on a 2-CPU x86 Xeon with numpy 2.4.
+# The 32 MiB bound holds the largest working set of Tables 1-4, banded blocks
+# and tables together (11.7 MiB, Table 4): counted in one process per table,
+# none of them rebuilds a block
 _BLOCK = 128
 _CACHE_BYTES = 32 << 20
 # a vector of more sample bytes than this keeps no sigma tables across calls,
@@ -203,34 +209,38 @@ def _check_support(boundary: np.ndarray, peak: np.ndarray, sums: np.ndarray) -> 
                                "enlarge the sample window")
 
 
-def _gauss_rows(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
-    """e^{-d^2/(D(1+t_s))} for integer offsets d (as floats) at the rule's nodes."""
-    inv = np.exp(-rule.arrays().log1pt) / D
-    return np.exp(-(d * d)[:, None] * inv[None, :])
-
-
 def _padded(d: np.ndarray) -> np.ndarray:
     """d with a 0 at each end: the block rows built there become its pads."""
     return np.concatenate(([0.0], d, [0.0]))
 
 
 def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
-    """The Gaussian rows of offsets d from the block's first live node column
-    on: the first column nonzero in any row, read off the values, so every
-    column before it is an exact zero of every row on any rule.
+    """The Gaussian rows e^{-d^2/(D(1+t_s))} of offsets d from the block's
+    first live node column on: the first column nonzero in any row, read off
+    the values, so every column before it is an exact zero of every row on
+    any rule.
 
+    exp is exactly 0 below -745.14, and costs far more on such arguments
+    than on others, so exp is taken only from the first column where the
+    exponent of the smallest |d|, the largest of the column, reaches -746.
     The column is capped two before the end, so that no run has one column:
     numpy does not promise to add a one-column stack row by row (np.sum adds
     it pairwise).  The rows are a view of the rows 1..len(d) of a base whose
     first and last rows are scratch pads for the carried sums of _sigma.
     """
-    block = _gauss_rows(_padded(d), D, rule)
+    inv = np.exp(-rule.arrays().log1pt) / D
+    cols = len(inv)
+    cap = max(cols - 2, 0)
+    near = np.min(np.abs(d))
+    reach = -(near * near) * inv >= -746.0
+    start = min(int(reach.argmax()) if reach.any() else cols, cap)
+    padded = _padded(d)
+    block = np.exp(-(padded * padded)[:, None] * inv[None, start:])
     block[0] = block[-1] = 0.0
     live = block[1:-1].any(axis=0)
-    cols = len(live)
-    c0 = min(int(live.argmax()) if live.any() else cols, max(cols - 2, 0))
-    if c0:
-        block = block[:, c0:].copy()
+    c0 = min(start + int(live.argmax()) if live.any() else cols, cap)
+    if c0 > start:
+        block = block[:, c0 - start:].copy()
     return block[1:-1]
 
 
@@ -278,6 +288,7 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
     one cached block: a list of (table row slice, the block's first live
     column c, Gaussian rows, poly rows), the rows holding the node columns
     c.. only, each led by the block row read just before the run's first.
+    At M = 1 the Q rows are None: Q_1 = 1 has no block.
 
     Blocks hold the rows |d| = b B .. b B + B - 1 (B = _BLOCK) from c on.
     The kernel is even in d bit for bit, so the runs can follow the pads
@@ -303,9 +314,11 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
         [gauss] = _row_block((("gauss", D, rule, b),),
                              lambda: (_gauss_block(offsets, D, rule),))
         c = cols - gauss.shape[1]
-        polys = _row_block((("Q", D, M, rule, b), ("R", D, M, rule, b))[:1 + with_r],
-                           lambda: _poly_rows(offsets, D, M, rule, with_r, c))
-        runs.append((slice(i, i + n), c, gauss.base[rows], tuple(p.base[rows] for p in polys)))
+        skip = M == 1
+        polys = _row_block((("Q", D, M, rule, b), ("R", D, M, rule, b))[skip:1 + with_r],
+                           lambda: _poly_rows(offsets, D, M, rule, with_r, c)[skip:])
+        runs.append((slice(i, i + n), c, gauss.base[rows],
+                     (None,) * skip + tuple(p.base[rows] for p in polys)))
         i += n
     return runs
 
@@ -313,7 +326,8 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
 def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
            out: np.ndarray) -> None:
     """out = norm * sum_m vec[m] gauss[m] poly[m] over the node columns,
-    support-checked.
+    support-checked; a run whose poly rows are None (Q_1 = 1) sums
+    vec[m] gauss[m].
 
     Each run is one einsum pass over its block's columns c.., and every run
     after the first carries the sum so far in through its leading pad row
@@ -330,29 +344,38 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
     # table row i, over vec[i - 1], which the run before has used
     weights = np.empty(len(vec) + 1)
     weights[1:] = vec
-    for rows, c, gauss, polys in runs:
-        poly = polys[which]
+    # each run's kernel factors: its Gaussian rows, and its poly rows unless
+    # they are Q_1 = 1, which leaves every term (w gauss) 1 = w gauss
+    runs = [(rows, c, (gauss,) if polys[which] is None else (gauss, polys[which]))
+            for rows, c, gauss, polys in runs]
+    spec = "m" + ",ms" * len(runs[0][2]) + "->s"
+    for rows, c, kernel in runs:
         if rows.start == 0:
-            np.einsum("m,ms,ms->s", weights[1:rows.stop + 1], gauss[1:], poly[1:],
-                      out=sums[c:])
-            np.abs(weights[1] * gauss[1] * poly[1], out=boundary[c:])
+            np.einsum(spec, weights[1:rows.stop + 1], *(k[1:] for k in kernel), out=sums[c:])
+            np.abs(_terms(weights[1], kernel, 1), out=boundary[c:])
         else:
             weights[rows.start] = 1.0
             with _PAD_LOCK:
-                gauss[0] = sums[c:]
-                np.einsum("m,ms,ms->s", weights[rows.start:rows.stop + 1], gauss, poly,
-                          out=sums[c:])
-    np.maximum(boundary[c:], np.abs(weights[-1] * gauss[-1] * poly[-1]), out=boundary[c:])
+                kernel[0][0] = sums[c:]
+                np.einsum(spec, weights[rows.start:rows.stop + 1], *kernel, out=sums[c:])
+    np.maximum(boundary[c:], np.abs(_terms(weights[-1], kernel, -1)), out=boundary[c:])
     cols = np.flatnonzero(boundary > _SUPPORT_TOL * np.abs(sums))
     if cols.size:
         peak = np.zeros(cols.size)
-        for rows, c, gauss, polys in runs:
+        for rows, c, kernel in runs:
             i = np.searchsorted(cols, c)
-            live = cols[i:] - c
-            terms = vec[rows, None] * gauss[1:, live] * polys[which][1:, live]
+            terms = _terms(vec[rows, None], kernel, (slice(1, None), cols[i:] - c))
             np.maximum(peak[i:], np.max(np.abs(terms), axis=0), out=peak[i:])
         _check_support(boundary[cols], peak, sums[cols])
     np.multiply(norm, sums, out=out)
+
+
+def _terms(weight, kernel: tuple, index) -> np.ndarray:
+    """weight times the kernel factors at index, in order: (w gauss) poly."""
+    terms = weight * kernel[0][index]
+    for factor in kernel[1:]:
+        terms *= factor[index]
+    return terms
 
 
 def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
@@ -558,12 +581,22 @@ def build_test_density(n, grid: GridSpec) -> SeparatedDensity:
     return SeparatedDensity(weights=tuple(weights), factors=tuple(factors), m_lo=m_lo)
 
 
+@lru_cache(maxsize=16)
+def _axis_factor_vectors(grid: GridSpec) -> tuple:
+    """_gaussian_factor_vectors(grid), read-only, formed once per grid for
+    the tables of every order and offset of evaluate_symmetric."""
+    m_lo, *vecs = _gaussian_factor_vectors(grid)
+    for vec in vecs:
+        vec.flags.writeable = False
+    return m_lo, *vecs
+
+
 @lru_cache(maxsize=256)
 def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
     """Sigma tables of the factor vectors e^{-x^2}, x^2 e^{-x^2}, x^4 e^{-x^2}
     at offset k.  They do not depend on the dimension, so a sweep over n
     computes them once; they are the table cache's read-only arrays."""
-    m_lo, *vecs = _gaussian_factor_vectors(grid)
+    m_lo, *vecs = _axis_factor_vectors(grid)
     tables = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, rule)
     return tuple(q for q, in tables)
 

@@ -135,10 +135,14 @@ def _node_polys(M: int, x, t, with_r: bool = False) -> tuple:
     c_k = (-1)^k/(k! 4^k) (1+t)^{-k},
     S_j(y) = y^2 H_j(y) - 2j y H_{j-1}(y) + j(j-1) H_{j-2}(y).
 
-    Only the rolling pair H_{2k-1}, H_{2k} is kept between steps.
+    Only the rolling pair H_{2k-1}, H_{2k} is kept between steps, and every
+    step writes into buffers of the full shape made once: the products and
+    sums are those of the plain expressions, in their order.
     """
     t = np.asarray(t, dtype=float)
-    y = x / np.sqrt(1.0 + t)
+    t1 = 1.0 + t
+    y = x / np.sqrt(t1)
+    two_y = 2.0 * y
     c = np.ones_like(t)
     h_prev = np.ones_like(y)  # H_0
     q = c * h_prev
@@ -146,17 +150,30 @@ def _node_polys(M: int, x, t, with_r: bool = False) -> tuple:
         y2 = y * y
         r = c * y2  # S_0(y) = y^2
     if M > 1:
-        h = 2.0 * y  # H_1
-    for k in range(1, M):
-        c = -c / (k * 4.0 * (1.0 + t))
-        j = 2 * k
-        h_even = 2.0 * y * h - 2.0 * (j - 1) * h_prev  # H_2k
+        h, spare, tmp = (np.empty_like(y) for _ in range(3))
+        np.copyto(h, two_y)  # H_1
         if with_r:
-            r = r + c * (y2 * h_even - 2.0 * j * y * h + j * (j - 1.0) * h_prev)
-        h, h_prev = h_even, h
-        q = q + c * h
+            term = np.empty_like(y)
+    for k in range(1, M):
+        c = -c / (k * 4.0 * t1)
+        j = 2 * k
+        # H_2k = 2 y H_{2k-1} - 2 (j - 1) H_{2k-2}
+        h_even = np.multiply(two_y, h, out=spare)
+        h_even -= np.multiply(2.0 * (j - 1), h_prev, out=tmp)
+        if with_r:
+            # r + c (y^2 H_2k - 2 j y H_{2k-1} + j (j - 1) H_{2k-2})
+            np.multiply(y2, h_even, out=term)
+            np.multiply(2.0 * j, y, out=tmp)
+            term -= np.multiply(tmp, h, out=tmp)
+            term += np.multiply(j * (j - 1.0), h_prev, out=tmp)
+            r += np.multiply(c, term, out=term)
+        h, h_prev, spare = h_even, h, h_prev
+        q += np.multiply(c, h, out=tmp)
         if k < M - 1:
-            h, h_prev = 2.0 * y * h - 2.0 * j * h_prev, h  # H_{2k+1}
+            # H_{2k+1} = 2 y H_2k - 2 j H_{2k-1}
+            h_odd = np.multiply(two_y, h, out=spare)
+            h_odd -= np.multiply(2.0 * j, h_prev, out=tmp)
+            h, h_prev, spare = h_odd, h, h_prev
     return (q, r) if with_r else (q,)
 
 

@@ -232,6 +232,24 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     assert "always-red" in out
 
 
+def test_verify_reports_a_raising_check_as_failed(capsys, monkeypatch):
+    # on a rule cut to half its nodes every node sum raises
+    # QuadratureDivergence: each such check prints its FAIL line with the
+    # error text, the checks that sum no nodes still pass, and the summary
+    # counts them all
+    monkeypatch.setattr(cli.quad, "DEFAULT_RULE", cli.quad.DEQuadrature(s_end=150))
+    rc, out, _ = _run(capsys, ["--verify", "full"])
+    assert rc == 1
+    lines = out.strip().splitlines()
+    checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
+    failed = [l for l in checks if l.startswith("FAIL")]
+    assert len(checks) == 24 and len(lines) == 25
+    assert any("node-sum tail certification" in l for l in failed)
+    assert all("extend the node range" in l for l in failed)
+    assert lines[-1] == f"full verification: {24 - len(failed)}/24 checks passed"
+    assert 0 < len(failed) < 24
+
+
 def test_unwritable_output_is_reported(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "out.csv"
     rc, _, err = _run(capsys, ["--table", "4", "--orders", "4",

@@ -113,7 +113,7 @@ def test_kernel_rows_are_even_in_the_offset(d, D, M):
     # be those at +d bit for bit
     d = np.array(d, dtype=float)
     rule = DEQuadrature()
-    assert engine._gauss_rows(d, D, rule).tobytes() == engine._gauss_rows(-d, D, rule).tobytes()
+    assert engine._gauss_block(d, D, rule).tobytes() == engine._gauss_block(-d, D, rule).tobytes()
     for plus, minus in zip(engine._poly_rows(d, D, M, rule, True),
                            engine._poly_rows(-d, D, M, rule, True)):
         assert plus.tobytes() == minus.tobytes()
@@ -304,6 +304,7 @@ def _empty_caches():
     engine._ROW_BLOCKS.clear()
     engine._axis_sigma_tables.cache_clear()
     engine._axis_origin.cache_clear()
+    engine._axis_factor_vectors.cache_clear()
 
 
 def _check_banded(keys, blocks):
@@ -317,8 +318,8 @@ def _check_banded(keys, blocks):
     for key, block in zip(keys, blocks):
         if key[0] == "gauss":
             _, D, rule, b = key
-            full = engine._gauss_rows(b * engine._BLOCK + np.arange(engine._BLOCK, dtype=float),
-                                      D, rule)
+            full = _gauss_rows(b * engine._BLOCK + np.arange(engine._BLOCK, dtype=float),
+                               D, rule)
             c0 = rule.node_count - block.shape[1]
             assert not full[:, :c0].any()
             assert full[:, c0].any() or c0 == rule.node_count - 2
@@ -565,15 +566,22 @@ def test_large_vectors_keep_no_tables(sigma_calls, row_blocks, monkeypatch):
 
 
 def test_table_4_working_set_is_banded():
-    # Table 4 (n = 3, Q and R blocks, h down to 1/160) from empty caches:
-    # with full-width blocks the cache held 27.4 MiB after it, with banded
-    # blocks 12.9 MiB; the count is exact, so it does not vary between runs
+    # Tables 2 and 4 (M = 4..1) from empty caches keep no Q block of order 1,
+    # since Q_1 = 1; Table 4 (n = 3) keeps its R_1 blocks.  After Table 4
+    # (Q and R blocks, h down to 1/160) the cache holds 11.74 MiB: 27.4 MiB
+    # with full-width blocks, 13.08 MiB with ten blocks of Q_1 as well; the
+    # count is exact, so it does not vary between runs
     from biharm import cli
 
-    _empty_caches()
-    cli.run_table(cli.RunConfig(table="4", dims=cli._TABLE_DIMS["4"],
-                                orders=cli._TABLE_ORDERS["4"], steps=cli._TABLE_STEPS["4"]))
-    assert _held_bytes() < 14 * 2 ** 20
+    for table in ("2", "4"):
+        _empty_caches()
+        cli.run_table(cli.RunConfig(table=table, dims=cli._TABLE_DIMS[table],
+                                    orders=cli._TABLE_ORDERS[table],
+                                    steps=cli._TABLE_STEPS[table]))
+        orders = {key[:3] for key in engine._ROW_BLOCKS._entries if not _is_table_key(key)}
+        assert ("Q", 5.0, 1) not in orders and ("Q", 5.0, 2) in orders
+        assert (("R", 5.0, 1) in orders) == (table == "4")
+    assert _held_bytes() < 12 * 2 ** 20
     _empty_caches()
 
 
@@ -596,10 +604,11 @@ def test_byte_lru_counts_only_held_values(monkeypatch):
 def _full_width_terms(vec, runs, which, node_count):
     """The terms vec[m] gauss[m] poly[m] of banded runs, with the exact zeros
     before each run's first live column written out; a run's views are led
-    by the row read before its first."""
+    by the row read before its first, and None stands for poly = Q_1 = 1."""
     terms = np.zeros((len(vec), node_count))
     for rows, c, gauss, polys in runs:
-        terms[rows, c:] = vec[rows, None] * gauss[1:] * polys[which][1:]
+        poly = 1.0 if polys[which] is None else polys[which][1:]
+        terms[rows, c:] = vec[rows, None] * gauss[1:] * poly
     return terms
 
 
@@ -659,12 +668,18 @@ def test_lazy_support_check_matches_eager_rule(L, D, M, which, shape, data):
         assert out.tobytes() == sums.tobytes()
 
 
+def _gauss_rows(d, D, rule):
+    """e^{-d^2/(D(1+t_s))} for offsets d at every node of the rule."""
+    inv = np.exp(-rule.arrays().log1pt) / D
+    return np.exp(-(d * d)[:, None] * inv[None, :])
+
+
 def _full_width_table(vec, k, m_lo, D, M, rule, which):
     """sigma_Q (which = 0) or sigma_R of one vector with no cache and no
     banding: the row-order sum of vec[m] gauss[m] poly[m] over all node
     columns, from kernel rows built at d = k - m directly."""
     d = (k - m_lo - np.arange(len(vec))).astype(float)
-    terms = vec[:, None] * engine._gauss_rows(d, D, rule)
+    terms = vec[:, None] * _gauss_rows(d, D, rule)
     terms *= engine._poly_rows(d, D, M, rule, True)[which]
     norm = np.exp(-0.5 * (math.log(math.pi * D) + rule.arrays().log1pt))
     return norm * np.sum(terms, axis=0)
@@ -711,7 +726,7 @@ def test_banded_tables_keep_every_bit_when_one_column_is_live():
     # round differently, so only a band of two columns keeps the table's bits
     short = DEQuadrature(s_end=180)
     d = np.arange(330.0, 287.0, -1.0)
-    last = engine._gauss_rows(d, 5.0, short)[:, -1]
+    last = _gauss_rows(d, 5.0, short)[:, -1]
     assert np.count_nonzero(last) == 37
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -737,7 +752,9 @@ def test_einsum_adds_rows_in_order(rows, cols, descending, carried, seed):
     # from a pad, from any first column, into a slice of the sums.  When the
     # run is carried, the pad row holds the sum so far and 1.0s, and enters
     # the sum exactly.  Magnitudes over 26 decades and both signs make a
-    # reordered sum round differently somewhere
+    # reordered sum round differently somewhere.  Order-1 runs add vec gauss
+    # alone, by the two-operand einsum, over a band of at least two columns
+    # like every run (_gauss_block)
     rng = np.random.default_rng(seed)
     shape = (engine._BLOCK + 2, 300)
     gauss = rng.normal(size=shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
@@ -756,6 +773,14 @@ def test_einsum_adds_rows_in_order(rows, cols, descending, carried, seed):
         want = want + (w * g) * p
     assert sums[c:].tobytes() == want.tobytes()
     assert not sums[:c].any()
+    if cols >= 2:
+        sums = np.zeros(300)
+        np.einsum("m,ms->s", weights, gauss[view], out=sums[c:])
+        want = np.zeros(cols)
+        for w, g in zip(weights, gauss[view]):
+            want = want + w * g
+        assert sums[c:].tobytes() == want.tobytes()
+        assert not sums[:c].any()
 
 
 def test_concurrent_evaluate_calls_match_serial_ones(monkeypatch):

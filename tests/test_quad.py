@@ -161,6 +161,53 @@ def test_rm_poly_matches_reference_forms():
         assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-14)) < 1e-12
 
 
+def _plain_node_polys(M, x, t, with_r):
+    """The Hermite recurrence of quad._node_polys written as plain
+    expressions, one fresh array per operation."""
+    t = np.asarray(t, dtype=float)
+    y = x / np.sqrt(1.0 + t)
+    c = np.ones_like(t)
+    h_prev = np.ones_like(y)
+    q = c * h_prev
+    if with_r:
+        y2 = y * y
+        r = c * y2
+    if M > 1:
+        h = 2.0 * y
+    for k in range(1, M):
+        c = -c / (k * 4.0 * (1.0 + t))
+        j = 2 * k
+        h_even = 2.0 * y * h - 2.0 * (j - 1) * h_prev
+        if with_r:
+            r = r + c * (y2 * h_even - 2.0 * j * y * h + j * (j - 1.0) * h_prev)
+        h, h_prev = h_even, h
+        q = q + c * h
+        if k < M - 1:
+            h, h_prev = 2.0 * y * h - 2.0 * j * h_prev, h
+    return (q, r) if with_r else (q,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(M=st.integers(1, 6), with_r=st.booleans(),
+       shape=st.sampled_from(("scalar", "vector", "grid")), seed=st.integers(0, 2 ** 32 - 1))
+def test_in_place_recurrence_keeps_every_bit(M, with_r, shape, seed):
+    # _node_polys reuses its buffers but must form each value as the plain
+    # recurrence does, on 0-d, 1-D and (rows, 1) x (1, cols) inputs; x spans
+    # the engine's range |d| / sqrt(D) and t the rule's 13 decades
+    rng = np.random.default_rng(seed)
+    size = {"scalar": (), "vector": (17,), "grid": (9, 1)}[shape]
+    x = np.asarray(rng.uniform(-60.0, 60.0, size))
+    t = np.exp(rng.uniform(-30.0, 30.0, (1, 13) if shape == "grid" else size))
+    got = quad._node_polys(M, x, t, with_r)
+    want = _plain_node_polys(M, x, t, with_r)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert isinstance(qm_poly(M, x, t), float) == (shape == "scalar")
+    assert isinstance(rm_poly(M, x, t), float) == (shape == "scalar")
+
+
 def test_node_exponents_are_not_clamped():
     # node values are e^expo up to the top of the binary64 range, and an
     # exponent past it raises instead of being clamped at e^709; so does the
