@@ -227,7 +227,9 @@ def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
             f"{samples.size} lattice samples exceed the operation budget {OP_BUDGET}"
         )
     # squared distances |x - h m|^2 summed axis by axis, in axis order, kept as
-    # their distinct values: sample i lies at squared distance dist2[index[i]]
+    # their distinct values: the leading n - 1 coordinates of sample i give
+    # distinct distance index[i] of their level, and that distance j plus the
+    # last axis's distinct square k gives dist2[pair_index[j, k]]
     dist2 = np.zeros(1)
     index = np.zeros((), dtype=np.intp)
     for axis, length in enumerate(samples.shape):
@@ -235,9 +237,16 @@ def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
         step, step_index = np.unique((x[axis] - grid.h * m) ** 2, return_inverse=True)
         pairs = np.add.outer(dist2, step)
         dist2, pair_index = np.unique(pairs, return_inverse=True)
-        index = pair_index.reshape(pairs.shape)[index[..., None], step_index]
+        pair_index = pair_index.reshape(pairs.shape)
+        if axis < n - 1:
+            index = pair_index[index[..., None], step_index]
+    # row j holds the kernel at every last-axis sample from leading distance
+    # j; at a lattice point the table is small and the terms are the one
+    # full-size array
     kernel = phi2M(n, M, np.sqrt(dist2) / (grid.h * math.sqrt(grid.delta)))
-    terms = samples * kernel[index]
+    table = kernel[pair_index[:, step_index]]
+    terms = np.take(table, index.ravel(), axis=0)
+    terms *= samples.reshape(terms.shape)
     # exactly rounded, so independent of the term order: bitwise invariant
     # under permutations and sign flips of the coordinates
     from .quad import _row_sums

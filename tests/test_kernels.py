@@ -7,18 +7,20 @@ transcription is validated in-test against the defining property that the
 radial bilaplacian of the profile returns the unit Gaussian.
 """
 
+import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import biharm
-from biharm import kernels
+from biharm import cli, kernels
 from biharm.errors import DimensionTooLarge
 from biharm.kernels import GridSpec, _shell_counts, direct_cubature, phi2, phi2M
 
@@ -247,17 +249,37 @@ def _direct_by_sample(samples, grid, n, M, x):
 
 def test_direct_sum_over_distinct_distances_is_exact():
     # one kernel value per distinct squared distance and the certified row
-    # sum give the per-sample sum bit for bit, on and off the lattice
+    # sum give the per-sample sum bit for bit, on and off the lattice, also
+    # where the leading axes or the last axis hold a single sample
     rng = np.random.default_rng(11)
     grid = GridSpec(0.25)
     for n, shape, M, x in ((3, (7, 5, 9), 2, (0.25, -0.5, 1.0)),
                            (3, (9, 9, 9), 4, (0.3, -0.17, 0.05)),
+                           (3, (1, 1, 9), 2, (0.25, 0.3, -0.5)),
+                           (3, (9, 1, 1), 1, (0.1, 0.0, 0.25)),
                            (5, (5,) * 5, 1, (0.0, 0.25, -0.25, 0.5, 0.0)),
-                           (5, (3, 5, 5, 3, 7), 3, (0.1, 0.2, 0.3, -0.4, 0.5))):
+                           (5, (1,) * 5, 2, (0.25, 0.0, 0.5, -0.25, 0.0)),
+                           (5, (3, 5, 5, 3, 7), 3, (0.1, 0.2, 0.3, -0.4, 0.5)),
+                           (6, (3, 5, 3, 5, 1, 5), 2, (0.05, -0.3, 0.2, 0.1, 0.45, -0.15))):
         samples = rng.uniform(-1.0, 1.0, shape)
         x = np.asarray(x)
         got = kernels._direct_dense(samples, grid, n, M, x)
         assert got == _direct_by_sample(samples, grid, n, M, x), (n, shape, M)
+
+
+def test_direct_sum_memory_stays_below_two_sample_boxes():
+    # the --verify oracle's box of 11^5 samples at a lattice point: the terms
+    # are the one full-size array, and the row sum runs in bounded pieces
+    inner = cli._spread(11, cli._GOLDEN, 0.5, 1.5)
+    box = functools.reduce(np.multiply.outer, (inner,) * 5)
+    x = np.array([0.2, 0.4, -0.6, 0.0, 0.2])
+    tracemalloc.start()
+    try:
+        direct_cubature(box, GridSpec(0.2, delta=5.0), 1, x, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * box.nbytes, peak / box.nbytes
 
 
 @pytest.mark.parametrize("n", [7, 10, 100])

@@ -320,15 +320,18 @@ _KINDS = ("onesigned", "wide", "subnormal", "cancel", "tie", "zeros", "nonfinite
 def test_row_sums_equal_fsum(cols, seed, kinds, edges):
     # every row sum is math.fsum's bit for bit (signed zeros included), and a
     # stack with a row that math.fsum refuses raises the same exception type;
-    # with no size threshold every stack drawn takes the vectorised pass, and
-    # with all values under it every stack is summed by math.fsum row by row
+    # with no size threshold every stack drawn takes the vectorised pass, in
+    # one piece or in pieces of 1 and 7 values, and with all values under it
+    # every stack is summed by math.fsum row by row
     rng = np.random.default_rng(seed)
     rows = np.array([_hard_row(rng, kind, cols) for kind in kinds])
     for i, x in edges:
         rows[i % len(rows), (i // len(rows)) % cols] = x
     want = _sums_or_error(lambda: [math.fsum(row.tolist()) for row in rows])
-    for threshold in (0, rows.size + 1):
-        with mock.patch.object(quad, "_FSUM_VALUES", threshold):
+    for threshold, piece in ((0, quad._PIECE_VALUES), (0, 1), (0, 7),
+                             (rows.size + 1, quad._PIECE_VALUES)):
+        with mock.patch.object(quad, "_FSUM_VALUES", threshold), \
+                mock.patch.object(quad, "_PIECE_VALUES", piece):
             assert _sums_or_error(lambda: quad._row_sums(rows)) == want
 
 
@@ -357,3 +360,15 @@ def test_uncertified_rows_fall_back_to_fsum(monkeypatch):
     monkeypatch.undo()
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert summed == [rows[i].tolist() for i in (0, 2, 4, 5)]
+    # one row of four pieces whose largest entry sits in the last piece: mu
+    # comes from the whole row, so every piece splits exactly and the row
+    # is certified without math.fsum
+    row = rng.uniform(0.5, 1.5, 3 * quad._PIECE_VALUES + 5)
+    row[-2] = 2.0 ** 40 + 0.5
+    want = math.fsum(row.tolist())
+    summed.clear()
+    monkeypatch.setattr(math, "fsum", spy)
+    got = quad._row_sums(row.reshape(1, -1))
+    monkeypatch.undo()
+    assert got[0].hex() == want.hex()
+    assert summed == []
