@@ -9,14 +9,15 @@ quantity is finite; log-magnitude companions of them are kept for the node
 sums formed in the log domain: integral_phi2's and evaluate_symmetric's,
 whose power a0^(n-1) leaves binary64 at large n.
 Every node sum of the package, here and in the engine, goes through
-_point_sums, which takes the node rows of any number of points at once,
-sums them all in one pass to math.fsum's results bit for bit, and refuses a
-rule whose last node still carries weight at any point; _node_sum is its
-one-point case.
+_row_sums, which sums any number of node rows at once to math.fsum's results
+bit for bit, and is then _checked: a rule whose last node still carries
+weight is refused.  _point_sums does this for the terms of many points,
+_node_sum for one row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -38,10 +39,11 @@ __all__ = [
 _TAIL_TOL = 1e-16
 
 # node-row stacks of fewer values are summed by math.fsum row by row.  On an
-# x86 Xeon with numpy 2.4, math.fsum against the vectorised pass of _row_sums
-# took 10 vs 31 us for one row of 300 values, 33 vs 44 us for 1000 values,
-# 37 vs 35 us for four rows of 300 and 117 vs 67 us for one row of 3000
-_FSUM_VALUES = 1024
+# x86 Xeon with numpy 2.4, math.fsum against the one-row split of _row_sums,
+# on windows of the engine's node rows around their peaks, took 1.4 vs 9.9 us
+# for 8 values, 6.4 vs 9.7 us for 150, 8.9 vs 9.8 us for 200, 12.3 vs 9.8 us
+# for 250 and 17.6 vs 9.9 us for a whole row of 300 (minimums of 20 rounds)
+_FSUM_VALUES = 200
 
 # _row_sums splits its rows into column pieces of at most this many values,
 # so its temporaries stay within 256 KiB; an engine stack (at most
@@ -230,10 +232,16 @@ def _row_sums(rows: np.ndarray) -> list:
     so the exact sum is then strictly nearer to r than to any other double,
     and r is the correctly rounded sum that math.fsum returns.
 
-    The split runs over column pieces of at most _PIECE_VALUES values and
-    adds up hi, lo and fl(sum |p_i|) piece by piece.  The pieces change no
-    bit of the result: hi is exact under any grouping of the q_i, and the
-    bound on lo (and on fl(sum |p_i|)) holds for any order of the additions.
+    A stack of one row takes the same split and the same test, with sigma,
+    r and h as Python floats (math.frexp, math.ldexp, math.ulp) and hi, lo
+    and fl(sum |p_i|) as scalars: on one node row of 300 values the array
+    steps of a stack would cost more than math.fsum itself.
+    The split runs over column pieces of at most _PIECE_VALUES values, one
+    row included, so that a long row such as the direct lattice sum's keeps
+    one piece-sized buffer for |x_i|, q_i and p_i, and adds up hi, lo and
+    fl(sum |p_i|) piece by piece.  The pieces change no bit of the result:
+    hi is exact under any grouping of the q_i, and the bound on lo (and on
+    fl(sum |p_i|)) holds for any order of the additions.
 
     Every other row is summed by math.fsum, which also raises what it
     raises: rows holding inf or NaN, rows too large for a finite sigma (a
@@ -246,30 +254,60 @@ def _row_sums(rows: np.ndarray) -> list:
         # a memoryview hands math.fsum the values as floats with no list
         return [math.fsum(memoryview(row)) for row in rows]
     width = max(1, _PIECE_VALUES // count)
+    # one buffer takes |x|, then q, p and |p|, of each piece in turn; one row
+    # is cut as a vector, so that its sums come back as scalars
+    buf = np.empty((count, min(cols, width)))
+    if count == 1:
+        rows, buf = rows[0], buf[0]
+    pieces = [(rows[..., start:start + width], buf[..., :min(width, cols - start)])
+              for start in range(0, cols, width)] if cols > width else [(rows, buf)]  # one piece, unsliced
+    mu = functools.reduce(np.maximum, [np.maximum.reduce(np.abs(piece, out=out), axis=-1)
+                                       for piece, out in pieces])
+    scale = math.ceil(math.log2(cols + 2))
+    if count == 1:
+        e = math.frexp(mu)[1] + scale
+        if not (math.isfinite(mu) and e <= 1023):
+            return [math.fsum(memoryview(rows))]
+        r, slack = _split(pieces, math.ldexp(1.0, e), cols)
+        half = math.ulp(r) * (0.25 if abs(math.frexp(r)[0]) == 0.5 else 0.5)
+        return [float(r) if slack < half else math.fsum(memoryview(rows))]
     with np.errstate(over="ignore", invalid="ignore"):
-        # mu = max|x_i| from a max and a min pass, with no |x| temporary
-        _, e = np.frexp(np.maximum(np.max(rows, axis=1), -np.min(rows, axis=1)))
-        sigma = np.ldexp(1.0, e + math.ceil(math.log2(cols + 2)))[:, None]
-        # -0.0 is the identity of IEEE addition, signed zeros included
-        hi = lo = size = -0.0
-        for start in range(0, cols, width):
-            piece = rows[:, start:start + width]
-            q = sigma + piece
-            q -= sigma
-            hi = hi + np.sum(q, axis=1)
-            p = np.subtract(piece, q, out=q)
-            lo = lo + np.sum(p, axis=1)
-            size = size + np.sum(np.abs(p, out=p), axis=1)
-        bound = (2.0 * cols * 2.0 ** -53) * size + 2.0 ** -1074
-        r = hi + lo
-        back = r - hi
-        err = (hi - (r - back)) + (lo - back)
+        r, slack = _split(pieces, np.ldexp(1.0, np.frexp(mu)[1] + scale)[:, None], cols)
         half = np.spacing(np.abs(r)) * np.where(np.abs(np.frexp(r)[0]) == 0.5, 0.25, 0.5)
-        certified = np.abs(err) + bound < half
     sums = r.tolist()
-    for i in np.flatnonzero(~certified).tolist():
+    for i in np.flatnonzero(~(slack < half)).tolist():
         sums[i] = math.fsum(rows[i].tolist())
     return sums
+
+
+def _split(pieces, sigma, cols: int) -> tuple:
+    """(r, fl(|err| + B)) of _row_sums' split with the given sigma, over
+    (piece, buffer) pairs that cut the rows into column pieces."""
+    # -0.0 is the identity of IEEE addition, signed zeros included
+    hi = lo = size = -0.0
+    for piece, q in pieces:
+        np.add(piece, sigma, out=q)
+        q -= sigma
+        hi = hi + np.add.reduce(q, axis=-1)
+        p = np.subtract(piece, q, out=q)
+        lo = lo + np.add.reduce(p, axis=-1)
+        size = size + np.add.reduce(np.abs(p, out=p), axis=-1)
+    bound = (2.0 * cols * 2.0 ** -53) * size + 2.0 ** -1074
+    r = hi + lo
+    back = r - hi
+    err = (hi - (r - back)) + (lo - back)
+    return r, abs(err) + bound
+
+
+def _checked(total: float, tail: float) -> float:
+    """total, once the last node's share tail of it is within _TAIL_TOL;
+    otherwise the integrand has not decayed by the end of the node range."""
+    if abs(tail) > _TAIL_TOL * abs(total):
+        raise QuadratureDivergence(
+            f"final-node contribution {tail:.3e} exceeds {_TAIL_TOL:.0e} of the "
+            f"accumulated value {total:.3e}; extend the node range"
+        )
+    return total
 
 
 def _point_sums(contribs: np.ndarray, weights) -> list:
@@ -277,30 +315,19 @@ def _point_sums(contribs: np.ndarray, weights) -> list:
     per point i of a (points, terms, nodes) array.
 
     The row sums of all points come from one _row_sums pass, math.fsum's bit
-    for bit.  The rule is trusted only if, at every point, the last node's
-    share of the combined sum sum_p weights[p] * contribs[i, p] stays within
-    _TAIL_TOL; otherwise the integrand has not decayed by the end of the node
-    range.
+    for bit, and each point's total is _checked against its last node's
+    share sum_p weights[p] * contribs[i, p, -1].
     """
     points, terms, cols = contribs.shape
     sums = _row_sums(contribs.reshape(points * terms, cols))
-    totals = []
-    for i, last in enumerate(contribs[:, :, -1].tolist()):
-        total = math.fsum(w * s for w, s in zip(weights, sums[i * terms:(i + 1) * terms]))
-        tail = math.fsum(w * c for w, c in zip(weights, last))
-        if abs(tail) > _TAIL_TOL * abs(total):
-            raise QuadratureDivergence(
-                f"final-node contribution {tail:.3e} exceeds {_TAIL_TOL:.0e} of the "
-                f"accumulated value {total:.3e}; extend the node range"
-            )
-        totals.append(total)
-    return totals
+    return [_checked(math.fsum(w * s for w, s in zip(weights, sums[i * terms:(i + 1) * terms])),
+                     math.fsum(w * c for w, c in zip(weights, last)))
+            for i, last in enumerate(contribs[:, :, -1].tolist())]
 
 
 def _node_sum(row) -> float:
-    """The certified sum of one node row: _point_sums at one point of one
-    term of weight 1."""
-    return _point_sums(row.reshape(1, 1, -1), (1.0,))[0]
+    """The certified sum of one node row, _checked against its last node."""
+    return _checked(_row_sums(row.reshape(1, -1))[0], float(row[-1]))
 
 
 def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:

@@ -8,6 +8,7 @@ tolerances (quadrature against closed forms, refinement self-consistency, the
 zero-offset lattice weight) are asserted through it in test_acceptance.
 """
 
+import contextlib
 import math
 from unittest import mock
 
@@ -241,7 +242,8 @@ def test_integral_rejects_four_dims(rule):
 
 def test_integral_detects_short_rule():
     # cutting the node range in half leaves a non-negligible tail
-    with pytest.raises(QuadratureDivergence):
+    with pytest.raises(QuadratureDivergence, match=r"^final-node contribution \S+ exceeds 1e-16 "
+                       r"of the accumulated value \S+; extend the node range$"):
         integral_phi2(5, 0.0, DEQuadrature(s_end=150))
 
 
@@ -320,22 +322,108 @@ _KINDS = ("onesigned", "wide", "subnormal", "cancel", "tie", "zeros", "nonfinite
 def test_row_sums_equal_fsum(cols, seed, kinds, edges):
     # every row sum is math.fsum's bit for bit (signed zeros included), and a
     # stack with a row that math.fsum refuses raises the same exception type;
-    # with no size threshold every stack drawn takes the vectorised pass, in
-    # one piece or in pieces of 1 and 7 values, and with all values under it
-    # every stack is summed by math.fsum row by row
+    # with no size threshold every stack drawn, and its first row alone (the
+    # one-row form), takes the split, in one piece or in pieces of 1 and 7
+    # values, and with all values under it every stack is summed by
+    # math.fsum row by row
     rng = np.random.default_rng(seed)
     rows = np.array([_hard_row(rng, kind, cols) for kind in kinds])
     for i, x in edges:
         rows[i % len(rows), (i // len(rows)) % cols] = x
-    want = _sums_or_error(lambda: [math.fsum(row.tolist()) for row in rows])
-    for threshold, piece in ((0, quad._PIECE_VALUES), (0, 1), (0, 7),
-                             (rows.size + 1, quad._PIECE_VALUES)):
-        with mock.patch.object(quad, "_FSUM_VALUES", threshold), \
-                mock.patch.object(quad, "_PIECE_VALUES", piece):
-            assert _sums_or_error(lambda: quad._row_sums(rows)) == want
+    for stack in (rows, rows[:1]):
+        want = _sums_or_error(lambda: [math.fsum(row.tolist()) for row in stack])
+        for threshold, piece in ((0, quad._PIECE_VALUES), (0, 1), (0, 7),
+                                 (stack.size + 1, quad._PIECE_VALUES)):
+            with mock.patch.object(quad, "_FSUM_VALUES", threshold), \
+                    mock.patch.object(quad, "_PIECE_VALUES", piece):
+                assert _sums_or_error(lambda: quad._row_sums(stack)) == want
 
 
-def test_uncertified_rows_fall_back_to_fsum(monkeypatch):
+@contextlib.contextmanager
+def _fsum_spy():
+    """math.fsum, patched to record the values of each call in the list
+    this yields."""
+    fsum = math.fsum
+    summed = []
+
+    def spy(values):
+        summed.append(list(values))
+        return fsum(summed[-1])
+
+    with mock.patch.object(math, "fsum", spy):
+        yield summed
+
+
+def _one_rows():
+    """name: (values, whether the split certifies them)"""
+    rng = np.random.default_rng(11)
+    long_row = rng.uniform(0.5, 1.5, quad._PIECE_VALUES + 301)
+    long_row[-3] = 2.0 ** 30 + 0.25
+    return {
+        "signed zeros": ([-0.0] * 150 + [0.0, -0.0] * 75, False),
+        "negative zeros": ([-0.0] * 300, False),
+        "cancel to zero": ([1.5, -0.0, -1.5] + [-0.0] * 297, False),
+        "single nonzero": ([0.0] * 150 + [-3.0e-200] + [-0.0] * 149, True),
+        "tie": (_tie_row(rng, 300).tolist(), False),
+        "below the midpoint at a power of two": (
+            [2.0 ** 10, -2.0 ** -44, -2.0 ** -104] + [0.0] * 297, False),
+        "subnormal": ((rng.integers(-2 ** 40, 2 ** 40, 300) * 2.0 ** -1074).tolist(), False),
+        "inf": ([1.0] * 150 + [math.inf] + [2.0] * 149, False),
+        "inf and -inf": ([1.0, math.inf] * 150 + [-math.inf], False),
+        "nan": ([1.0] * 299 + [math.nan], False),
+        "overflowing sigma": ([1.7e308, -1.7e308] + [1.0] * 298, False),
+        "longer than one piece": (long_row.tolist(), True),
+    }
+
+
+@pytest.mark.parametrize("name", list(_one_rows()))
+def test_one_row_sums_equal_fsum(name):
+    # the one-row form gives math.fsum's value, or raises its exception type,
+    # in one piece and in pieces of 1 and 7 values; the rows it cannot
+    # certify (zero sums, a tie, the gap below a power of two, subnormal
+    # sums, non-finite values, an overflowing sigma) go to math.fsum, and
+    # the others do not
+    values, certified = _one_rows()[name]
+    row = np.array([values])
+    want = _sums_or_error(lambda: [math.fsum(values)])
+    for piece in (quad._PIECE_VALUES, 1, 7):
+        with mock.patch.object(quad, "_FSUM_VALUES", 0), \
+                mock.patch.object(quad, "_PIECE_VALUES", piece), _fsum_spy() as summed:
+            got = _sums_or_error(lambda: quad._row_sums(row))
+        assert got == want
+        assert (summed == []) == certified
+
+
+def test_program_node_rows_are_certified(monkeypatch):
+    # every node row that evaluate_symmetric and integral_phi2 sum here is
+    # math.fsum's bit for bit, and the split certifies each one that is not
+    # all zeros (at n = 10^7, M = 1 on every grid and M = 2 at h = 1/10,
+    # a0^(n-1) underflows at every node), so one-row sums do not rest on the
+    # math.fsum fallback
+    rows = []
+    row_sums = quad._row_sums
+    monkeypatch.setattr(quad, "_row_sums", lambda stack: rows.append(stack.copy()) or row_sums(stack))
+    for steps in (10, 40, 160):
+        grid = GridSpec(1.0 / steps)
+        for M in (1, 2, 4):
+            for n in (5, 10 ** 4, 10 ** 7):
+                dens = IsotropicGaussianPolyDensity(4.0 * n * (n + 2), -16.0 * (n + 2), 16.0, n)
+                for k in (0, steps, 4 * steps):
+                    evaluate_symmetric(dens, k, grid, M)
+    for n in (3, 5, 100):
+        for r in (0.0, 1.0, 4.0):
+            integral_phi2(n, r)
+    monkeypatch.undo()
+    assert [row.shape[0] for row in rows] == [1] * (81 + 9)
+    with _fsum_spy() as summed:
+        got = [quad._row_sums(row)[0] for row in rows]
+    assert [v.hex() for v in got] == [math.fsum(row[0].tolist()).hex() for row in rows]
+    zero = [row[0].tolist() for row in rows if not row.any()]
+    assert summed == zero
+    assert len(zero) < len(rows) // 4
+
+
+def test_uncertified_rows_fall_back_to_fsum():
     # tie and cancellation rows fail the certificate and are summed by
     # math.fsum; the benign rows of the same stack are not.  In the last row
     # the plain sums give 2^10 - 2^-44, which rounds up to 2^10 at a tie,
@@ -348,16 +436,8 @@ def test_uncertified_rows_fall_back_to_fsum(monkeypatch):
                      _tie_row(rng, 7).tolist() + [0.0] * 293, power])
     assert rows.size >= quad._FSUM_VALUES
     want = [math.fsum(row.tolist()) for row in rows]
-    fsum = math.fsum
-    summed = []
-
-    def spy(values):
-        summed.append(list(values))
-        return fsum(summed[-1])
-
-    monkeypatch.setattr(math, "fsum", spy)
-    got = quad._row_sums(rows)
-    monkeypatch.undo()
+    with _fsum_spy() as summed:
+        got = quad._row_sums(rows)
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert summed == [rows[i].tolist() for i in (0, 2, 4, 5)]
     # one row of four pieces whose largest entry sits in the last piece: mu
@@ -366,9 +446,7 @@ def test_uncertified_rows_fall_back_to_fsum(monkeypatch):
     row = rng.uniform(0.5, 1.5, 3 * quad._PIECE_VALUES + 5)
     row[-2] = 2.0 ** 40 + 0.5
     want = math.fsum(row.tolist())
-    summed.clear()
-    monkeypatch.setattr(math, "fsum", spy)
-    got = quad._row_sums(row.reshape(1, -1))
-    monkeypatch.undo()
+    with _fsum_spy() as summed:
+        got = quad._row_sums(row.reshape(1, -1))
     assert got[0].hex() == want.hex()
     assert summed == []
