@@ -43,6 +43,10 @@ over all rows and columns, bit for bit.
 A support-checked sigma table depends only on its vector's samples, the
 first offset k - m_lo, D, M and the rule, so the same LRU keeps it across
 calls as its own entry, keyed by the exact sample bytes.
+evaluate_symmetric reads its node arrays, which do not depend on n, from one
+lru_cache per (grid, M, k1, rule), _axis_nodes: on a miss one _sigma_tables
+call forms the tables at offsets k1 and 0, and the offset-0 ones come from
+the table LRU once any k1 has built them.
 """
 
 from __future__ import annotations
@@ -194,21 +198,6 @@ class IsotropicGaussianPolyDensity:
     n: int
 
 
-def _check_support(boundary: np.ndarray, peak: np.ndarray, sums: np.ndarray) -> None:
-    """Raise if a boundary sample contributes materially to a convolution sum.
-
-    Per node, boundary is the larger |term| of the first and last sample rows
-    and peak the largest |term| of all rows.  The scale reference is the larger
-    of |sum| and peak: the sign-changing polynomial kernels can cancel a sum to
-    near zero at isolated nodes without any truncation problem, and conversely
-    a long positive sum can dwarf its own peak term.
-    """
-    scale = np.maximum(np.abs(sums), peak)
-    if np.any(boundary > _SUPPORT_TOL * scale):
-        raise SupportTruncated("density samples end inside the kernel support; "
-                               "enlarge the sample window")
-
-
 def _padded(d: np.ndarray) -> np.ndarray:
     """d with a 0 at each end: the block rows built there become its pads."""
     return np.concatenate(([0.0], d, [0.0]))
@@ -334,9 +323,14 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
     (module docstring).  The sum is never -0, so the exact zeros of the
     columns before c leave it unchanged bit for bit; at the first and last
     row they are boundary terms of 0.
-    A column can fail the support check only if its boundary term exceeds
-    _SUPPORT_TOL |sum|, since the check scales by max(|sum|, peak); the terms
-    of such columns alone are formed again for their peak.
+    The support check raises SupportTruncated if, at some node, the boundary
+    term, the larger |term| of the first and last sample rows, exceeds
+    _SUPPORT_TOL times the larger of |sum| and the peak, the largest |term|
+    of all rows: the sign-changing polynomial kernels can cancel a sum to
+    near zero at isolated nodes without any truncation problem, and
+    conversely a long positive sum can dwarf its own peak term.  Rounding is
+    monotone, so the check is the |sum| test on every column, then the peak
+    test on the columns that fail it, whose terms alone are formed again.
     """
     sums = np.zeros(len(out))
     boundary = np.zeros(len(out))
@@ -366,7 +360,9 @@ def _sigma(vec: np.ndarray, runs: list, which: int, norm: np.ndarray,
             i = np.searchsorted(cols, c)
             terms = _terms(vec[rows, None], kernel, (slice(1, None), cols[i:] - c))
             np.maximum(peak[i:], np.max(np.abs(terms), axis=0), out=peak[i:])
-        _check_support(boundary[cols], peak, sums[cols])
+        if np.any(boundary[cols] > _SUPPORT_TOL * peak):
+            raise SupportTruncated("density samples end inside the kernel support; "
+                                   "enlarge the sample window")
     np.multiply(norm, sums, out=out)
 
 
@@ -581,45 +577,33 @@ def build_test_density(n, grid: GridSpec) -> SeparatedDensity:
     return SeparatedDensity(weights=tuple(weights), factors=tuple(factors), m_lo=m_lo)
 
 
-@lru_cache(maxsize=16)
-def _axis_factor_vectors(grid: GridSpec) -> tuple:
-    """_gaussian_factor_vectors(grid), read-only, formed once per grid for
-    the tables of every order and offset of evaluate_symmetric."""
+@lru_cache(maxsize=256)
+def _axis_nodes(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
+    """The node arrays of evaluate_symmetric at the axis offset k, which do
+    not depend on n, so a sweep over n forms them once: (a1, b1, c1, beta,
+    chi, log_a0, sign_a0), all read-only.
+
+    a1, b1, c1 are the sigma tables of the factor vectors e^{-x^2},
+    x^2 e^{-x^2}, x^4 e^{-x^2} at offset k, and a0, b0, c0 those at offset 0,
+    all from one _sigma_tables call: the offset-0 tables come from the table
+    cache once any k has built them.  beta = b0 / a0 and chi = c0 / a0 (0
+    where a0 = 0), log|a0| (-inf there) and the sign of a0 (-1.0 where
+    a0 < 0, else 1.0).
+    """
     m_lo, *vecs = _gaussian_factor_vectors(grid)
-    for vec in vecs:
-        vec.flags.writeable = False
-    return m_lo, *vecs
-
-
-@lru_cache(maxsize=256)
-def _axis_sigma_tables(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
-    """Sigma tables of the factor vectors e^{-x^2}, x^2 e^{-x^2}, x^4 e^{-x^2}
-    at offset k.  They do not depend on the dimension, so a sweep over n
-    computes them once; they are the table cache's read-only arrays."""
-    m_lo, *vecs = _axis_factor_vectors(grid)
-    tables = _sigma_tables([(vec, k) for vec in vecs], m_lo, grid.delta, M, rule)
-    return tuple(q for q, in tables)
-
-
-@lru_cache(maxsize=256)
-def _axis_origin(grid: GridSpec, M: int, rule: DEQuadrature) -> tuple:
-    """The node arrays of evaluate_symmetric that depend on the offset-0
-    tables a0, b0, c0 alone, not on n or k1: beta = b0 / a0 and chi = c0 / a0
-    (0 where a0 = 0), log|a0| (-inf there) and the sign of a0 (-1.0 where
-    a0 < 0, else 1.0), all read-only."""
-    a0, b0, c0v = _axis_sigma_tables(grid, M, 0, rule)
+    pairs = [(vec, offset) for offset in (k, 0) for vec in vecs]
+    (a1,), (b1,), (c1,), (a0,), (b0,), (c0,) = _sigma_tables(pairs, m_lo, grid.delta, M, rule)
     live = a0 != 0.0
     beta = np.zeros_like(a0)
     chi = np.zeros_like(a0)
     beta[live] = b0[live] / a0[live]
-    chi[live] = c0v[live] / a0[live]
+    chi[live] = c0[live] / a0[live]
     with np.errstate(divide="ignore"):
         log_a0 = np.log(np.abs(a0))
     sign_a0 = np.where(a0 < 0.0, -1.0, 1.0)
-    arrays = (beta, chi, log_a0, sign_a0)
-    for array in arrays:
+    for array in (beta, chi, log_a0, sign_a0):
         array.flags.writeable = False
-    return arrays
+    return a1, b1, c1, beta, chi, log_a0, sign_a0
 
 
 def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
@@ -641,8 +625,7 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
     k1 = int_value(k1, "axis index k1")
     nodes = rule.arrays()
     D = grid.delta
-    a1, b1, c1v = _axis_sigma_tables(grid, M, k1, rule)
-    beta, chi, log_a0, sign_a0 = _axis_origin(grid, M, rule)
+    a1, b1, c1v, beta, chi, log_a0, sign_a0 = _axis_nodes(grid, M, k1, rule)
     big = float(n)  # n(n-1)-type coefficients round at ~1 ulp for n > 9e7
     g = (
         density.c0 * a1

@@ -71,8 +71,11 @@ class PotentialSample:
 
 def int_value(value, what: str) -> int:
     """value as an int; ValueError unless it is a whole number."""
-    n = int(value)
-    if n != value:
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):  # inf, NaN
+        n = None
+    if n is None or n != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return n
 

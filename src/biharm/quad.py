@@ -38,13 +38,6 @@ __all__ = [
 # Tail contributions are compared against this fraction of the accumulated sum.
 _TAIL_TOL = 1e-16
 
-# node-row stacks of fewer values are summed by math.fsum row by row.  On an
-# x86 Xeon with numpy 2.4, math.fsum against the one-row split of _row_sums,
-# on windows of the engine's node rows around their peaks, took 1.4 vs 9.9 us
-# for 8 values, 6.4 vs 9.7 us for 150, 8.9 vs 9.8 us for 200, 12.3 vs 9.8 us
-# for 250 and 17.6 vs 9.9 us for a whole row of 300 (minimums of 20 rounds)
-_FSUM_VALUES = 200
-
 # _row_sums splits its rows into column pieces of at most this many values,
 # so its temporaries stay within 256 KiB; an engine stack (at most
 # engine._CHUNK_VALUES = 2^15 values) is one piece.  The --verify check
@@ -214,8 +207,7 @@ def _exp_nodes(expo: np.ndarray, factor=1.0) -> np.ndarray:
 def _row_sums(rows: np.ndarray) -> list:
     """math.fsum of each node row, bit for bit, from one vectorised pass.
 
-    Stacks of fewer than _FSUM_VALUES values, and rows of 2^26 or more
-    values, are summed by math.fsum directly.
+    Rows of 2^26 or more values are summed by math.fsum directly.
     Otherwise each row x_1..x_N (N < 2^26) is split without error (Rump,
     Ogita and Oishi's ExtractVector): with mu = max|x_i| < 2^e and
     sigma = 2^(e + ceil(log2(N + 2))), q_i = (sigma + x_i) - sigma and
@@ -250,7 +242,7 @@ def _row_sums(rows: np.ndarray) -> list:
     exact ties and rows whose cancellation leaves B above h.
     """
     count, cols = rows.shape
-    if count * cols < _FSUM_VALUES or cols >= 2 ** 26:
+    if cols >= 2 ** 26:
         # a memoryview hands math.fsum the values as floats with no list
         return [math.fsum(memoryview(row)) for row in rows]
     width = max(1, _PIECE_VALUES // count)

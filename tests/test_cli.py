@@ -133,7 +133,8 @@ def test_non_finite_or_nonpositive_delta_is_a_config_error(capsys, delta):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("dims", (5.5,)), ("orders", (2.5,)), ("steps", (10.5,))])
+    ("dims", (5.5,)), ("orders", (2.5,)), ("steps", (10.5,)),
+    ("dims", (math.inf,)), ("orders", (math.nan,)), ("steps", (math.inf,))])
 def test_run_config_refuses_fractional_counts(field, value):
     params = {"dims": (5,), "orders": (2,), "steps": (10,), field: value}
     with pytest.raises(ValueError, match="integer"):

@@ -300,11 +300,9 @@ def test_products_match_symmetric_path_at_large_n(rule):
 
 
 def _empty_caches():
-    """Empty the kernel row and sigma table cache and the axis table caches."""
+    """Empty the kernel row and sigma table cache and the axis node cache."""
     engine._ROW_BLOCKS.clear()
-    engine._axis_sigma_tables.cache_clear()
-    engine._axis_origin.cache_clear()
-    engine._axis_factor_vectors.cache_clear()
+    engine._axis_nodes.cache_clear()
 
 
 def _check_banded(keys, blocks):
@@ -1016,8 +1014,9 @@ def test_symmetric_matches_generic_path_on_random_densities(n, M, k1, coeffs, si
 
 
 def test_symmetric_tables_shared_across_dimensions():
-    # the axis sigma tables do not depend on n: a sweep over n reuses them,
-    # and values from reused tables equal values from fresh ones bit for bit
+    # the axis node arrays do not depend on n: a sweep over n forms them
+    # once, values from shared arrays equal values from fresh ones bit for
+    # bit, and every array is read-only
     grid = GridSpec(0.05)
     dims = (5, 50, 10 ** 6)
 
@@ -1027,16 +1026,28 @@ def test_symmetric_tables_shared_across_dimensions():
 
     _empty_caches()
     shared = [value(n) for n in dims]
-    assert engine._axis_sigma_tables.cache_info().misses == 2
+    assert engine._axis_nodes.cache_info().misses == 1
     fresh = []
     for n in dims:
         _empty_caches()
         fresh.append(value(n))
-    assert shared == fresh
-    tables = engine._axis_sigma_tables(grid, 3, 20, DEQuadrature())
-    assert not any(table.flags.writeable for table in tables)
-    # so are the n-independent node arrays formed from the offset-0 tables
-    assert not any(array.flags.writeable for array in engine._axis_origin(grid, 3, DEQuadrature()))
+    assert [v.hex() for v in shared] == [v.hex() for v in fresh]
+    arrays = engine._axis_nodes(grid, 3, 20, DEQuadrature())
+    assert len(arrays) == 7
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def test_symmetric_offset_order_does_not_matter():
+    # at k1 = 0 the offset-0 tables are asked for twice in one call, and at
+    # k1 = 20 they come from the table cache if k1 = 0 ran first: either
+    # order of the two calls from empty caches gives the same bits
+    grid = GridSpec(0.05)
+    dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(7), 7)
+    values = []
+    for ks in ((20, 0), (0, 20)):
+        _empty_caches()
+        values.append({k: evaluate_symmetric(dens, k, grid, 3).value.hex() for k in ks})
+    assert values[0] == values[1]
 
 
 def test_short_rule_is_refused():

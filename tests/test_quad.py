@@ -322,20 +322,16 @@ _KINDS = ("onesigned", "wide", "subnormal", "cancel", "tie", "zeros", "nonfinite
 def test_row_sums_equal_fsum(cols, seed, kinds, edges):
     # every row sum is math.fsum's bit for bit (signed zeros included), and a
     # stack with a row that math.fsum refuses raises the same exception type;
-    # with no size threshold every stack drawn, and its first row alone (the
-    # one-row form), takes the split, in one piece or in pieces of 1 and 7
-    # values, and with all values under it every stack is summed by
-    # math.fsum row by row
+    # every stack drawn, and its first row alone (the one-row form), takes
+    # the split, in one piece or in pieces of 1 and 7 values
     rng = np.random.default_rng(seed)
     rows = np.array([_hard_row(rng, kind, cols) for kind in kinds])
     for i, x in edges:
         rows[i % len(rows), (i // len(rows)) % cols] = x
     for stack in (rows, rows[:1]):
         want = _sums_or_error(lambda: [math.fsum(row.tolist()) for row in stack])
-        for threshold, piece in ((0, quad._PIECE_VALUES), (0, 1), (0, 7),
-                                 (stack.size + 1, quad._PIECE_VALUES)):
-            with mock.patch.object(quad, "_FSUM_VALUES", threshold), \
-                    mock.patch.object(quad, "_PIECE_VALUES", piece):
+        for piece in (quad._PIECE_VALUES, 1, 7):
+            with mock.patch.object(quad, "_PIECE_VALUES", piece):
                 assert _sums_or_error(lambda: quad._row_sums(stack)) == want
 
 
@@ -387,8 +383,7 @@ def test_one_row_sums_equal_fsum(name):
     row = np.array([values])
     want = _sums_or_error(lambda: [math.fsum(values)])
     for piece in (quad._PIECE_VALUES, 1, 7):
-        with mock.patch.object(quad, "_FSUM_VALUES", 0), \
-                mock.patch.object(quad, "_PIECE_VALUES", piece), _fsum_spy() as summed:
+        with mock.patch.object(quad, "_PIECE_VALUES", piece), _fsum_spy() as summed:
             got = _sums_or_error(lambda: quad._row_sums(row))
         assert got == want
         assert (summed == []) == certified
@@ -434,7 +429,6 @@ def test_uncertified_rows_fall_back_to_fsum():
     rows = np.array([_tie_row(rng, 300), rng.uniform(0.5, 1.5, 300),
                      _cancelling_row(rng, 300), rng.uniform(-1.0, 2.0, 300),
                      _tie_row(rng, 7).tolist() + [0.0] * 293, power])
-    assert rows.size >= quad._FSUM_VALUES
     want = [math.fsum(row.tolist()) for row in rows]
     with _fsum_spy() as summed:
         got = quad._row_sums(rows)
