@@ -12,13 +12,18 @@ pass with a proven bound, math.fsum where the bound cannot certify a row
 product order over dimensions is fixed, so results are reproducible bit for bit.
 evaluate assembles each distinct point of a call once, in chunks of points
 bounded by _CHUNK_VALUES: per chunk, one gather of table rows per dimension
-forms the products and one quad._point_sums pass certifies all their row
+forms the products, in stacks that are the thread's scratch buffers
+(quad._scratch), and one quad._point_sums pass certifies all their row
 sums, and a repeated point takes its value.
 
 The convolution kernel e^{-d^2/(D(1+t))} Q_M(d/sqrt(D), t) depends on the
 lattice offset d = k - m alone, not on h, n or the density.  Its rows are
 built once per (D, M, rule) for |d| in blocks of _BLOCK and kept in one
-byte-bounded LRU.  At small t the Gaussian of a large |d| is exactly 0 in
+byte-bounded LRU.  Each block is built straight into its stored array in row
+pieces of at most quad._BUILD_VALUES values: the Gaussian rows are
+multiplied and exp'd in place, and quad._node_polys runs its recurrence
+through piece-sized buffers that each thread keeps, so a cold build holds no
+full-size temporary.  At small t the Gaussian of a large |d| is exactly 0 in
 binary64, so the blocks are banded: each holds its rows from the block's
 first live node column on, the first column that is nonzero in any of its
 Gaussian rows.  Each block also has one pad row at each end: 1.0 in the Q_M
@@ -45,8 +50,9 @@ first offset k - m_lo, D, M and the rule, so the same LRU keeps it across
 calls as its own entry, keyed by the exact sample bytes.
 evaluate_symmetric reads its node arrays, which do not depend on n, from one
 lru_cache per (grid, M, k1, rule), _axis_nodes: on a miss one _sigma_tables
-call forms the tables at offsets k1 and 0, and the offset-0 ones come from
-the table LRU once any k1 has built them.
+call forms the tables at offsets k1 and 0 from the grid's factor vectors,
+sampled once per grid (_axis_vectors), and the offset-0 ones come from the
+table LRU once any k1 has built them.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ import numpy as np
 from .errors import RankBudgetExceeded, SupportTruncated, UnsupportedDimension
 from .kernels import GridSpec, PotentialSample, dim_value, int_value, order_value
 from .quad import (DEFAULT_RULE, DEQuadrature, _exp_nodes, _node_polys, _node_sum,
-                   _point_sums, qm_poly)
+                   _point_sums, _row_pieces, _scratch, qm_poly)
 
 __all__ = [
     "SeparatedDensity",
@@ -216,6 +222,8 @@ def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
     numpy does not promise to add a one-column stack row by row (np.sum adds
     it pairwise).  The rows are a view of the rows 1..len(d) of a base whose
     first and last rows are scratch pads for the carried sums of _sigma.
+    The base is built in row pieces (quad._row_pieces), each multiplied and
+    exp'd in place.
     """
     inv = np.exp(-rule.arrays().log1pt) / D
     cols = len(inv)
@@ -224,7 +232,11 @@ def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
     reach = -(near * near) * inv >= -746.0
     start = min(int(reach.argmax()) if reach.any() else cols, cap)
     padded = _padded(d)
-    block = np.exp(-(padded * padded)[:, None] * inv[None, start:])
+    neg = -(padded * padded)
+    block = np.empty((len(padded), cols - start))
+    for rows in _row_pieces(block.shape):
+        piece = np.multiply(neg[rows, None], inv[start:], out=block[rows])
+        np.exp(piece, out=piece)
     block[0] = block[-1] = 0.0
     live = block[1:-1].any(axis=0)
     c0 = min(start + int(live.argmax()) if live.any() else cols, cap)
@@ -271,6 +283,11 @@ def _row_block(keys: tuple, build) -> list:
     return blocks
 
 
+def _block_offsets(b: int) -> np.ndarray:
+    """The offsets |d| of block b: b B .. b B + B - 1 (B = _BLOCK)."""
+    return b * _BLOCK + np.arange(_BLOCK, dtype=float)
+
+
 def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
                  with_r: bool) -> list:
     """The kernel rows d = d0, d0 - 1, ..., d0 - L + 1 as runs that each read
@@ -299,13 +316,12 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
             n = min(_BLOCK - r, L - i)
             lo, hi = r, r + n
             rows = slice(lo, hi + 1)
-        offsets = b * _BLOCK + np.arange(_BLOCK, dtype=float)
         [gauss] = _row_block((("gauss", D, rule, b),),
-                             lambda: (_gauss_block(offsets, D, rule),))
+                             lambda: (_gauss_block(_block_offsets(b), D, rule),))
         c = cols - gauss.shape[1]
         skip = M == 1
         polys = _row_block((("Q", D, M, rule, b), ("R", D, M, rule, b))[skip:1 + with_r],
-                           lambda: _poly_rows(offsets, D, M, rule, with_r, c)[skip:])
+                           lambda: _poly_rows(_block_offsets(b), D, M, rule, with_r, c)[skip:])
         runs.append((slice(i, i + n), c, gauss.base[rows],
                      (None,) * skip + tuple(p.base[rows] for p in polys)))
         i += n
@@ -475,23 +491,35 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     chunk = max(1, _CHUNK_VALUES // (density.rank * q.shape[1]))
     totals = []
     for at in (index[i:i + chunk] for i in range(0, len(distinct), chunk)):
+        # the chunk's stacks are this thread's scratch buffers; take's "clip"
+        # mode writes straight into them ("raise" would copy through a
+        # temporary), and every index is in range
+        stacks = _scratch(6 if n == 3 else 2, at[:, 0].shape + q.shape[1:])
         if n == 3:
             # tau_phiprime * (q0 q1 q2 + t (r0 q1 q2 + q0 r1 q2 + q0 q1 r2)),
-            # each product and sum of the plain expression in its order, in
-            # place so that fewer of the chunk's stacks are held at once
-            q0, q1, q2 = (q.take(at[:, j], axis=0) for j in range(3))
-            contrib = q0 * q1
-            r_sum = r.take(at[:, 0], axis=0) * q1 * q2
-            r_sum += q0 * r.take(at[:, 1], axis=0) * q2
-            r_sum += contrib * r.take(at[:, 2], axis=0)
+            # each product and sum of the plain expression in its order
+            q0, q1, q2, contrib, r_sum, rows = stacks
+            for j, out in enumerate((q0, q1, q2)):
+                q.take(at[:, j], axis=0, out=out, mode="clip")
+            np.multiply(q0, q1, out=contrib)
+            r.take(at[:, 0], axis=0, out=r_sum, mode="clip")
+            r_sum *= q1
+            r_sum *= q2
+            np.multiply(q0, r.take(at[:, 1], axis=0, out=rows, mode="clip"), out=rows)
+            rows *= q2
+            r_sum += rows
+            rows = r.take(at[:, 2], axis=0, out=rows, mode="clip")
+            rows *= contrib
+            r_sum += rows
             r_sum *= nodes.t
             contrib *= q2
             contrib += r_sum
             contrib *= tau_phiprime
         else:
-            contrib = q.take(at[:, 0], axis=0)
+            contrib, rows = stacks
+            q.take(at[:, 0], axis=0, out=contrib, mode="clip")
             for j in range(1, n):
-                contrib *= q.take(at[:, j], axis=0)
+                contrib *= q.take(at[:, j], axis=0, out=rows, mode="clip")
             contrib *= nodes.weight
         totals += _point_sums(contrib, density.weights)
     return [(point, totals[i]) for point, i in zip(points, order.tolist())]
@@ -577,6 +605,17 @@ def build_test_density(n, grid: GridSpec) -> SeparatedDensity:
     return SeparatedDensity(weights=tuple(weights), factors=tuple(factors), m_lo=m_lo)
 
 
+@lru_cache(maxsize=16)
+def _axis_vectors(grid: GridSpec) -> tuple:
+    """(m_lo, g0, g2, g4) of _gaussian_factor_vectors, read-only and kept per
+    grid, so that every (M, k1) of a grid reads one set of samples;
+    build_test_density makes its own writable ones."""
+    m_lo, *vecs = _gaussian_factor_vectors(grid)
+    for vec in vecs:
+        vec.flags.writeable = False
+    return m_lo, *vecs
+
+
 @lru_cache(maxsize=256)
 def _axis_nodes(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
     """The node arrays of evaluate_symmetric at the axis offset k, which do
@@ -590,7 +629,7 @@ def _axis_nodes(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
     where a0 = 0), log|a0| (-inf there) and the sign of a0 (-1.0 where
     a0 < 0, else 1.0).
     """
-    m_lo, *vecs = _gaussian_factor_vectors(grid)
+    m_lo, *vecs = _axis_vectors(grid)
     pairs = [(vec, offset) for offset in (k, 0) for vec in vecs]
     (a1,), (b1,), (c1,), (a0,), (b0,), (c0,) = _sigma_tables(pairs, m_lo, grid.delta, M, rule)
     live = a0 != 0.0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,6 +47,15 @@ _TAIL_TOL = 1e-16
 # 9.3 ms and 1,157 in pieces of 2^15 (medians of 9 fresh processes, x86 Xeon,
 # numpy 2.4)
 _PIECE_VALUES = 1 << 15
+
+# _node_polys and engine._gauss_block build a kernel block in row pieces of
+# at most this many values, straight into the stored array: the eight piece
+# buffers of _node_polys (64 KiB each) fit in L2 together, and each thread
+# makes them once (_scratch), so a cold build faults in no page but those of
+# its result.  A 130 x 300 Q_4 + R_4 block took 0.85-1.3 ms against
+# 2.1-3.0 ms with full-size temporaries (x86 Xeon, numpy 2.4.6); pieces of
+# 2^12 values were slower, 2^14 no faster
+_BUILD_VALUES = 1 << 13
 
 
 def _log_transform(u, a: float, b: float):
@@ -131,6 +141,41 @@ class DEQuadrature:
 DEFAULT_RULE = DEQuadrature()
 
 
+_SCRATCH = threading.local()
+
+# _row_sums' buffer among those of _scratch: its rows may be views of the
+# others, which _node_polys and engine._node_sums use one at a time
+_ROWS_BUFFER = 7
+
+
+def _scratch(count: int, shape: tuple, first: int = 0) -> list:
+    """count buffers of the given shape: views of this thread's buffers
+    first .. first + count - 1, each made once and grown to the largest size
+    asked of it, so that block builds, chunk assembly and row sums reuse the
+    same pages call after call.  A shape of more than _PIECE_VALUES values
+    gets fresh arrays."""
+    size = math.prod(shape)
+    if size > _PIECE_VALUES:
+        return [np.empty(shape) for _ in range(count)]
+    bufs = _SCRATCH.__dict__.setdefault("bufs", [])
+    while len(bufs) < first + count:
+        bufs.append(np.empty(0))
+    for i in range(first, first + count):
+        if bufs[i].size < size:
+            bufs[i] = np.empty(max(size, _BUILD_VALUES))
+    return [buf[:size].reshape(shape) for buf in bufs[first:first + count]]
+
+
+def _row_pieces(shape: tuple) -> list:
+    """Indices that cut an array of the given shape along its first axis into
+    pieces of at most _BUILD_VALUES values, one row where a row alone holds
+    more; [...] for a 0-d shape."""
+    if not shape:
+        return [...]
+    rows = max(1, _BUILD_VALUES // max(math.prod(shape[1:]), 1))
+    return [slice(start, start + rows) for start in range(0, shape[0], rows)]
+
+
 def _node_polys(M: int, x, t, with_r: bool = False) -> tuple:
     """(Q_M(x, t),), or (Q_M(x, t), R_M(x, t)) when with_r, from one Hermite
     recurrence in y = x / sqrt(1+t):
@@ -139,45 +184,74 @@ def _node_polys(M: int, x, t, with_r: bool = False) -> tuple:
     c_k = (-1)^k/(k! 4^k) (1+t)^{-k},
     S_j(y) = y^2 H_j(y) - 2j y H_{j-1}(y) + j(j-1) H_{j-2}(y).
 
-    Only the rolling pair H_{2k-1}, H_{2k} is kept between steps, and every
-    step writes into buffers of the full shape made once: the products and
-    sums are those of the plain expressions, in their order.
+    The results are made once at their full shape and built in row pieces
+    (_row_pieces), each through the same piece-sized buffers (_scratch): y,
+    2y, H_{d-2}, H_{d-1}, H_d in turn and one scratch, plus y^2 and the S
+    term for R_M.
+    The recurrence starts from the scalar H_0 = 1 and from H_1 = 2y itself,
+    so the first step is H_2 = 2y 2y - 2.0, Q = 1.0 + c_1 H_2 and
+    R = y^2 + c_1 (y^2 H_2 - 4y H_1 + 2.0): 2.0 * 1.0 and 1.0 * y^2 are
+    exact, and every other product and sum is that of the plain expressions,
+    in their order.
     """
     t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
     t1 = 1.0 + t
-    y = x / np.sqrt(t1)
-    two_y = 2.0 * y
-    c = np.ones_like(t)
-    h_prev = np.ones_like(y)  # H_0
-    q = c * h_prev
-    if with_r:
-        y2 = y * y
-        r = c * y2  # S_0(y) = y^2
-    if M > 1:
-        h, spare, tmp = (np.empty_like(y) for _ in range(3))
-        np.copyto(h, two_y)  # H_1
-        if with_r:
-            term = np.empty_like(y)
+    root = np.sqrt(t1)
+    c = [1.0]
     for k in range(1, M):
-        c = -c / (k * 4.0 * t1)
-        j = 2 * k
-        # H_2k = 2 y H_{2k-1} - 2 (j - 1) H_{2k-2}
-        h_even = np.multiply(two_y, h, out=spare)
-        h_even -= np.multiply(2.0 * (j - 1), h_prev, out=tmp)
+        c.append(-c[-1] / (k * 4.0 * t1))
+    shape = np.broadcast_shapes(x.shape, t.shape)
+    q = np.empty(shape)
+    r = np.empty(shape) if with_r else None
+    pieces = _row_pieces(shape)
+    bufs = _scratch(8, q[pieces[0]].shape if pieces else ())
+
+    def part(a, rows):
+        # an operand spanning the result's first axis is cut with it
+        return a[rows] if shape and a.ndim == len(shape) and a.shape[0] != 1 else a
+
+    for rows in pieces:
+        qv = q[rows]
+        y, two_y, tmp, y2, term, *hs = (buf[:len(qv)] if shape else buf for buf in bufs)
+        np.divide(part(x, rows), part(root, rows), out=y)
         if with_r:
-            # r + c (y^2 H_2k - 2 j y H_{2k-1} + j (j - 1) H_{2k-2})
-            np.multiply(y2, h_even, out=term)
-            np.multiply(2.0 * j, y, out=tmp)
-            term -= np.multiply(tmp, h, out=tmp)
-            term += np.multiply(j * (j - 1.0), h_prev, out=tmp)
-            r += np.multiply(c, term, out=term)
-        h, h_prev, spare = h_even, h, h_prev
-        q += np.multiply(c, h, out=tmp)
-        if k < M - 1:
-            # H_{2k+1} = 2 y H_2k - 2 j H_{2k-1}
-            h_odd = np.multiply(two_y, h, out=spare)
-            h_odd -= np.multiply(2.0 * j, h_prev, out=tmp)
-            h, h_prev, spare = h_odd, h, h_prev
+            rv = r[rows]
+            np.multiply(y, y, out=rv if M == 1 else y2)
+        if M == 1:
+            qv.fill(1.0)
+            continue
+        np.multiply(2.0, y, out=two_y)
+        # H_d goes to hs[d % 3], never the buffer of H_{d-1} or H_{d-2}
+        h_prev, h = 1.0, two_y
+        for k in range(1, M):
+            ck = part(c[k], rows)
+            j = 2 * k
+            # H_2k = 2 y H_{2k-1} - 2 (j - 1) H_{2k-2}
+            h_even = np.multiply(two_y, h, out=hs[j % 3])
+            h_even -= 2.0 if k == 1 else np.multiply(2.0 * (j - 1), h_prev, out=tmp)
+            if with_r:
+                # r + c (y^2 H_2k - 2 j y H_{2k-1} + j (j - 1) H_{2k-2})
+                np.multiply(y2, h_even, out=term)
+                np.multiply(2.0 * j, y, out=tmp)
+                term -= np.multiply(tmp, h, out=tmp)
+                term += 2.0 if k == 1 else np.multiply(j * (j - 1.0), h_prev, out=tmp)
+                term *= ck
+                if k == 1:
+                    np.add(y2, term, out=rv)
+                else:
+                    rv += term
+            h_prev, h = h, h_even
+            if k == 1:
+                np.multiply(ck, h, out=qv)
+                qv += 1.0
+            else:
+                qv += np.multiply(ck, h, out=tmp)
+            if k < M - 1:
+                # H_{2k+1} = 2 y H_2k - 2 j H_{2k-1}
+                h_odd = np.multiply(two_y, h, out=hs[(j + 1) % 3])
+                h_odd -= np.multiply(2.0 * j, h_prev, out=tmp)
+                h_prev, h = h, h_odd
     return (q, r) if with_r else (q,)
 
 
@@ -247,8 +321,10 @@ def _row_sums(rows: np.ndarray) -> list:
         return [math.fsum(memoryview(row)) for row in rows]
     width = max(1, _PIECE_VALUES // count)
     # one buffer takes |x|, then q, p and |p|, of each piece in turn; one row
-    # is cut as a vector, so that its sums come back as scalars
-    buf = np.empty((count, min(cols, width)))
+    # is cut as a vector, so that its sums come back as scalars.  A stack
+    # takes the thread's buffer; one row's is made faster than looked up
+    shape = (count, min(cols, width))
+    buf = np.empty(shape) if count == 1 else _scratch(1, shape, _ROWS_BUFFER)[0]
     if count == 1:
         rows, buf = rows[0], buf[0]
     pieces = [(rows[..., start:start + width], buf[..., :min(width, cols - start)])

@@ -13,6 +13,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,14 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biharm import engine
+from biharm import engine, quad
 from biharm.engine import (IsotropicGaussianPolyDensity, SeparatedDensity,
                            build_test_density, evaluate, evaluate_symmetric,
                            saturation_epsilon0, tensor_weight)
 from biharm.errors import (QuadratureDivergence, RankBudgetExceeded,
                            SupportTruncated, UnsupportedDimension)
 from biharm.kernels import GridSpec, direct_cubature
-from biharm.quad import DEQuadrature, qm_poly
+from biharm.quad import DEFAULT_RULE, DEQuadrature, qm_poly
 
 
 def _padded_random_vectors(rng, count, m_half):
@@ -300,9 +301,11 @@ def test_products_match_symmetric_path_at_large_n(rule):
 
 
 def _empty_caches():
-    """Empty the kernel row and sigma table cache and the axis node cache."""
+    """Empty the kernel row and sigma table cache and the axis node and
+    factor vector caches."""
     engine._ROW_BLOCKS.clear()
     engine._axis_nodes.cache_clear()
+    engine._axis_vectors.cache_clear()
 
 
 def _check_banded(keys, blocks):
@@ -583,6 +586,30 @@ def test_table_4_working_set_is_banded():
     _empty_caches()
 
 
+def test_block_builds_hold_one_piece_of_temporaries():
+    # a full Gaussian block and a Q_4 + R_4 block are built in row pieces
+    # straight into their stored arrays, in a new thread, so that _node_polys
+    # makes its eight piece buffers too: the peak holds the stored arrays,
+    # those buffers and numpy's ufunc buffers (np.getbufsize() values per
+    # broadcast operand), not full-size temporaries
+    _empty_caches()
+    tracemalloc.start()
+    try:
+        build = threading.Thread(target=engine._kernel_runs,
+                                 args=(0, 1, 5.0, 4, DEFAULT_RULE, True))
+        build.start()
+        build.join(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not build.is_alive()
+    stored = engine._ROW_BLOCKS.nbytes
+    assert stored == 3 * (engine._BLOCK + 2) * DEFAULT_RULE.node_count * 8
+    piece = quad._BUILD_VALUES * 8
+    assert peak < stored + 8 * piece + 4 * np.getbufsize() * 8, (peak - stored) / piece
+    _empty_caches()
+
+
 def test_byte_lru_counts_only_held_values(monkeypatch):
     # an evicted value is no longer counted, even once an equal key holds a
     # new value; an entry larger than the bound evicts everything, itself too
@@ -785,8 +812,9 @@ def test_concurrent_evaluate_calls_match_serial_ones(monkeypatch):
     # threads share the cached kernel blocks and carry their sums through
     # the same pad rows; with no table cached across calls, every call runs
     # _sigma over 521 samples, 5 blocks, and eight threads on a short switch
-    # interval interleave there.  Every value must be the serial call's bit
-    # for bit, and the cache's byte count must stay exact
+    # interval interleave there, each building blocks from empty caches
+    # through its own piece buffers.  Every value must be the serial call's
+    # bit for bit, and the cache's byte count must stay exact
     monkeypatch.setattr(engine, "_VECTOR_BYTES", 0)
     grid = GridSpec(1.0 / 40)
     dens = _positive_density(5, grid)
@@ -1035,6 +1063,33 @@ def test_symmetric_tables_shared_across_dimensions():
     arrays = engine._axis_nodes(grid, 3, 20, DEQuadrature())
     assert len(arrays) == 7
     assert not any(array.flags.writeable for array in arrays)
+
+
+def test_axis_vectors_are_built_once_per_grid(monkeypatch):
+    # a sweep over M at one grid samples its factor vectors once, into
+    # read-only arrays; build_test_density still gets writable ones of its own
+    grid = GridSpec(0.1)
+    calls = []
+    real = engine._gaussian_factor_vectors
+
+    def counted(grid):
+        calls.append(grid)
+        return real(grid)
+
+    monkeypatch.setattr(engine, "_gaussian_factor_vectors", counted)
+    _empty_caches()
+    dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(6), 6)
+    for M in (1, 2, 3, 4):
+        evaluate_symmetric(dens, 10, grid, M)
+    assert calls == [grid]
+    m_lo, *vecs = engine._axis_vectors(grid)
+    assert not any(vec.flags.writeable for vec in vecs)
+    density = build_test_density(5, grid)
+    assert density.m_lo == m_lo
+    assert all(vec.flags.writeable for term in density.factors for vec in term)
+    assert not any(vec is cached for term in density.factors for vec in term
+                   for cached in vecs)
+    _empty_caches()
 
 
 def test_symmetric_offset_order_does_not_matter():

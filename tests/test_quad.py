@@ -9,12 +9,13 @@ zero-offset lattice weight) are asserted through it in test_acceptance.
 """
 
 import contextlib
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biharm import quad
@@ -188,17 +189,33 @@ def _plain_node_polys(M, x, t, with_r):
     return (q, r) if with_r else (q,)
 
 
+# (rows, 1) x (1, cols) inputs the size of an engine block: (130, 1) x
+# (1, 300) spans several of _node_polys' row pieces, (130, 1) x (1, 2) one
+_BLOCK_SHAPES = {"block": ((130, 1), (1, 300)), "narrow": ((130, 1), (1, 2))}
+
+
+def _every_order_at_block_size(test):
+    for M, with_r, shape in itertools.product(range(1, 7), (False, True), _BLOCK_SHAPES):
+        test = example(M=M, with_r=with_r, shape=shape, seed=M)(test)
+    return test
+
+
 @settings(max_examples=100, deadline=None)
 @given(M=st.integers(1, 6), with_r=st.booleans(),
-       shape=st.sampled_from(("scalar", "vector", "grid")), seed=st.integers(0, 2 ** 32 - 1))
+       shape=st.sampled_from(("scalar", "vector", "grid", *_BLOCK_SHAPES)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@_every_order_at_block_size
 def test_in_place_recurrence_keeps_every_bit(M, with_r, shape, seed):
     # _node_polys reuses its buffers but must form each value as the plain
-    # recurrence does, on 0-d, 1-D and (rows, 1) x (1, cols) inputs; x spans
-    # the engine's range |d| / sqrt(D) and t the rule's 13 decades
+    # recurrence does, on 0-d, 1-D and (rows, 1) x (1, cols) inputs, block
+    # sized ones included; x spans the engine's range |d| / sqrt(D) and t the
+    # rule's 13 decades
     rng = np.random.default_rng(seed)
-    size = {"scalar": (), "vector": (17,), "grid": (9, 1)}[shape]
-    x = np.asarray(rng.uniform(-60.0, 60.0, size))
-    t = np.exp(rng.uniform(-30.0, 30.0, (1, 13) if shape == "grid" else size))
+    shapes = {"scalar": ((), ()), "vector": ((17,), (17,)), "grid": ((9, 1), (1, 13)),
+              **_BLOCK_SHAPES}
+    x_shape, t_shape = shapes[shape]
+    x = np.asarray(rng.uniform(-60.0, 60.0, x_shape))
+    t = np.exp(rng.uniform(-30.0, 30.0, t_shape))
     got = quad._node_polys(M, x, t, with_r)
     want = _plain_node_polys(M, x, t, with_r)
     assert len(got) == len(want)
