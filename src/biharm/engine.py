@@ -8,8 +8,10 @@ evaluate_symmetric, whose power a0^(n-1) leaves binary64 at large n, forms
 its node values as exp of a log sum.  Node row sums are
 correctly rounded, equal to math.fsum's bit for bit: a vectorised error-free
 pass with a proven bound, math.fsum where the bound cannot certify a row
-(quad._row_sums).  They are certified against the quadrature tail, and the
-product order over dimensions is fixed, so results are reproducible bit for bit.
+(quad._row_sums for the stacks of evaluate, quad._one_row_sum for the one
+row of evaluate_symmetric).  They are certified against the quadrature tail,
+and the product order over dimensions is fixed, so results are reproducible
+bit for bit.
 evaluate assembles each distinct point of a call once, in chunks of points
 bounded by _CHUNK_VALUES: per chunk, one gather of table rows per dimension
 forms the products, in stacks that are the thread's scratch buffers
@@ -52,7 +54,10 @@ evaluate_symmetric reads its node arrays, which do not depend on n, from one
 lru_cache per (grid, M, k1, rule), _axis_nodes: on a miss one _sigma_tables
 call forms the tables at offsets k1 and 0 from the grid's factor vectors,
 sampled once per grid (_axis_vectors), and the offset-0 ones come from the
-table LRU once any k1 has built them.
+table LRU once any k1 has built them.  A warm call is then a few dozen ufunc
+calls on node-length arrays: it forms its node row in place, in four arrays
+made per call and inside one np.errstate block, and sums it with
+quad._one_row_sum.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ import numpy as np
 
 from .errors import RankBudgetExceeded, SupportTruncated, UnsupportedDimension
 from .kernels import GridSpec, PotentialSample, dim_value, int_value, order_value
-from .quad import (DEFAULT_RULE, DEQuadrature, _exp_nodes, _node_polys, _node_sum,
-                   _point_sums, _row_pieces, _scratch, qm_poly)
+from .quad import (DEFAULT_RULE, DEQuadrature, _node_polys, _node_sum, _point_sums,
+                   _row_pieces, _scratch, qm_poly)
 
 __all__ = [
     "SeparatedDensity",
@@ -654,6 +659,8 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
     the per-node rank-expanded product collapses to A0^{n-1} times a short
     combinatorial polynomial in the moment ratios; the n-th power is carried
     in log form with an explicit sign, which keeps n ~ 1e8 in range.
+    A polynomial or a node value past the binary64 range raises
+    FloatingPointError, and a node sum past it OverflowError.
     """
     n = int_value(density.n, "dimension")
     if n < 5:
@@ -666,21 +673,42 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
     D = grid.delta
     a1, b1, c1v, beta, chi, log_a0, sign_a0 = _axis_nodes(grid, M, k1, rule)
     big = float(n)  # n(n-1)-type coefficients round at ~1 ulp for n > 9e7
-    g = (
-        density.c0 * a1
-        + density.c1 * (b1 + (big - 1.0) * a1 * beta)
-        + density.c2 * (
-            c1v
-            + (big - 1.0) * a1 * chi
-            + 2.0 * (big - 1.0) * b1 * beta
-            + (big - 1.0) * (big - 2.0) * a1 * beta * beta
-        )
-    )
-    sign = np.sign(g) * (sign_a0 if (n - 1) % 2 == 1 else 1.0)
-    # dead nodes (a0 = 0 or g = 0) have expo = -inf and contribute nothing
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expo = nodes.log_weight + (big - 1.0) * log_a0 + np.log(np.abs(g))
-    value = (grid.h * math.sqrt(D)) ** 4 / 16.0 * _node_sum(_exp_nodes(expo, sign))
+    n1 = big - 1.0
+    # g = c0 a1 + c1 (b1 + (n-1) a1 beta)
+    #     + c2 (c1v + (n-1) a1 chi + 2 (n-1) b1 beta + (n-1)(n-2) a1 beta^2)
+    # and the node row sign(g) sign(a0)^(n-1) e^expo with
+    # expo = log_weight + (n-1) log|a0| + log|g|, formed in place: every
+    # product and sum has the operands and order of these expressions read
+    # left to right, up to swapping the two operands of one IEEE + or x,
+    # which is exact.  Dead nodes (a0 = 0 or g = 0) have expo = -inf and
+    # contribute nothing
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        g = np.multiply(density.c0, a1)
+        na1 = np.multiply(n1, a1)
+        term = np.multiply(na1, beta)
+        term += b1
+        term *= density.c1
+        g += term
+        inner = np.multiply(na1, chi, out=term)
+        inner += c1v
+        part = np.multiply(2.0 * n1, b1)
+        part *= beta
+        inner += part
+        np.multiply(n1 * (big - 2.0), a1, out=part)
+        part *= beta
+        part *= beta
+        inner += part
+        inner *= density.c2
+        g += inner
+        expo = np.multiply(n1, log_a0, out=na1)
+        expo += nodes.log_weight
+        expo += np.log(np.abs(g, out=part), out=part)
+        sign = np.sign(g, out=g)
+        if (n - 1) % 2 == 1:
+            sign *= sign_a0
+        row = np.exp(expo, out=expo)
+        row *= sign
+    value = (grid.h * math.sqrt(D)) ** 4 / 16.0 * _node_sum(row)
     return PotentialSample(point=(k1,), value=value, method="symmetric",
                            M=M, h=grid.h, delta=grid.delta)
 

@@ -252,9 +252,9 @@ def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
     terms *= samples.reshape(terms.shape)
     # exactly rounded, so independent of the term order: bitwise invariant
     # under permutations and sign flips of the coordinates
-    from .quad import _row_sums
+    from .quad import _one_row_sum
 
-    return _row_sums(terms.reshape(1, -1))[0]
+    return _one_row_sum(terms.ravel())
 
 
 def _direct_radial(profile, grid: GridSpec, n: int, M: int, x: np.ndarray) -> float:

@@ -8,11 +8,11 @@ immutable and end where t or the weight leaves binary64, so every node
 quantity is finite; log-magnitude companions of them are kept for the node
 sums formed in the log domain: integral_phi2's and evaluate_symmetric's,
 whose power a0^(n-1) leaves binary64 at large n.
-Every node sum of the package, here and in the engine, goes through
-_row_sums, which sums any number of node rows at once to math.fsum's results
-bit for bit, and is then _checked: a rule whose last node still carries
-weight is refused.  _point_sums does this for the terms of many points,
-_node_sum for one row.
+Every node sum of the package, here and in the engine, is math.fsum's
+result bit for bit, from one certified split: _row_sums splits any number of
+node rows at once, _one_row_sum one row with scalar bookkeeping.  Each sum
+is then _checked: a rule whose last node still carries weight is refused.
+_point_sums does this for the terms of many points, _node_sum for one row.
 """
 
 from __future__ import annotations
@@ -39,22 +39,22 @@ __all__ = [
 # Tail contributions are compared against this fraction of the accumulated sum.
 _TAIL_TOL = 1e-16
 
-# _row_sums splits its rows into column pieces of at most this many values,
-# so its temporaries stay within 256 KiB; an engine stack (at most
-# engine._CHUNK_VALUES = 2^15 values) is one piece.  The --verify check
-# "tensor path vs direct summation" (three sums over 11^5 samples) took
-# 12.6 ms and 2,201 minor page faults with each row in one piece against
-# 9.3 ms and 1,157 in pieces of 2^15 (medians of 9 fresh processes, x86 Xeon,
-# numpy 2.4)
+# _row_sums splits its rows into column pieces of at most this many values
+# (_one_row_sum hands it every longer row), so its temporaries stay within
+# 256 KiB; an engine stack (at most engine._CHUNK_VALUES = 2^15 values) is
+# one piece.  The --verify check "tensor path vs direct summation" (three
+# sums over 11^5 samples) took 12.6 ms and 2,201 minor page faults with each
+# row in one piece against 9.3 ms and 1,157 in pieces of 2^15 (medians of 9
+# fresh processes, x86 Xeon, numpy 2.4)
 _PIECE_VALUES = 1 << 15
 
 # _node_polys and engine._gauss_block build a kernel block in row pieces of
-# at most this many values, straight into the stored array: the eight piece
-# buffers of _node_polys (64 KiB each) fit in L2 together, and each thread
-# makes them once (_scratch), so a cold build faults in no page but those of
-# its result.  A 130 x 300 Q_4 + R_4 block took 0.85-1.3 ms against
-# 2.1-3.0 ms with full-size temporaries (x86 Xeon, numpy 2.4.6); pieces of
-# 2^12 values were slower, 2^14 no faster
+# at most this many values, straight into the stored array: the piece
+# buffers of _node_polys (64 KiB each, 7 + M of them at most) fit in L2
+# together, and each thread makes them once (_scratch), so a cold build
+# faults in no page but those of its result.  A 130 x 300 Q_4 + R_4 block
+# took 0.85-1.3 ms against 2.1-3.0 ms with full-size temporaries (x86 Xeon,
+# numpy 2.4.6); pieces of 2^12 values were slower, 2^14 no faster
 _BUILD_VALUES = 1 << 13
 
 
@@ -143,8 +143,9 @@ DEFAULT_RULE = DEQuadrature()
 
 _SCRATCH = threading.local()
 
-# _row_sums' buffer among those of _scratch: its rows may be views of the
-# others, which _node_polys and engine._node_sums use one at a time
+# _row_sums' buffer among those of _scratch: its rows may be views of
+# engine._node_sums' stacks, the buffers before it.  _node_polys, which
+# never runs inside a row sum, uses it too
 _ROWS_BUFFER = 7
 
 
@@ -186,13 +187,17 @@ def _node_polys(M: int, x, t, with_r: bool = False) -> tuple:
 
     The results are made once at their full shape and built in row pieces
     (_row_pieces), each through the same piece-sized buffers (_scratch): y,
-    2y, H_{d-2}, H_{d-1}, H_d in turn and one scratch, plus y^2 and the S
-    term for R_M.
+    then 2y in its place, H_{d-2}, H_{d-1}, H_d in turn and one scratch,
+    plus y^2 and the S term for R_M.  sqrt(1+t) and the c_k are the same
+    for every piece; one that would broadcast along the rows is formed at
+    piece shape once per call, since numpy's buffered iterator takes
+    np.getbufsize() values per broadcast operand on every ufunc call.
     The recurrence starts from the scalar H_0 = 1 and from H_1 = 2y itself,
     so the first step is H_2 = 2y 2y - 2.0, Q = 1.0 + c_1 H_2 and
     R = y^2 + c_1 (y^2 H_2 - 4y H_1 + 2.0): 2.0 * 1.0 and 1.0 * y^2 are
     exact, and every other product and sum is that of the plain expressions,
-    in their order.
+    in their order.  The S term takes 2j y as j (2y): 2y is exact, so both
+    round the same product.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -205,27 +210,48 @@ def _node_polys(M: int, x, t, with_r: bool = False) -> tuple:
     q = np.empty(shape)
     r = np.empty(shape) if with_r else None
     pieces = _row_pieces(shape)
-    bufs = _scratch(8, q[pieces[0]].shape if pieces else ())
+    piece = q[pieces[0]].shape if pieces else ()
+    work = 7 if with_r else 5
+    bufs = _scratch(work + M, piece)
 
-    def part(a, rows):
+    def spans(a):
         # an operand spanning the result's first axis is cut with it
-        return a[rows] if shape and a.ndim == len(shape) and a.shape[0] != 1 else a
+        return shape and a.ndim == len(shape) and a.shape[0] == shape[0]
+
+    def fixed(a, buf):
+        if spans(a) or a.shape == piece:
+            return a
+        np.copyto(buf, a)
+        return buf
+
+    root, *c[1:] = map(fixed, [root, *c[1:]], bufs[work:])
+
+    def part(a, rows, size):
+        if spans(a):
+            return a[rows]
+        # one formed at piece shape is cut to the piece's rows
+        return a[:size] if shape and a.shape == piece else a
 
     for rows in pieces:
         qv = q[rows]
-        y, two_y, tmp, y2, term, *hs = (buf[:len(qv)] if shape else buf for buf in bufs)
-        np.divide(part(x, rows), part(root, rows), out=y)
+        size = len(qv) if shape else None
+        views = [buf[:size] if shape else buf for buf in bufs[:work]]
+        two_y, tmp, *hs = views[:5]
+        # y, then 2y in place once y^2 is formed
+        np.copyto(two_y, part(x, rows, size))
+        two_y /= part(root, rows, size)
         if with_r:
             rv = r[rows]
-            np.multiply(y, y, out=rv if M == 1 else y2)
+            y2, term = views[5:]
+            np.multiply(two_y, two_y, out=rv if M == 1 else y2)
         if M == 1:
             qv.fill(1.0)
             continue
-        np.multiply(2.0, y, out=two_y)
+        two_y *= 2.0
         # H_d goes to hs[d % 3], never the buffer of H_{d-1} or H_{d-2}
         h_prev, h = 1.0, two_y
         for k in range(1, M):
-            ck = part(c[k], rows)
+            ck = part(c[k], rows, size)
             j = 2 * k
             # H_2k = 2 y H_{2k-1} - 2 (j - 1) H_{2k-2}
             h_even = np.multiply(two_y, h, out=hs[j % 3])
@@ -233,7 +259,7 @@ def _node_polys(M: int, x, t, with_r: bool = False) -> tuple:
             if with_r:
                 # r + c (y^2 H_2k - 2 j y H_{2k-1} + j (j - 1) H_{2k-2})
                 np.multiply(y2, h_even, out=term)
-                np.multiply(2.0 * j, y, out=tmp)
+                np.multiply(float(j), two_y, out=tmp)
                 term -= np.multiply(tmp, h, out=tmp)
                 term += 2.0 if k == 1 else np.multiply(j * (j - 1.0), h_prev, out=tmp)
                 term *= ck
@@ -278,11 +304,10 @@ def _exp_nodes(expo: np.ndarray, factor=1.0) -> np.ndarray:
         return factor * np.exp(expo)
 
 
-def _row_sums(rows: np.ndarray) -> list:
-    """math.fsum of each node row, bit for bit, from one vectorised pass.
+def _one_row_sum(row: np.ndarray) -> float:
+    """math.fsum of one node row, bit for bit, from one vectorised pass.
 
-    Rows of 2^26 or more values are summed by math.fsum directly.
-    Otherwise each row x_1..x_N (N < 2^26) is split without error (Rump,
+    The row x_1..x_N (N < 2^26) is split without error (Rump,
     Ogita and Oishi's ExtractVector): with mu = max|x_i| < 2^e and
     sigma = 2^(e + ceil(log2(N + 2))), q_i = (sigma + x_i) - sigma and
     p_i = x_i - q_i are exact, every q_i is a multiple of u sigma
@@ -298,16 +323,11 @@ def _row_sums(rows: np.ndarray) -> list:
     so the exact sum is then strictly nearer to r than to any other double,
     and r is the correctly rounded sum that math.fsum returns.
 
-    A stack of one row takes the same split and the same test, with sigma,
-    r and h as Python floats (math.frexp, math.ldexp, math.ulp) and hi, lo
-    and fl(sum |p_i|) as scalars: on one node row of 300 values the array
-    steps of a stack would cost more than math.fsum itself.
-    The split runs over column pieces of at most _PIECE_VALUES values, one
-    row included, so that a long row such as the direct lattice sum's keeps
-    one piece-sized buffer for |x_i|, q_i and p_i, and adds up hi, lo and
-    fl(sum |p_i|) piece by piece.  The pieces change no bit of the result:
-    hi is exact under any grouping of the q_i, and the bound on lo (and on
-    fl(sum |p_i|)) holds for any order of the additions.
+    sigma, hi, lo, fl(sum |p_i|), r and h are Python floats and one buffer
+    takes |x_i|, q_i and p_i: on a node row of 300 values, numpy scalars or
+    the array steps of a stack would cost more than the split itself.  A
+    row of more than _PIECE_VALUES values, such as the direct lattice sum's,
+    goes to _row_sums as a stack of one, which splits it in pieces.
 
     Every other row is summed by math.fsum, which also raises what it
     raises: rows holding inf or NaN, rows too large for a finite sigma (a
@@ -315,56 +335,74 @@ def _row_sums(rows: np.ndarray) -> list:
     overflow), rows with |r| <= 2^-1021 (h rounds to 0; zero sums included),
     exact ties and rows whose cancellation leaves B above h.
     """
+    cols = row.size
+    if cols > _PIECE_VALUES:
+        return _row_sums(row.reshape(1, -1))[0]
+    # one buffer takes |x|, then q, p and |p|
+    q = np.empty(cols)
+    mu = float(np.maximum.reduce(np.abs(row, out=q)))
+    e = math.frexp(mu)[1] + math.ceil(math.log2(cols + 2))
+    if not (math.isfinite(mu) and e <= 1023):
+        return math.fsum(memoryview(row))
+    sigma = math.ldexp(1.0, e)
+    np.add(row, sigma, out=q)
+    q -= sigma
+    hi = float(np.add.reduce(q))
+    p = np.subtract(row, q, out=q)
+    lo = float(np.add.reduce(p))
+    size = float(np.add.reduce(np.abs(p, out=p)))
+    bound = (2.0 * cols * 2.0 ** -53) * size + 2.0 ** -1074
+    r = hi + lo
+    back = r - hi
+    err = (hi - (r - back)) + (lo - back)
+    half = math.ulp(r) * (0.25 if abs(math.frexp(r)[0]) == 0.5 else 0.5)
+    return r if abs(err) + bound < half else math.fsum(memoryview(row))
+
+
+def _row_sums(rows: np.ndarray) -> list:
+    """math.fsum of each row of a stack, bit for bit: _one_row_sum's split
+    and test, as array steps over all rows at once.
+
+    Rows of 2^26 or more values are summed by math.fsum directly.
+    Otherwise the split runs over column pieces of at most _PIECE_VALUES
+    values in all, one row included, so that a long row keeps one
+    piece-sized buffer for |x_i|, q_i and p_i, and adds up hi, lo and
+    fl(sum |p_i|) piece by piece.  The pieces change no bit of the result:
+    hi is exact under any grouping of the q_i, and the bound on lo (and on
+    fl(sum |p_i|)) holds for any order of the additions.  Every row the test
+    does not certify is summed by math.fsum, which raises what it raises.
+    """
     count, cols = rows.shape
     if cols >= 2 ** 26:
         # a memoryview hands math.fsum the values as floats with no list
         return [math.fsum(memoryview(row)) for row in rows]
     width = max(1, _PIECE_VALUES // count)
-    # one buffer takes |x|, then q, p and |p|, of each piece in turn; one row
-    # is cut as a vector, so that its sums come back as scalars.  A stack
-    # takes the thread's buffer; one row's is made faster than looked up
-    shape = (count, min(cols, width))
-    buf = np.empty(shape) if count == 1 else _scratch(1, shape, _ROWS_BUFFER)[0]
-    if count == 1:
-        rows, buf = rows[0], buf[0]
-    pieces = [(rows[..., start:start + width], buf[..., :min(width, cols - start)])
+    # one buffer takes |x|, then q, p and |p|, of each piece in turn
+    buf = _scratch(1, (count, min(cols, width)), _ROWS_BUFFER)[0]
+    pieces = [(rows[:, start:start + width], buf[:, :min(width, cols - start)])
               for start in range(0, cols, width)] if cols > width else [(rows, buf)]  # one piece, unsliced
-    mu = functools.reduce(np.maximum, [np.maximum.reduce(np.abs(piece, out=out), axis=-1)
+    mu = functools.reduce(np.maximum, [np.maximum.reduce(np.abs(piece, out=out), axis=1)
                                        for piece, out in pieces])
-    scale = math.ceil(math.log2(cols + 2))
-    if count == 1:
-        e = math.frexp(mu)[1] + scale
-        if not (math.isfinite(mu) and e <= 1023):
-            return [math.fsum(memoryview(rows))]
-        r, slack = _split(pieces, math.ldexp(1.0, e), cols)
-        half = math.ulp(r) * (0.25 if abs(math.frexp(r)[0]) == 0.5 else 0.5)
-        return [float(r) if slack < half else math.fsum(memoryview(rows))]
     with np.errstate(over="ignore", invalid="ignore"):
-        r, slack = _split(pieces, np.ldexp(1.0, np.frexp(mu)[1] + scale)[:, None], cols)
+        sigma = np.ldexp(1.0, np.frexp(mu)[1] + math.ceil(math.log2(cols + 2)))[:, None]
+        # -0.0 is the identity of IEEE addition, signed zeros included
+        hi = lo = size = -0.0
+        for piece, q in pieces:
+            np.add(piece, sigma, out=q)
+            q -= sigma
+            hi = hi + np.add.reduce(q, axis=1)
+            p = np.subtract(piece, q, out=q)
+            lo = lo + np.add.reduce(p, axis=1)
+            size = size + np.add.reduce(np.abs(p, out=p), axis=1)
+        bound = (2.0 * cols * 2.0 ** -53) * size + 2.0 ** -1074
+        r = hi + lo
+        back = r - hi
+        err = (hi - (r - back)) + (lo - back)
         half = np.spacing(np.abs(r)) * np.where(np.abs(np.frexp(r)[0]) == 0.5, 0.25, 0.5)
     sums = r.tolist()
-    for i in np.flatnonzero(~(slack < half)).tolist():
+    for i in np.flatnonzero(~(np.abs(err) + bound < half)).tolist():
         sums[i] = math.fsum(rows[i].tolist())
     return sums
-
-
-def _split(pieces, sigma, cols: int) -> tuple:
-    """(r, fl(|err| + B)) of _row_sums' split with the given sigma, over
-    (piece, buffer) pairs that cut the rows into column pieces."""
-    # -0.0 is the identity of IEEE addition, signed zeros included
-    hi = lo = size = -0.0
-    for piece, q in pieces:
-        np.add(piece, sigma, out=q)
-        q -= sigma
-        hi = hi + np.add.reduce(q, axis=-1)
-        p = np.subtract(piece, q, out=q)
-        lo = lo + np.add.reduce(p, axis=-1)
-        size = size + np.add.reduce(np.abs(p, out=p), axis=-1)
-    bound = (2.0 * cols * 2.0 ** -53) * size + 2.0 ** -1074
-    r = hi + lo
-    back = r - hi
-    err = (hi - (r - back)) + (lo - back)
-    return r, abs(err) + bound
 
 
 def _checked(total: float, tail: float) -> float:
@@ -395,7 +433,7 @@ def _point_sums(contribs: np.ndarray, weights) -> list:
 
 def _node_sum(row) -> float:
     """The certified sum of one node row, _checked against its last node."""
-    return _checked(_row_sums(row.reshape(1, -1))[0], float(row[-1]))
+    return _checked(_one_row_sum(row), float(row[-1]))
 
 
 def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:

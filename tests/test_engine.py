@@ -589,9 +589,11 @@ def test_table_4_working_set_is_banded():
 def test_block_builds_hold_one_piece_of_temporaries():
     # a full Gaussian block and a Q_4 + R_4 block are built in row pieces
     # straight into their stored arrays, in a new thread, so that _node_polys
-    # makes its eight piece buffers too: the peak holds the stored arrays,
-    # those buffers and numpy's ufunc buffers (np.getbufsize() values per
-    # broadcast operand), not full-size temporaries
+    # makes its piece buffers too: the peak holds the stored arrays, its
+    # seven work buffers, sqrt(1 + t) and c_1..c_3 at piece shape, and one
+    # piece for the small arrays and objects around them; no full-size
+    # temporary and no ufunc buffer (np.getbufsize() values per broadcast
+    # operand)
     _empty_caches()
     tracemalloc.start()
     try:
@@ -606,7 +608,7 @@ def test_block_builds_hold_one_piece_of_temporaries():
     stored = engine._ROW_BLOCKS.nbytes
     assert stored == 3 * (engine._BLOCK + 2) * DEFAULT_RULE.node_count * 8
     piece = quad._BUILD_VALUES * 8
-    assert peak < stored + 8 * piece + 4 * np.getbufsize() * 8, (peak - stored) / piece
+    assert peak < stored + (7 + 4 + 1) * piece, (peak - stored) / piece
     _empty_caches()
 
 
@@ -1103,6 +1105,49 @@ def test_symmetric_offset_order_does_not_matter():
         _empty_caches()
         values.append({k: evaluate_symmetric(dens, k, grid, 3).value.hex() for k in ks})
     assert values[0] == values[1]
+
+
+def _plain_symmetric(density, k1, grid, M):
+    """evaluate_symmetric's value from its node row formed by the plain
+    expressions."""
+    nodes = DEFAULT_RULE.arrays()
+    n = density.n
+    a1, b1, c1v, beta, chi, log_a0, sign_a0 = engine._axis_nodes(grid, M, k1, DEFAULT_RULE)
+    big = float(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (density.c0 * a1
+             + density.c1 * (b1 + (big - 1.0) * a1 * beta)
+             + density.c2 * (c1v + (big - 1.0) * a1 * chi + 2.0 * (big - 1.0) * b1 * beta
+                             + (big - 1.0) * (big - 2.0) * a1 * beta * beta))
+        sign = np.sign(g) * (sign_a0 if (n - 1) % 2 == 1 else 1.0)
+        expo = nodes.log_weight + (big - 1.0) * log_a0 + np.log(np.abs(g))
+    return (grid.h * math.sqrt(grid.delta)) ** 4 / 16.0 * quad._node_sum(sign * np.exp(expo))
+
+
+def test_symmetric_node_row_keeps_every_bit():
+    # the node row formed in place gives the value of the plain expressions
+    # bit for bit, for both parities of n - 1 and for a density whose g
+    # changes sign across the nodes
+    for steps in (10, 40):
+        grid = GridSpec(1.0 / steps)
+        for M, k1, n in itertools.product((1, 2, 4), (0, steps, 4 * steps),
+                                          (5, 6, 10 ** 4, 10 ** 4 + 1, 10 ** 8)):
+            for coeffs in (_test_density_coeffs(n), (1.0, -3.5, 0.25)):
+                dens = IsotropicGaussianPolyDensity(*coeffs, n)
+                got = evaluate_symmetric(dens, k1, grid, M).value
+                want = _plain_symmetric(dens, k1, grid, M)
+                assert got.hex() == want.hex(), (steps, M, k1, n, coeffs)
+
+
+@pytest.mark.parametrize("coeffs, error", [
+    ((1e308, 0.0, 0.0), FloatingPointError),   # e^expo past the binary64 range
+    ((1e306, 0.0, 0.0), OverflowError),        # every node finite, their sum not
+    ((1e308, 0.0, 1e308), FloatingPointError),  # g itself past the range
+])
+def test_symmetric_overflow_is_refused(coeffs, error):
+    dens = IsotropicGaussianPolyDensity(*coeffs, 5)
+    with pytest.raises(error):
+        evaluate_symmetric(dens, 10, GridSpec(0.1), 2)
 
 
 def test_short_rule_is_refused():

@@ -339,8 +339,9 @@ _KINDS = ("onesigned", "wide", "subnormal", "cancel", "tie", "zeros", "nonfinite
 def test_row_sums_equal_fsum(cols, seed, kinds, edges):
     # every row sum is math.fsum's bit for bit (signed zeros included), and a
     # stack with a row that math.fsum refuses raises the same exception type;
-    # every stack drawn, and its first row alone (the one-row form), takes
-    # the split, in one piece or in pieces of 1 and 7 values
+    # every stack drawn, its first row as a stack of one and that row alone
+    # (the one-row form) take the split, in one piece or in pieces of 1 and
+    # 7 values
     rng = np.random.default_rng(seed)
     rows = np.array([_hard_row(rng, kind, cols) for kind in kinds])
     for i, x in edges:
@@ -350,6 +351,8 @@ def test_row_sums_equal_fsum(cols, seed, kinds, edges):
         for piece in (quad._PIECE_VALUES, 1, 7):
             with mock.patch.object(quad, "_PIECE_VALUES", piece):
                 assert _sums_or_error(lambda: quad._row_sums(stack)) == want
+                if len(stack) == 1:
+                    assert _sums_or_error(lambda: [quad._one_row_sum(stack[0])]) == want
 
 
 @contextlib.contextmanager
@@ -391,19 +394,20 @@ def _one_rows():
 
 @pytest.mark.parametrize("name", list(_one_rows()))
 def test_one_row_sums_equal_fsum(name):
-    # the one-row form gives math.fsum's value, or raises its exception type,
-    # in one piece and in pieces of 1 and 7 values; the rows it cannot
-    # certify (zero sums, a tie, the gap below a power of two, subnormal
-    # sums, non-finite values, an overflowing sigma) go to math.fsum, and
-    # the others do not
+    # the one-row form, and a stack of that one row, give math.fsum's value,
+    # or raise its exception type, in one piece and in pieces of 1 and 7
+    # values; the rows they cannot certify (zero sums, a tie, the gap below
+    # a power of two, subnormal sums, non-finite values, an overflowing
+    # sigma) go to math.fsum, and the others do not
     values, certified = _one_rows()[name]
-    row = np.array([values])
+    row = np.array(values)
     want = _sums_or_error(lambda: [math.fsum(values)])
     for piece in (quad._PIECE_VALUES, 1, 7):
-        with mock.patch.object(quad, "_PIECE_VALUES", piece), _fsum_spy() as summed:
-            got = _sums_or_error(lambda: quad._row_sums(row))
-        assert got == want
-        assert (summed == []) == certified
+        for form in (lambda: [quad._one_row_sum(row)], lambda: quad._row_sums(row[None])):
+            with mock.patch.object(quad, "_PIECE_VALUES", piece), _fsum_spy() as summed:
+                got = _sums_or_error(form)
+            assert got == want
+            assert (summed == []) == certified
 
 
 def test_program_node_rows_are_certified(monkeypatch):
@@ -413,8 +417,8 @@ def test_program_node_rows_are_certified(monkeypatch):
     # a0^(n-1) underflows at every node), so one-row sums do not rest on the
     # math.fsum fallback
     rows = []
-    row_sums = quad._row_sums
-    monkeypatch.setattr(quad, "_row_sums", lambda stack: rows.append(stack.copy()) or row_sums(stack))
+    one_row_sum = quad._one_row_sum
+    monkeypatch.setattr(quad, "_one_row_sum", lambda row: rows.append(row.copy()) or one_row_sum(row))
     for steps in (10, 40, 160):
         grid = GridSpec(1.0 / steps)
         for M in (1, 2, 4):
@@ -426,11 +430,11 @@ def test_program_node_rows_are_certified(monkeypatch):
         for r in (0.0, 1.0, 4.0):
             integral_phi2(n, r)
     monkeypatch.undo()
-    assert [row.shape[0] for row in rows] == [1] * (81 + 9)
+    assert [row.ndim for row in rows] == [1] * (81 + 9)
     with _fsum_spy() as summed:
-        got = [quad._row_sums(row)[0] for row in rows]
-    assert [v.hex() for v in got] == [math.fsum(row[0].tolist()).hex() for row in rows]
-    zero = [row[0].tolist() for row in rows if not row.any()]
+        got = [quad._one_row_sum(row) for row in rows]
+    assert [v.hex() for v in got] == [math.fsum(row.tolist()).hex() for row in rows]
+    zero = [row.tolist() for row in rows if not row.any()]
     assert summed == zero
     assert len(zero) < len(rows) // 4
 
@@ -458,6 +462,6 @@ def test_uncertified_rows_fall_back_to_fsum():
     row[-2] = 2.0 ** 40 + 0.5
     want = math.fsum(row.tolist())
     with _fsum_spy() as summed:
-        got = quad._row_sums(row.reshape(1, -1))
-    assert got[0].hex() == want.hex()
+        got = quad._one_row_sum(row)
+    assert got.hex() == want.hex()
     assert summed == []
