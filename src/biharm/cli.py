@@ -190,6 +190,8 @@ _SILVER = math.sqrt(2.0) - 1.0
 
 
 def _rel_dev(approx, ref) -> float:
+    if isinstance(approx, float) and isinstance(ref, float):
+        return float(abs(approx - ref) / max(abs(ref), 1e-300))
     approx = np.asarray(approx, dtype=float)
     ref = np.asarray(ref, dtype=float)
     return float(np.max(np.abs(approx - ref) / np.maximum(np.abs(ref), 1e-300)))

@@ -230,7 +230,7 @@ def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
     The base is built in row pieces (quad._row_pieces), each multiplied and
     exp'd in place.
     """
-    inv = np.exp(-rule.arrays().log1pt) / D
+    inv = rule.arrays().inv1pt / D
     cols = len(inv)
     cap = max(cols - 2, 0)
     near = np.min(np.abs(d))

@@ -3,14 +3,22 @@ direct-summation cubature oracle for small dimensions.
 
 phi2 is the potential of a unit Gaussian; phi2M extends it to the radial
 Laguerre-weighted basis of order 2M through the incomplete-gamma ladder.
-Both are vectorized over the radius argument since the direct cubature
-evaluates them on multi-million-point lattices; their special functions
-come from specfun, so a scalar and an array call agree bit for bit.
+Both take a 0-d radius (a Python or numpy number, a 0-d array), which they
+evaluate as a Python float by the one branch it falls in and return as a
+float, or an array, over which they are vectorised since the direct
+cubature evaluates them on multi-million-point lattices.  Each branch is one
+body for both (specfun._branches): basic arithmetic rounds alike on floats
+and arrays, the transcendental steps are numpy ufuncs, whose float calls
+round as their array loops do, or specfun's functions, so a scalar and an
+array call agree bit for bit.  Past r = 3.4e153, where the formulas' r^2
+terms overflow, each profile is its leading term in r; at r = inf its limit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,33 +102,72 @@ def order_value(M) -> int:
     return M
 
 
-def _phi2_dim3(r: np.ndarray) -> np.ndarray:
-    # -e^{-r^2}/8 - sqrt(pi) (2r^2+1) erf(r) / (16 r); erf(r)/r -> 2/sqrt(pi) at 0
-    ratio = np.full_like(r, 2.0 / math.sqrt(math.pi))
-    pos = r > 0.0
-    ratio[pos] = specfun.erf(r[pos]) / r[pos]
+# 2/sqrt(pi), the limit of erf(r)/r at r = 0
+_ERF_SLOPE = 2.0 / math.sqrt(math.pi)
+
+
+def _least_root(bound: float) -> float:
+    """The least double r whose rounded square r * r reaches bound."""
+    r = math.sqrt(min(bound, sys.float_info.max))
+    while r * r < bound:
+        r = math.nextafter(r, math.inf)
+    below = math.nextafter(r, 0.0)
+    while below * below >= bound:
+        r, below = below, math.nextafter(below, 0.0)
+    return r
+
+
+# the profiles' formulas in x = r^2 overflow from these radii on: 2 x
+# (n = 3) from r = 9.5e153, 16 x (n >= 5) from 3.4e153 and x itself (n = 4)
+# from 1.35e154.  From there on each profile is its leading term in r, to
+# the last bit; comparing r, not x, keeps the split itself from overflowing
+_DIM3_FAR = _least_root(2.0 ** 1023)
+_GENERAL_FAR = _least_root(2.0 ** 1020)
+_SQUARE_INF = _least_root(math.inf)
+
+
+def _phi2_dim3(r):
+    # -e^{-r^2}/8 - sqrt(pi) (2r^2+1) erf(r) / (16 r); past r = 9.5e153,
+    # where 2r^2 overflows, e^{-r^2} = 0, erf(r) = 1 and 1/(2r^2) is below
+    # an ulp: -sqrt(pi) r / 8, -inf at r = inf
+    return specfun._branches(r, r >= _DIM3_FAR, lambda r: -(math.sqrt(math.pi) / 8.0) * r,
+                             _dim3_closed)
+
+
+def _dim3_closed(r):
+    # erf(r)/r -> 2/sqrt(pi) at 0
+    ratio = specfun._branches(r, r > 0.0, lambda r: specfun.erf(r) / r, lambda r: _ERF_SLOPE)
     return -np.exp(-r * r) / 8.0 - math.sqrt(math.pi) / 16.0 * (2.0 * r * r + 1.0) * ratio
 
 
-def _phi2_dim4(r: np.ndarray) -> np.ndarray:
-    out = np.empty_like(r)
-    small = r <= _SERIES_RADIUS
-    x = r[small] ** 2
+def _phi2_dim4(r):
+    return specfun._branches(r, r <= _SERIES_RADIUS, _dim4_series, _dim4_log)
+
+
+def _dim4_series(r):
+    x = r * r
     # (gamma - 1)/16 + (1/16) sum_k (-1)^k x^k (1/(k k!) - 1/(k+1)!)
-    acc = np.full_like(x, specfun._EULER_GAMMA - 1.0)
-    xk = np.ones_like(x)
+    acc = specfun._EULER_GAMMA - 1.0
+    xk = 1.0
     sign = 1.0
     fact = 1.0  # k!
     for k in range(1, 15):
         xk = xk * x
         sign = -sign
         fact *= k
-        acc += sign * xk * (1.0 / (k * fact) - 1.0 / (fact * (k + 1)))
-    out[small] = acc / 16.0
-    big = ~small
-    x = r[big] ** 2
-    out[big] = (np.expm1(-x) / x - np.log(x) - specfun.exp1(x)) / 16.0
-    return out
+        acc = acc + sign * xk * (1.0 / (k * fact) - 1.0 / (fact * (k + 1)))
+    return acc / 16.0
+
+
+def _dim4_log(r):
+    # (expm1(-x)/x - log x - E1(x)) / 16 with x = r^2; where x overflows
+    # (r >= 1.35e154) only -log(x)/16 = -log(r)/8 is left, -inf at r = inf
+    return specfun._branches(r, r >= _SQUARE_INF, lambda r: np.log(r) / -8.0, _dim4_closed)
+
+
+def _dim4_closed(r):
+    x = r * r
+    return (np.expm1(-x) / x - np.log(x) - specfun.exp1(x)) / 16.0
 
 
 def _phi2_series(c: float, x: float) -> float:
@@ -134,44 +181,54 @@ def _phi2_series(c: float, x: float) -> float:
     return total
 
 
-def _phi2_general(n: int, r: np.ndarray) -> np.ndarray:
+def _phi2_general(n: int, r):
     # phi2 = 1F1(a; a+2; -x) / (16 a (a+1)) with a = (n-4)/2 and x = r^2.
     # Up to x = a it is e^{-x} 1F1(2; a+2; x) / (16 a (a+1)) (Kummer's
     # transform), summed by its series.  Beyond, 1F1(a; a+2; -x) =
     # a (a+1) [g(a) - g(a+1)] with g(a) = gamma(a, x)/x^a, and
-    # x g(a+1) = a g(a) - e^{-x} turns it into two positive terms
+    # x g(a+1) = a g(a) - e^{-x} turns it into two positive terms.  From
+    # x = 2^1020 on, where 16 x overflows, it is Gamma(a) r^-2a / 16 to the
+    # last bit: a subnormal or 0 for n = 6, and 0 for every n > 6
     a = 0.5 * n - 2.0
-    x = r * r
-    out = np.empty_like(x)
-    low = x <= a
-    xs = x[low]
-    sums = np.array([_phi2_series(a + 2.0, v) for v in xs.tolist()], dtype=float)
-    out[low] = np.exp(-xs) * sums / (4.0 * (n - 2.0) * (n - 4.0))
-    high = ~low
-    xs = x[high]
-    out[high] = (specfun.gamma_quotient(a, xs) * (xs - a) + np.exp(-xs)) / (16.0 * xs)
-    return out
+    series = specfun._each(functools.partial(_phi2_series, a + 2.0))
+
+    def low(r):
+        x = r * r
+        return np.exp(-x) * series(x) / (4.0 * (n - 2.0) * (n - 4.0))
+
+    def high(r):
+        x = r * r
+        return (specfun.gamma_quotient(a, x) * (x - a) + np.exp(-x)) / (16.0 * x)
+
+    def far(r):
+        return math.gamma(a) / 16.0 * np.power(r, -a) * np.power(r, -a) if a <= 1.0 else 0.0
+
+    return specfun._branches(
+        r, r >= _GENERAL_FAR, far, lambda r: specfun._branches(r, r * r <= a, low, high))
+
+
+def _radius(r):
+    """r as an operand of the profiles (specfun._operand), refused when negative."""
+    r = specfun._operand(r)
+    if specfun._any(r < 0.0):
+        raise ValueError("radius must be nonnegative")
+    return r
 
 
 def phi2(n, r):
     """Potential of the unit Gaussian e^{-|x|^2} at radius r, for n >= 3.
 
     Explicit erf / E1 formulas for n in {3, 4}; the hypergeometric series
-    and the incomplete-gamma route for n >= 5.  Accepts scalar or ndarray r.
+    and the incomplete-gamma route for n >= 5.  A 0-d r gives a float, any
+    other r an array of its shape.
     """
     n = dim_value(n)
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r).astype(float)
-    if np.any(r < 0.0):
-        raise ValueError("radius must be nonnegative")
+    r = _radius(r)
     if n == 3:
-        out = _phi2_dim3(r)
-    elif n == 4:
-        out = _phi2_dim4(r)
-    else:
-        out = _phi2_general(n, r)
-    return float(out[0]) if scalar else out
+        return _phi2_dim3(r)
+    if n == 4:
+        return _phi2_dim4(r)
+    return _phi2_general(n, r)
 
 
 def phi2M(n, M, r):
@@ -184,21 +241,29 @@ def phi2M(n, M, r):
     M = order_value(M)
     if M == 1:
         return phi2(n, r)
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r).astype(float)
-    if np.any(r < 0.0):
-        raise ValueError("radius must be nonnegative")
-    x = r * r
+    r = _radius(r)
+    if isinstance(r, float):
+        x = r * r
+    else:
+        # x is inf from r = 1.35e154 on, where both rungs are 0
+        with np.errstate(over="ignore"):
+            x = r * r
     a = 0.5 * n - 1.0
     out = phi2(n, r) + specfun.gamma_quotient(a, x) / 16.0
     if M >= 3:
         decay = np.exp(-x) / 16.0
-        ladder = np.zeros_like(x)
-        for j in range(M - 2):
-            ladder += specfun.gen_laguerre(j, a, x) / ((j + 1.0) * (j + 2.0))
-        out = out + decay * ladder
-    return float(out[0]) if scalar else out
+
+        def ladder(x):
+            total = 0.0
+            for j in range(M - 2):
+                total = total + specfun.gen_laguerre(j, a, x) / ((j + 1.0) * (j + 2.0))
+            return total
+
+        # where e^{-x} underflows every rung is 0; the Laguerre values, which
+        # overflow at large x (from x = 1.9e154 for j = 2) and would give
+        # 0 * inf = NaN, are not formed there
+        out = out + decay * specfun._branches(x, decay == 0.0, lambda x: 0.0, ladder)
+    return float(out) if isinstance(r, float) else out
 
 
 def _shell_counts(dim: int, vmax: int) -> np.ndarray:

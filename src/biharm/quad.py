@@ -74,14 +74,16 @@ def _log_transform(u, a: float, b: float):
 
 class NodeTable(NamedTuple):
     """Per-node arrays of a rule, in ascending node order, all finite:
-    u, t = Phi(u), log_t, log1pt = log(1 + t), log_weight and
-    weight = tau * Phi * Phi', some of it positive.
+    u, t = Phi(u), log_t, log1pt = log(1 + t), inv1pt = 1/(1 + t) formed
+    as exp(-log1pt), log_weight and weight = tau * Phi * Phi', some of it
+    positive.
     """
 
     u: np.ndarray
     t: np.ndarray
     log_t: np.ndarray
     log1pt: np.ndarray
+    inv1pt: np.ndarray
     log_weight: np.ndarray
     weight: np.ndarray
 
@@ -134,7 +136,9 @@ class DEQuadrature:
             # integrand to 0
             if not np.any(weight > 0.0):
                 raise ValueError(f"{name} has no node with a positive finite weight")
-            self._cache["arrays"] = NodeTable(u, t, log_t, np.log1p(t), log_weight, weight)
+            log1pt = np.log1p(t)
+            self._cache["arrays"] = NodeTable(u, t, log_t, log1pt, np.exp(-log1pt), log_weight,
+                                              weight)
         return self._cache["arrays"]
 
 
@@ -297,11 +301,12 @@ def rm_poly(M, x, t):
     return _poly_view(M, x, t, 1)
 
 
-def _exp_nodes(expo: np.ndarray, factor=1.0) -> np.ndarray:
-    """factor * e^expo per node; an exponent past the binary64 range raises
-    FloatingPointError, one below it gives 0."""
+def _exp_nodes(expo: np.ndarray, factor=None) -> np.ndarray:
+    """e^expo per node, times factor when one is given; an exponent past the
+    binary64 range raises FloatingPointError, one below it gives 0."""
     with np.errstate(over="raise"):
-        return factor * np.exp(expo)
+        values = np.exp(expo)
+    return values if factor is None else factor * values
 
 
 def _one_row_sum(row: np.ndarray) -> float:
@@ -446,16 +451,19 @@ def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     n = dim_value(n)
     if n == 4:
         raise UnsupportedDimension("the integral representation covers n = 3 and n >= 5 only")
+    r = float(r)
+    if r < 0.0:
+        raise ValueError("radius must be nonnegative")
     nodes = rule.arrays()
     log1pt = nodes.log1pt
-    r2 = float(r) * float(r)
+    r2 = r * r
     if n >= 5:
         # tau * Phi * Phi' * e^{-r^2/(1+t)} (1+t)^{-n/2}, all in log form
-        expo = nodes.log_weight - r2 * np.exp(-log1pt) - 0.5 * n * log1pt
+        expo = nodes.log_weight - r2 * nodes.inv1pt - 0.5 * n * log1pt
         return _node_sum(_exp_nodes(expo)) / 16.0
     # tau * Phi' * e^{-r^2/(1+t)} [(1+t)^{-3/2} + t r^2 (1+t)^{-5/2}]
     log_phiprime = nodes.log_weight - nodes.log_t  # log(tau * Phi')
-    base = log_phiprime - r2 * np.exp(-log1pt)
+    base = log_phiprime - r2 * nodes.inv1pt
     contrib = (_exp_nodes(base - 1.5 * log1pt)
                + _exp_nodes(base + nodes.log_t - 2.5 * log1pt, r2))
     return -_node_sum(contrib) / 8.0

@@ -1,25 +1,32 @@
 """Special functions of the closed-form kernels, from numpy and the math module.
 
 erf, the exponential integral E1 = Gamma(0, x) and the lower incomplete gamma
-quotient gamma(a, x) / x^a, vectorised over x, plus the generalized Laguerre
-recurrence.  Each of the first three splits its arguments in two:
+quotient gamma(a, x) / x^a, plus the generalized Laguerre recurrence.  Each
+of the first three splits its arguments in two:
 
-* past the end of a transition band a closed-form limit serves the whole
-  array at once: erf = +-1, E1 = 0, gamma(a, x) / x^a = Gamma(a) x^-a.  The
-  band ends where the dropped e^{-x} part is below half an ulp of the limit.
+* past the end of a transition band a closed-form limit: erf = +-1, E1 = 0,
+  gamma(a, x) / x^a = Gamma(a) x^-a.  The band ends where the dropped e^{-x}
+  part is below half an ulp of the limit.
 * inside the band each argument is evaluated alone in Python floats with its
   own early exit: a positive series for gamma(a, x) below x = a + 1 (the
   power series of E1 below x = 1.75), Legendre's continued fraction for
   Gamma(a, x) above, math.erf for erf and for gamma(1/2, x) = sqrt(pi) erf(sqrt x).
 
-So a scalar call and an array call make the same operations on each element
-and agree bit for bit.
+A 0-d argument (a Python or numpy number, a 0-d array) is evaluated as a
+Python float, by the one branch it falls in, and gives a float; an array
+runs each branch once, on the elements it holds, and skips a branch that
+holds none (_branches).  Each branch is one body for both: numpy ufuncs
+called on a float round as their array loops do, so the limits take x
+through np.sign and np.power, never through ** on a float (libm's pow),
+which rounds some powers differently.  So a scalar call and an array call
+make the same operations on each element and agree bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -49,31 +56,66 @@ _GAMMA_MAX = 170.0
 _GAMMA_ZERO = 745.0
 
 
-def _piecewise(x, far, limit, near):
-    """limit(x[far]) on the far arguments at once, near(v) on each other one
-    (NaN included); a 0-d x gives a float."""
+def _operand(x):
+    """x as a Python float when it is 0-d (a Python or numpy number, a 0-d
+    array), otherwise as a float array."""
+    if isinstance(x, (float, int)):
+        return float(x)
     x = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(x)
-    far = np.atleast_1d(far)
-    out = np.empty_like(flat)
-    out[far] = limit(flat[far])
+    return float(x) if x.ndim == 0 else x
+
+
+def _any(holds) -> bool:
+    """Whether a comparison of an operand holds anywhere: the bool of a
+    float's, the any() of an array's."""
+    return bool(holds.any()) if isinstance(holds, np.ndarray) else holds
+
+
+def _branches(x, far, limit, near):
+    """limit where far holds and near elsewhere, NaN included (its
+    comparisons are False), of an _operand x and far, its comparison.
+
+    A float goes through the one branch it falls in and gives a float.  An
+    array gives an array: a branch runs once on the elements it holds, on
+    the whole array when it holds them all, and not at all when it holds none.
+    """
+    if isinstance(x, float):
+        return float(limit(x) if far else near(x))
+    if not x.size:
+        return np.empty(x.shape)
+    held = np.count_nonzero(far)
+    if held in (0, x.size):
+        value = (limit if held else near)(x)
+        # a branch may give one value for all its elements
+        return value if np.shape(value) == x.shape else np.full(x.shape, value)
+    out = np.empty(x.shape)
+    out[far] = limit(x[far])
     rest = ~far
-    out[rest] = [near(v) for v in flat[rest].tolist()]
-    return float(out[0]) if x.ndim == 0 else out
+    out[rest] = near(x[rest])
+    return out
+
+
+def _each(fn):
+    """fn of one float, taken by a float alone and by an array element by element."""
+    def apply(x):
+        if isinstance(x, float):
+            return fn(x)
+        return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return apply
 
 
 def erf(x):
     """Error function: math.erf inside |x| < 6, +-1 outside."""
-    x = np.asarray(x, dtype=float)
-    return _piecewise(x, np.abs(x) >= _ERF_ONE, np.sign, math.erf)
+    x = _operand(x)
+    return _branches(x, abs(x) >= _ERF_ONE, np.sign, _each(math.erf))
 
 
 def exp1(x):
     """Exponential integral E1(x) = Gamma(0, x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    x = _operand(x)
+    if _any(x <= 0.0):
         raise ValueError("exp1 requires x > 0")
-    return _piecewise(x, x >= _E1_ZERO, np.zeros_like, _exp1)
+    return _branches(x, x >= _E1_ZERO, lambda v: 0.0, _each(_exp1))
 
 
 def gamma_quotient(a: float, x):
@@ -82,14 +124,14 @@ def gamma_quotient(a: float, x):
     a = float(a)
     if not a > 0.0:
         raise ValueError("gamma_quotient requires a > 0")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    x = _operand(x)
+    if _any(x < 0.0):
         raise ValueError("gamma_quotient requires x >= 0")
-    return _piecewise(x, x >= _band_end(a), functools.partial(_gamma_power, a),
-                      functools.partial(_quotient, a))
+    return _branches(x, x >= _band_end(a), functools.partial(_gamma_power, a),
+                     _each(functools.partial(_quotient, a)))
 
 
-def _gamma_power(a, x):
+def _gamma_power(a, x, power=np.power):
     """Gamma(a) x^-a for x >= a + 1, the limit of gamma(a, x) / x^a; x a
     float or an array.
 
@@ -97,12 +139,16 @@ def _gamma_power(a, x):
     does.  Gamma(a) overflows from a = 171.6, so a larger a starts from
     b = a - m below _GAMMA_MAX and multiplies in (b + i) / x < 1 for
     i < m.  From a = _GAMMA_ZERO on the value, at most
-    Gamma(a) (a + 1)^-a < sqrt(2 pi / a) e^-a, is below every subnormal."""
+    Gamma(a) (a + 1)^-a < sqrt(2 pi / a) e^-a, is below every subnormal.
+
+    The far limit takes the halves by np.power, whose float call rounds as
+    its array loop does; the band of _quotient takes them by ** on floats,
+    libm's pow, which rounds some of them differently."""
     if a >= _GAMMA_ZERO:
-        return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
+        return 0.0
     m = max(0, math.ceil(a - _GAMMA_MAX))
     b = a - m
-    half = x ** (-0.5 * b)
+    half = power(x, -0.5 * b)
     value = math.gamma(b) * half * half
     for i in range(m):
         value = value * ((b + i) / x)
@@ -137,7 +183,7 @@ def _quotient(a: float, x: float) -> float:
         return _SQRT_PI * math.erf(r) / r
     if x < a + 1.0:
         return math.exp(-x) * _lower_series(a, x)
-    return _gamma_power(a, x) - math.exp(-x) * _upper_fraction(a, x)
+    return _gamma_power(a, x, operator.pow) - math.exp(-x) * _upper_fraction(a, x)
 
 
 def _lower_series(a: float, x: float) -> float:
@@ -200,12 +246,11 @@ def gen_laguerre(k: int, gamma: float, y):
         raise ValueError("gen_laguerre requires k >= 0")
     if not gamma > -1.0:
         raise ValueError("gen_laguerre requires gamma > -1")
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    l_prev = np.ones_like(y)
+    y = _operand(y)
     if k == 0:
-        return float(l_prev[()]) if scalar else l_prev
+        return 1.0 if isinstance(y, float) else np.ones_like(y)
+    l_prev = 1.0
     l = 1.0 + gamma - y
     for j in range(1, k):
         l, l_prev = ((2.0 * j + 1.0 + gamma - y) * l - (j + gamma) * l_prev) / (j + 1.0), l
-    return float(l[()]) if scalar else l
+    return l

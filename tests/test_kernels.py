@@ -308,10 +308,10 @@ def test_phi2_past_gamma_overflow():
         assert abs(phi2(n, r) - want) <= 1e-14 * abs(want), (n, r)
 
 
-def test_scalar_and_array_calls_agree_bit_for_bit():
+def test_scalar_and_array_calls_agree_bit_for_bit(agrees_for_every_type, far_radii):
     # radii from every band of phi2/phi2M: zero, the series, both sides of the
     # series switch x = (n-4)/2, of the quotient's switch x = a + 1 and of the
-    # start of its closed-form limit, and far beyond
+    # start of its closed-form limit, far beyond, and past the overflow of r^2
     from biharm.specfun import _band_end
 
     for n in (3, 4, 5, 6, 7, 10, 100):
@@ -319,12 +319,44 @@ def test_scalar_and_array_calls_agree_bit_for_bit():
         edges += [_band_end(a) for a in (0.5 * n - 2.0, 0.5 * n - 1.0) if a > 0]
         x = [0.0, 1e-6, 0.1, 0.3, 1.0, 3.0, 900.0, 4e4]
         x += [v for e in edges if e > 0 for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
-        r = np.sqrt(np.array(x))
+        r = np.append(np.sqrt(np.array(x)), far_radii)
         for M in (1, 2, 4):
-            arr = phi2M(n, M, r)
-            assert np.all(np.isfinite(arr)), (n, M)
-            assert [phi2M(n, M, float(v)) for v in r] == arr.tolist(), (n, M)
+            arr = agrees_for_every_type(functools.partial(phi2M, n, M), r)
+            assert np.all(np.isfinite(arr[:-1])) and not np.isnan(arr[-1]), (n, M)
             assert np.array_equal(phi2M(n, M, r[::-1])[::-1], arr), (n, M)
+
+
+def _phi2M_mp(n, M, r):
+    """phi2 plus the incomplete-gamma rung plus the Laguerre ladder."""
+    r = mp.mpf(r)
+    x = r * r
+    a = mp.mpf(n) / 2 - 1
+    value = _phi2_mp(n, r)
+    if M >= 2:
+        value += mp.gammainc(a, 0, x) / x ** a / 16
+    value += mp.e ** -x / 16 * mp.fsum(mp.laguerre(j, a, x) / ((j + 1) * (j + 2))
+                                       for j in range(M - 2))
+    return value
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 100])
+def test_far_field_matches_oracle(n, far_radii):
+    # from r = 3.4e153 on r^2, 2 r^2 or 16 r^2 overflows: phi2 was 0 there
+    # for n >= 5, -inf for n = 3 and 4, and NaN from r = 1.35e154 and at inf.
+    # The profiles take their leading term in r instead: -sqrt(pi) r / 8,
+    # -log(r) / 8, and Gamma(a) r^-2a / 16, subnormal or 0 from n = 6 on.
+    # Their limits at r = inf are -inf for n = 3 and 4 and 0 above
+    for r in far_radii:
+        for M in (1, 2, 3, 5):
+            got = phi2M(n, M, r)
+            if r == np.inf:
+                assert got == (-np.inf if n <= 4 else 0.0), (n, M)
+                continue
+            want = float(_phi2M_mp(n, M, r))
+            if abs(want) >= 2.2250738585072014e-308:
+                assert abs(got - want) <= 1e-14 * abs(want), (n, M, r, got, want)
+            else:
+                assert abs(got - want) <= 2.0 ** -1073, (n, M, r, got, want)
 
 
 def test_direct_cubature_scaling():

@@ -257,6 +257,15 @@ def test_integral_rejects_four_dims(rule):
         integral_phi2(5.9, 1.0, rule)
 
 
+def test_integral_refuses_negative_radius(rule):
+    # as phi2 and phi2M do; it gave the value at |r| before
+    for n in (3, 5):
+        for fn in (integral_phi2, phi2):
+            with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+                fn(n, -1.0)
+    assert integral_phi2(5, -0.0, rule) == integral_phi2(5, 0.0, rule)
+
+
 def test_integral_detects_short_rule():
     # cutting the node range in half leaves a non-negligible tail
     with pytest.raises(QuadratureDivergence, match=r"^final-node contribution \S+ exceeds 1e-16 "

@@ -6,6 +6,8 @@ series / continued-fraction switch (x = a + 1; x = 1.75 for E1) and the start
 of the closed-form limits.
 """
 
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -88,15 +90,15 @@ def test_gamma_quotient_matches_mpmath(a):
     assert tiny == 0.0
 
 
-def test_special_functions_scalar_and_array_agree():
+def test_special_functions_scalar_and_array_agree(agrees_for_every_type, far_radii):
     # each element goes the same way alone and in an array, so the bits agree
-    x = np.concatenate([np.linspace(0.0, 60.0, 241), np.linspace(60.0, 900.0, 43)])
-    for fn in (specfun.erf, lambda v: specfun.exp1(v + 1e-3),
-               lambda v: specfun.gamma_quotient(1.5, v),
-               lambda v: specfun.gamma_quotient(0.5, v)):
-        arr = fn(x)
-        assert [fn(float(v)) for v in x] == arr.tolist()
-        assert np.array_equal(fn(x[::-1])[::-1], arr)
+    x = np.concatenate([np.linspace(0.0, 60.0, 241), np.linspace(60.0, 900.0, 43), far_radii])
+    for fn, args in ((specfun.erf, np.concatenate([x, -x])), (specfun.exp1, x + 1e-3),
+                     (functools.partial(specfun.gamma_quotient, 1.5), x),
+                     (functools.partial(specfun.gamma_quotient, 0.5), x),
+                     (functools.partial(specfun.gen_laguerre, 3, 1.5), x[:-len(far_radii)])):
+        arr = agrees_for_every_type(fn, args)
+        assert np.array_equal(fn(args[::-1])[::-1], arr)
 
 
 def test_special_function_domains():
