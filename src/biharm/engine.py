@@ -7,11 +7,14 @@ them as plain products, with relative error near n u (u = 2^-53), and only
 evaluate_symmetric, whose power a0^(n-1) leaves binary64 at large n, forms
 its node values as exp of a log sum.  Node row sums are
 correctly rounded, equal to math.fsum's bit for bit: a vectorised error-free
-pass with a proven bound, math.fsum where the bound cannot certify a row
+split with a proven bound, math.fsum where the bound cannot certify a row
 (quad._row_sums for the stacks of evaluate, quad._one_row_sum for the one
-row of evaluate_symmetric).  They are certified against the quadrature tail,
-and the product order over dimensions is fixed, so results are reproducible
-bit for bit.
+row of evaluate_symmetric).  A stack of evaluate is split with one float
+scale for all its rows, so each split step is one scalar pass over the
+stack, and certified by a static bound that needs no pass of its own; a
+row this leaves takes its own scale and then a measured bound.  They are
+certified against the quadrature tail, and the product order over
+dimensions is fixed, so results are reproducible bit for bit.
 evaluate assembles each distinct point of a call once, in chunks of points
 bounded by _CHUNK_VALUES: per chunk, one gather of table rows per dimension
 forms the products, in stacks that are the thread's scratch buffers
@@ -65,7 +68,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -172,23 +175,32 @@ class SeparatedDensity:
     factors[p][j] holds samples at x = h*m for consecutive lattice indices
     m = m_lo .. m_lo + len - 1; all vectors share the same index range.
     Factor vectors may be shared between terms (by reference), which the
-    evaluator exploits to avoid recomputing convolutions.
+    evaluator exploits to avoid recomputing convolutions.  The density
+    indexes its vectors once, by identity: the distinct vectors in
+    first-seen order and each (term, dimension) vector's position among
+    them.  Their samples are read at each call, so an edited vector is
+    summed as it is then.
     """
 
     weights: tuple
     factors: tuple
     m_lo: int
+    _vectors: tuple = field(init=False, repr=False, compare=False)
+    _vector_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) < 1 or len(self.weights) != len(self.factors):
             raise ValueError("need one weight per factor tuple, at least one term")
-        vectors = {id(v): v for term in self.factors for v in term}.values()
-        lengths = {len(v) if np.ndim(v) == 1 else 0 for v in vectors}
+        vectors = {id(v): v for term in self.factors for v in term}
+        lengths = {len(v) if np.ndim(v) == 1 else 0 for v in vectors.values()}
         if len(lengths) != 1 or 0 in lengths:
             raise ValueError("factor vectors must be nonempty 1-D arrays on one index range")
         dims = {len(term) for term in self.factors}
         if len(dims) != 1:
             raise ValueError("all terms must have the same number of dimensions")
+        positions, _ = _positions(id(v) for term in self.factors for v in term)
+        object.__setattr__(self, "_vectors", tuple(vectors.values()))
+        object.__setattr__(self, "_vector_positions", positions.reshape(len(self.factors), -1))
 
     @property
     def rank(self) -> int:
@@ -473,19 +485,17 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
         return []
     order, distinct = _positions(points)
     nodes = rule.arrays()
-    vectors = {id(vec): vec for term in density.factors for vec in term}
-    vpos, ids = _positions(id(vec) for term in density.factors for vec in term)
     kpos, ks = _positions(k for point in distinct for k in point)
     # codes[i, j, p] = v K + k: term p reads the pair (vector v, offset k) in
     # dimension j at point i, v and k positions among the distinct vectors
     # and the K distinct offsets; each pair used is one table row
-    codes = vpos.reshape(density.rank, n).T * len(ks) + kpos.reshape(len(distinct), n, 1)
-    row_of = np.zeros(len(ids) * len(ks), dtype=np.intp)
+    codes = density._vector_positions.T * len(ks) + kpos.reshape(len(distinct), n, 1)
+    row_of = np.zeros(len(density._vectors) * len(ks), dtype=np.intp)
     row_of[codes] = 1
     used = np.flatnonzero(row_of)
     row_of[used] = np.arange(len(used))
     index = row_of[codes]
-    pairs = [(vectors[ids[c // len(ks)]], ks[c % len(ks)]) for c in used.tolist()]
+    pairs = [(density._vectors[c // len(ks)], ks[c % len(ks)]) for c in used.tolist()]
     sigma = np.stack(_sigma_tables(pairs, density.m_lo, D, M, rule, n == 3), axis=1)
     q = sigma[0]
     if n == 3:

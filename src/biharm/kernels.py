@@ -345,7 +345,9 @@ def _direct_radial(profile, grid: GridSpec, n: int, M: int, x: np.ndarray) -> fl
         dist2 = (x1 - grid.h * m1) ** 2 + h2 * v
         terms = counts[: vcap + 1] * fvals * phi2M(n, M, np.sqrt(dist2) / scale)
         partials.append(float(np.sum(terms)))
-    return math.fsum(partials)
+    from .quad import _one_row_sum
+
+    return _one_row_sum(np.array(partials))
 
 
 def direct_cubature(f_samples, grid: GridSpec, M, x, n) -> PotentialSample:

@@ -8,10 +8,15 @@ immutable and end where t or the weight leaves binary64, so every node
 quantity is finite; log-magnitude companions of them are kept for the node
 sums formed in the log domain: integral_phi2's and evaluate_symmetric's,
 whose power a0^(n-1) leaves binary64 at large n.
-Every node sum of the package, here and in the engine, is math.fsum's
-result bit for bit, from one certified split: _row_sums splits any number of
-node rows at once, _one_row_sum one row with scalar bookkeeping.  Each sum
-is then _checked: a rule whose last node still carries weight is refused.
+Every exact sum of the package, here, in the engine and in the oracles, is
+math.fsum's result bit for bit, from one certified split (no other module
+calls math.fsum, but for specfun's short E1 series): _row_sums splits any
+number of node rows at once, _one_row_sum one row with scalar bookkeeping.
+A row is certified in up to three stages: a static bound from the split's
+scale sigma alone (for a stack, one sigma from the largest value of all its
+rows), then, for a row it leaves, the row's own sigma and a bound measured
+from its low parts, then math.fsum.  Each node sum is then _checked: a rule
+whose last node still carries weight is refused.
 _point_sums does this for the terms of many points, _node_sum for one row.
 """
 
@@ -38,6 +43,9 @@ __all__ = [
 
 # Tail contributions are compared against this fraction of the accumulated sum.
 _TAIL_TOL = 1e-16
+
+# the unit roundoff of binary64
+_U = 2.0 ** -53
 
 # _row_sums splits its rows into column pieces of at most this many values
 # (_one_row_sum hands it every longer row), so its temporaries stay within
@@ -312,37 +320,56 @@ def _exp_nodes(expo: np.ndarray, factor=None) -> np.ndarray:
 def _one_row_sum(row: np.ndarray) -> float:
     """math.fsum of one node row, bit for bit, from one vectorised pass.
 
-    The row x_1..x_N (N < 2^26) is split without error (Rump,
-    Ogita and Oishi's ExtractVector): with mu = max|x_i| < 2^e and
+    The row x_1..x_N (N < 2^26) is split without error (Rump, Ogita and
+    Oishi's ExtractVector, "Accurate floating-point summation I", SIAM J.
+    Sci. Comput. 31(1), 2008): with mu = max|x_i| < 2^e and
     sigma = 2^(e + ceil(log2(N + 2))), q_i = (sigma + x_i) - sigma and
     p_i = x_i - q_i are exact, every q_i is a multiple of u sigma
     (u = 2^-53) and sum |q_i| < sigma, so hi = fl(sum q_i) is exact in any
-    summation order.  lo = fl(sum p_i) is off by at most
-    gamma_{N-1} sum |p_i| <= 2 (N-1) u fl(sum |p_i|), gamma_k = k u / (1 - k u),
-    in any order (Higham, ch. 4), so B = fl(2 N u fl(sum |p_i|)) + 2^-1074
-    bounds it; the last term covers underflow of the product.  With
+    summation order.  And |p_i| <= u sigma: |x_i| < sigma / 4, so
+    sigma + x_i lies where the doubles are u sigma apart (below sigma) or
+    2 u sigma apart (above it), and p_i is the error of rounding it.
+    lo = fl(sum p_i) is off by at most gamma_{N-1} sum |p_i| <=
+    2 (N-1) u sum |p_i| in any order, gamma_k = k u / (1 - k u) (Higham,
+    ch. 4), so two bounds B cover it:
+
+    - static: sum |p_i| <= N u sigma gives B = fl(2 N^2 u^2 sigma) + 2^-1074,
+      with no pass over the row (2 N^2 u^2 is exact for N < 2^26);
+    - measured: B = fl(2 N u fl(sum |p_i|)) + 2^-1074, one more pass, for
+      rows whose p_i are far below u sigma.  The static bound grows as N^2:
+      a row of 98,309 values, one of them 2^40, needs the measured one.
+
+    The last term of each covers underflow of the product.  With
     r + err = hi + lo exactly (TwoSum), the exact sum lies within |err| + B
     of r.  r is accepted when fl(|err| + B) is strictly below h, half the
-    smaller gap from r to its neighbouring doubles (a quarter of
-    spacing(|r|) at a power of two): rounding is monotone and h is a double,
-    so the exact sum is then strictly nearer to r than to any other double,
-    and r is the correctly rounded sum that math.fsum returns.
+    gap from |r| to the next double towards zero, the smaller of the two
+    gaps around r (a quarter of spacing(|r|) at a power of two): rounding
+    is monotone and h is a double, so the exact sum is then strictly nearer
+    to r than to any other double, and r is the correctly rounded sum that
+    math.fsum returns.
 
-    sigma, hi, lo, fl(sum |p_i|), r and h are Python floats and one buffer
-    takes |x_i|, q_i and p_i: on a node row of 300 values, numpy scalars or
-    the array steps of a stack would cost more than the split itself.  A
-    row of more than _PIECE_VALUES values, such as the direct lattice sum's,
-    goes to _row_sums as a stack of one, which splits it in pieces.
+    So a row takes three stages (_row_split): the static bound, the
+    measured bound when the static one fails, and math.fsum when both fail.
+    sigma, hi, lo, r and h are Python floats and one buffer takes |x_i|,
+    q_i, p_i and |p_i|: on a node row of 300 values, numpy scalars or the
+    array steps of a stack would cost more than the split itself.  A row of
+    more than _PIECE_VALUES values, such as the direct lattice sum's, goes
+    to _row_sums as a stack of one, which splits it in pieces.
 
-    Every other row is summed by math.fsum, which also raises what it
+    math.fsum sums the rows neither bound certifies, and raises what it
     raises: rows holding inf or NaN, rows too large for a finite sigma (a
     finite sigma means (N + 2) mu < 2^1023, so no certified row comes near
     overflow), rows with |r| <= 2^-1021 (h rounds to 0; zero sums included),
     exact ties and rows whose cancellation leaves B above h.
     """
+    if row.size > _PIECE_VALUES:
+        return float(_row_sums(row.reshape(1, -1))[0])
+    return _row_split(row)
+
+
+def _row_split(row: np.ndarray) -> float:
+    """_one_row_sum's three stages on one row of any length, in one buffer."""
     cols = row.size
-    if cols > _PIECE_VALUES:
-        return _row_sums(row.reshape(1, -1))[0]
     # one buffer takes |x|, then q, p and |p|
     q = np.empty(cols)
     mu = float(np.maximum.reduce(np.abs(row, out=q)))
@@ -355,58 +382,74 @@ def _one_row_sum(row: np.ndarray) -> float:
     hi = float(np.add.reduce(q))
     p = np.subtract(row, q, out=q)
     lo = float(np.add.reduce(p))
-    size = float(np.add.reduce(np.abs(p, out=p)))
-    bound = (2.0 * cols * 2.0 ** -53) * size + 2.0 ** -1074
     r = hi + lo
     back = r - hi
-    err = (hi - (r - back)) + (lo - back)
-    half = math.ulp(r) * (0.25 if abs(math.frexp(r)[0]) == 0.5 else 0.5)
-    return r if abs(err) + bound < half else math.fsum(memoryview(row))
+    err = abs((hi - (r - back)) + (lo - back))
+    mag = abs(r)
+    half = (mag - math.nextafter(mag, 0.0)) * 0.5
+    if err + ((2.0 * cols * cols * _U * _U) * sigma + 2.0 ** -1074) < half:
+        return r
+    size = float(np.add.reduce(np.abs(p, out=p)))
+    if err + ((2.0 * cols * _U) * size + 2.0 ** -1074) < half:
+        return r
+    return math.fsum(memoryview(row))
 
 
-def _row_sums(rows: np.ndarray) -> list:
+def _row_sums(rows: np.ndarray) -> np.ndarray:
     """math.fsum of each row of a stack, bit for bit: _one_row_sum's split
-    and test, as array steps over all rows at once.
+    and static bound, as array steps over the rows.
+
+    One sigma serves the whole stack, from the largest |x_i| of all its
+    rows: sigma is a float, so each split step is one scalar pass over the
+    stack, and no pass forms sum |p_i|.  A row's split is exact, with
+    |p_i| <= u sigma, under any sigma at least its own, so the proof holds
+    row by row.  A row this does not certify, one far below the stack's
+    largest among them, and every row of a stack holding inf or NaN or too
+    large for a finite sigma, goes to _row_split: its own sigma and the
+    static bound, then the measured bound, then math.fsum, which raises
+    what it raises.  Its buffer is as long as the row, a quarter of the
+    list of floats math.fsum would take.
 
     Rows of 2^26 or more values are summed by math.fsum directly.
     Otherwise the split runs over column pieces of at most _PIECE_VALUES
     values in all, one row included, so that a long row keeps one
-    piece-sized buffer for |x_i|, q_i and p_i, and adds up hi, lo and
-    fl(sum |p_i|) piece by piece.  The pieces change no bit of the result:
-    hi is exact under any grouping of the q_i, and the bound on lo (and on
-    fl(sum |p_i|)) holds for any order of the additions.  Every row the test
-    does not certify is summed by math.fsum, which raises what it raises.
+    piece-sized buffer for |x_i|, q_i and p_i and adds up hi and lo piece by
+    piece.  The pieces change no bit of the result: hi is exact under any
+    grouping of the q_i, and the bound on lo holds for any order of the
+    additions.
     """
     count, cols = rows.shape
     if cols >= 2 ** 26:
         # a memoryview hands math.fsum the values as floats with no list
-        return [math.fsum(memoryview(row)) for row in rows]
+        return np.array([math.fsum(memoryview(row)) for row in rows])
     width = max(1, _PIECE_VALUES // count)
-    # one buffer takes |x|, then q, p and |p|, of each piece in turn
+    # one buffer takes |x|, then q and p, of each piece in turn
     buf = _scratch(1, (count, min(cols, width)), _ROWS_BUFFER)[0]
     pieces = [(rows[:, start:start + width], buf[:, :min(width, cols - start)])
-              for start in range(0, cols, width)] if cols > width else [(rows, buf)]  # one piece, unsliced
-    mu = functools.reduce(np.maximum, [np.maximum.reduce(np.abs(piece, out=out), axis=1)
-                                       for piece, out in pieces])
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.ldexp(1.0, np.frexp(mu)[1] + math.ceil(math.log2(cols + 2)))[:, None]
-        # -0.0 is the identity of IEEE addition, signed zeros included
-        hi = lo = size = -0.0
-        for piece, q in pieces:
-            np.add(piece, sigma, out=q)
-            q -= sigma
-            hi = hi + np.add.reduce(q, axis=1)
-            p = np.subtract(piece, q, out=q)
-            lo = lo + np.add.reduce(p, axis=1)
-            size = size + np.add.reduce(np.abs(p, out=p), axis=1)
-        bound = (2.0 * cols * 2.0 ** -53) * size + 2.0 ** -1074
-        r = hi + lo
-        back = r - hi
-        err = (hi - (r - back)) + (lo - back)
-        half = np.spacing(np.abs(r)) * np.where(np.abs(np.frexp(r)[0]) == 0.5, 0.25, 0.5)
-    sums = r.tolist()
-    for i in np.flatnonzero(~(np.abs(err) + bound < half)).tolist():
-        sums[i] = math.fsum(rows[i].tolist())
+              for start in range(0, cols, width)] if cols > width else [(rows, buf)]
+    mu = float(functools.reduce(np.maximum, [np.maximum.reduce(np.abs(piece, out=q), axis=None)
+                                             for piece, q in pieces]))
+    e = math.frexp(mu)[1] + math.ceil(math.log2(cols + 2))
+    if not (math.isfinite(mu) and e <= 1023):
+        return np.array([_row_split(row) for row in rows])
+    sigma = math.ldexp(1.0, e)
+    # -0.0 is the identity of IEEE addition, signed zeros included
+    hi = lo = -0.0
+    for piece, q in pieces:
+        np.add(piece, sigma, out=q)
+        q -= sigma
+        hi = hi + np.add.reduce(q, axis=1)
+        p = np.subtract(piece, q, out=q)
+        lo = lo + np.add.reduce(p, axis=1)
+    sums = hi + lo
+    back = sums - hi
+    slack = np.abs((hi - (sums - back)) + (lo - back))
+    slack += (2.0 * cols * cols * _U * _U) * sigma + 2.0 ** -1074
+    mag = np.abs(sums)
+    half = mag - np.nextafter(mag, 0.0)
+    half *= 0.5
+    for i in np.flatnonzero(~(slack < half)).tolist():
+        sums[i] = _row_split(rows[i])
     return sums
 
 
@@ -427,13 +470,15 @@ def _point_sums(contribs: np.ndarray, weights) -> list:
 
     The row sums of all points come from one _row_sums pass, math.fsum's bit
     for bit, and each point's total is _checked against its last node's
-    share sum_p weights[p] * contribs[i, p, -1].
+    share sum_p weights[p] * contribs[i, p, -1].  Both sets of products
+    weights[p] * x are formed as one numpy product each, the same IEEE
+    products, and summed by math.fsum as plain lists.
     """
     points, terms, cols = contribs.shape
-    sums = _row_sums(contribs.reshape(points * terms, cols))
-    return [_checked(math.fsum(w * s for w, s in zip(weights, sums[i * terms:(i + 1) * terms])),
-                     math.fsum(w * c for w, c in zip(weights, last)))
-            for i, last in enumerate(contribs[:, :, -1].tolist())]
+    sums = _row_sums(contribs.reshape(points * terms, cols)).reshape(points, terms) * weights
+    last = contribs[:, :, -1] * weights
+    return [_checked(math.fsum(row), math.fsum(tail))
+            for row, tail in zip(sums.tolist(), last.tolist())]
 
 
 def _node_sum(row) -> float:
@@ -447,6 +492,11 @@ def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
 
     For n >= 5 this is (1/16) int_0^inf e^{-r^2/(1+t)} (1+t)^{-n/2} t dt;
     for n = 3 the two-term counterpart with an extra t r^2 (1+t)^{-5/2} piece.
+    A radius with r^2 > 1 + t at the rule's last node raises
+    QuadratureDivergence: the integrand's mass lies near t = r^2, past the
+    node range, where every node term can underflow to a row of zeros that
+    the tail check passes (t_last = 2.8e36 on the default rule, so
+    r > 1.7e18).
     """
     n = dim_value(n)
     if n == 4:
@@ -457,6 +507,10 @@ def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     nodes = rule.arrays()
     log1pt = nodes.log1pt
     r2 = r * r
+    if r2 > 1.0 + float(nodes.t[-1]):
+        raise QuadratureDivergence(
+            f"radius {r:.3e} lies past the node range (last node t = {nodes.t[-1]:.3e}); "
+            f"extend the node range")
     if n >= 5:
         # tau * Phi * Phi' * e^{-r^2/(1+t)} (1+t)^{-n/2}, all in log form
         expo = nodes.log_weight - r2 * nodes.inv1pt - 0.5 * n * log1pt

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biharm import quad
+from biharm import cli, quad
 from biharm.cli import _printed_node_polys
-from biharm.engine import IsotropicGaussianPolyDensity, evaluate_symmetric, tensor_weight
+from biharm.engine import (IsotropicGaussianPolyDensity, build_test_density, evaluate,
+                           evaluate_symmetric, tensor_weight)
 from biharm.errors import QuadratureDivergence, UnsupportedDimension
 from biharm.kernels import GridSpec, phi2
 from biharm.quad import DEQuadrature, integral_phi2, qm_poly, rm_poly
@@ -273,6 +274,30 @@ def test_integral_detects_short_rule():
         integral_phi2(5, 0.0, DEQuadrature(s_end=150))
 
 
+def test_integral_refuses_radius_past_the_node_range():
+    # past r^2 = 1 + t_last every node term underflows, and the tail check
+    # alone passed the row of zeros as 0.0 or -0.0
+    for n in (3, 5, 8):
+        for r in (1e20, 1e30, math.inf):
+            with pytest.raises(QuadratureDivergence, match=r"^radius \S+ lies past the node range "
+                               r"\(last node t = 2\.826e\+36\); extend the node range$"):
+                integral_phi2(n, r)
+
+
+def test_integral_values_keep_their_bits():
+    # the radius check moves no bit at radii inside the node range
+    frozen = {
+        3: ("-0x1.ffffffffffe69p-3", "-0x1.14d18319e89d4p-2", "-0x1.4dde791bca563p-2",
+            "-0x1.d3ed8563f6441p-1"),
+        5: ("0x1.5555555555550p-4", "0x1.4523e78253ee3p-4", "0x1.1d5d36a2feba5p-4",
+            "0x1.b7918cd9972f7p-6"),
+        8: ("0x1.5555555555553p-7", "0x1.2db2504249888p-7", "0x1.a880a8a1b3697p-8",
+            "0x1.c000043f80e5bp-13"),
+    }
+    for n, values in frozen.items():
+        assert tuple(integral_phi2(n, r).hex() for r in (0.0, 0.5, 1.0, 4.0)) == values
+
+
 def test_tensor_weight_symmetries(rule):
     base = tensor_weight((2, -1, 3, 0, 1), 4, 5.0, rule)
     assert tensor_weight((2, 1, 3, 0, -1), 4, 5.0, rule) == base
@@ -362,6 +387,25 @@ def test_row_sums_equal_fsum(cols, seed, kinds, edges):
                 assert _sums_or_error(lambda: quad._row_sums(stack)) == want
                 if len(stack) == 1:
                     assert _sums_or_error(lambda: [quad._one_row_sum(stack[0])]) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(cols=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
+       rows=st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(-600, 600)),
+                     min_size=2, max_size=8))
+def test_rows_of_mixed_scale_equal_fsum(cols, seed, rows):
+    # rows 2^-600 .. 2^600 apart in one stack: the stack-wide sigma leaves
+    # the static bound of a row far below the largest above its own gap, so
+    # such rows fall to the split with their own sigma, and every sum is
+    # still math.fsum's bit for bit, in one piece and in pieces of 1 and 7
+    # values
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        stack = np.array([np.ldexp(_hard_row(rng, kind, cols), scale) for kind, scale in rows])
+    want = _sums_or_error(lambda: [math.fsum(row.tolist()) for row in stack])
+    for piece in (quad._PIECE_VALUES, 1, 7):
+        with mock.patch.object(quad, "_PIECE_VALUES", piece):
+            assert _sums_or_error(lambda: quad._row_sums(stack)) == want
 
 
 @contextlib.contextmanager
@@ -474,3 +518,32 @@ def test_uncertified_rows_fall_back_to_fsum():
         got = quad._one_row_sum(row)
     assert got.hex() == want.hex()
     assert summed == []
+
+
+def test_program_stacks_certify_at_the_first_stage(tmp_path):
+    # every stack row of the engine's own workloads is certified by the
+    # stack-wide sigma and the static bound, so none takes its own split or
+    # math.fsum: a batch of permuted points on each tensor path, Table 4
+    # (n = 3) and --verify full, whose oracle row of 161,051 values is one
+    # stack of one
+    bases = {3: (10, -5, 2), 5: (20, -10, 5, 2, 0), 8: (15, -10, 6, 4, -2, 1, 0, 0)}
+    stacks = []
+    row_sums = quad._row_sums
+    with mock.patch.object(quad, "_row_sums",
+                           lambda rows: stacks.append(rows.copy()) or row_sums(rows)):
+        for n, base in bases.items():
+            for steps in (20, 40):
+                grid = GridSpec(1.0 / steps)
+                points = [tuple(int(k * steps / 20) for k in perm)
+                          for perm in itertools.islice(itertools.permutations(base), 0, 40, 5)]
+                evaluate(build_test_density(n, grid), points, n, grid, 4)
+        assert cli.main(["--table", "4", "--out", str(tmp_path / "table4.csv")]) == 0
+        ok, _ = cli.run_verify()
+    assert ok
+    assert max(stack.size for stack in stacks) == 11 ** 5
+    with mock.patch.object(quad, "_row_split", wraps=quad._row_split) as split, \
+            _fsum_spy() as summed:
+        got = [quad._row_sums(stack) for stack in stacks]
+    assert split.call_count == 0 and summed == []
+    assert [[v.hex() for v in sums] for sums in got] == [
+        [math.fsum(row.tolist()).hex() for row in stack] for stack in stacks]

@@ -85,3 +85,23 @@ def test_exported_names_are_bound():
         bound = set(_defined(tree)) | {name for _, _, name in _imports(tree)}
         unbound += [f"{path.stem}: {name}" for name in sorted(_exported(tree) - bound)]
     assert not unbound
+
+
+def test_only_quad_calls_fsum():
+    # every exact sum of the library goes through quad, whose certified
+    # split gives math.fsum's value and falls back to math.fsum itself; but
+    # specfun._exp1 sums its two dozen series terms by math.fsum: specfun
+    # sits below quad, and the split took its scalar call from 6 to 14 us
+    own_fsum = {("specfun", "_exp1")}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "quad":
+            continue
+        tree = ast.parse(path.read_text())
+        calls += [f"{path.stem}: line {node.lineno}" for top in tree.body
+                  if (path.stem, getattr(top, "name", None)) not in own_fsum
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "fsum"]
+        calls += [f"{path.stem}: import {name}" for source, name, _ in _imports(tree)
+                  if source == "math" and name == "fsum"]
+    assert not calls
