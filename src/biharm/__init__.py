@@ -12,7 +12,8 @@ from .errors import (BiharmError, DimensionTooLarge, NonConvergence,
 from .kernels import GridSpec, PotentialSample, direct_cubature, phi2, phi2M
 from .quad import DEFAULT_RULE, DEQuadrature, integral_phi2, qm_poly, rm_poly
 from .engine import (IsotropicGaussianPolyDensity, SeparatedDensity, build_test_density,
-                     evaluate, evaluate_symmetric, saturation_epsilon0, tensor_weight)
+                     evaluate, evaluate_symmetric, gaussian_potential_density,
+                     saturation_epsilon0, separated_expansion, tensor_weight)
 from .specfun import gen_laguerre
 
 __version__ = "0.1.0"
@@ -24,6 +25,7 @@ __all__ = [
     "direct_cubature", "phi2", "phi2M",
     "DEFAULT_RULE", "DEQuadrature", "integral_phi2", "qm_poly", "rm_poly",
     "IsotropicGaussianPolyDensity", "SeparatedDensity", "build_test_density",
+    "gaussian_potential_density", "separated_expansion",
     "evaluate", "evaluate_symmetric", "saturation_epsilon0",
     "tensor_weight",
     "gen_laguerre",

@@ -98,9 +98,7 @@ def _potential(n: int, M: int, h_inv: int, x1: float, delta: float) -> float:
     if n == 3:
         dens = engine.build_test_density(3, grid)
         return engine.evaluate(dens, [(k1, k1, k1)], 3, grid, M)[0].value
-    dens = engine.IsotropicGaussianPolyDensity(
-        c0=4.0 * n * (n + 2), c1=-16.0 * (n + 2), c2=16.0, n=n)
-    return engine.evaluate_symmetric(dens, k1, grid, M).value
+    return engine.evaluate_symmetric(engine.gaussian_potential_density(n), k1, grid, M).value
 
 
 def _compute_rows(cfg: RunConfig) -> list:
@@ -350,11 +348,10 @@ def _invariants(rule):
         dev = 0.0
         for n in (5, 6, 8):
             grid = GridSpec(h=0.1, delta=5.0)
-            dens = engine.build_test_density(n, grid)
-            full = engine.evaluate(dens, [(10,) + (0,) * (n - 1)], n, grid, 2, rule)[0].value
-            iso = engine.IsotropicGaussianPolyDensity(
-                c0=4.0 * n * (n + 2), c1=-16.0 * (n + 2), c2=16.0, n=n)
-            fast = engine.evaluate_symmetric(iso, 10, grid, 2, rule).value
+            dens = engine.gaussian_potential_density(n)
+            full = engine.evaluate(engine.separated_expansion(dens, grid),
+                                   [(10,) + (0,) * (n - 1)], n, grid, 2, rule)[0].value
+            fast = engine.evaluate_symmetric(dens, 10, grid, 2, rule).value
             dev = max(dev, abs(fast / full - 1.0))
         return _within(dev, 1e-12)
 

@@ -1,5 +1,6 @@
 """Closed-form potentials of the radial generating functions and a
-direct-summation cubature oracle for small dimensions.
+direct-summation cubature oracle over an array of samples for small
+dimensions.
 
 phi2 is the potential of a unit Gaussian; phi2M extends it to the radial
 Laguerre-weighted basis of order 2M through the incomplete-gamma ladder.
@@ -37,8 +38,7 @@ __all__ = [
 # Below this radius the n = 4 formula switches to its series form.
 _SERIES_RADIUS = 0.35
 
-# caps of the direct lattice sum: the space dimension, and the number of
-# kernel evaluations (samples, or shells times axis indices on the radial route)
+# caps of the direct lattice sum: the space dimension and the number of samples
 MAX_DIRECT_DIM = 6
 OP_BUDGET = 200_000_000
 
@@ -266,24 +266,6 @@ def phi2M(n, M, r):
     return float(out) if isinstance(r, float) else out
 
 
-def _shell_counts(dim: int, vmax: int) -> np.ndarray:
-    """Number of lattice points of Z^dim with squared norm v, for v = 0..vmax.
-
-    Exact int64 counts, built by convolving dim times with the one-dimensional
-    counts (1 at v = 0, 2 at each nonzero square): one shifted add per square,
-    O(vmax^1.5) per dimension.
-    """
-    counts = np.zeros(vmax + 1, dtype=np.int64)
-    counts[0] = 1
-    for _ in range(dim):
-        nxt = counts.copy()
-        for root in range(1, math.isqrt(vmax) + 1):
-            sq = root * root
-            nxt[sq:] += 2 * counts[: vmax + 1 - sq]
-        counts = nxt
-    return counts
-
-
 def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
                   x: np.ndarray) -> float:
     if samples.ndim != n:
@@ -322,42 +304,12 @@ def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
     return _one_row_sum(terms.ravel())
 
 
-def _direct_radial(profile, grid: GridSpec, n: int, M: int, x: np.ndarray) -> float:
-    nonzero = np.nonzero(x)[0]
-    if len(nonzero) > 1:
-        raise ValueError("the radial-profile route requires an axis-aligned point")
-    x1 = float(x[nonzero[0]]) if len(nonzero) else 0.0
-    radius_idx = int(math.floor(grid.radius / grid.h))
-    vmax = radius_idx * radius_idx
-    if (2 * radius_idx + 1) * (vmax + 1) > OP_BUDGET:
-        raise DimensionTooLarge(
-            f"lattice sum of ~{(2 * radius_idx + 1) * (vmax + 1)} terms exceeds "
-            f"the operation budget {OP_BUDGET}"
-        )
-    counts = _shell_counts(n - 1, vmax)
-    h2 = grid.h * grid.h
-    scale = grid.h * math.sqrt(grid.delta)
-    partials = []
-    for m1 in range(-radius_idx, radius_idx + 1):
-        vcap = vmax - m1 * m1
-        v = np.arange(vcap + 1)
-        fvals = profile(h2 * (m1 * m1 + v))
-        dist2 = (x1 - grid.h * m1) ** 2 + h2 * v
-        terms = counts[: vcap + 1] * fvals * phi2M(n, M, np.sqrt(dist2) / scale)
-        partials.append(float(np.sum(terms)))
-    from .quad import _one_row_sum
-
-    return _one_row_sum(np.array(partials))
-
-
 def direct_cubature(f_samples, grid: GridSpec, M, x, n) -> PotentialSample:
     """Full lattice-sum cubature of the potential; the oracle for the tensor engine.
 
-    ``f_samples`` is either an n-dimensional array of samples on a centred
-    box (every axis of odd length, index 0 at its centre: entry i is f(h m)
-    with m = i - shape // 2) or a callable profile of the squared radius,
-    f(x) = profile(|x|^2), taking an ndarray (dense radial densities, summed
-    shell by shell at axis-aligned points).  The value is
+    ``f_samples`` is an n-dimensional array of samples on a centred box
+    (every axis of odd length, index 0 at its centre: entry i is f(h m) with
+    m = i - shape // 2) of at most OP_BUDGET samples.  The value is
 
         (h sqrt(delta))^4 / (pi delta)^{n/2} * sum_m f(hm) Phi_2M((x - hm)/(h sqrt(delta)))
     """
@@ -370,9 +322,8 @@ def direct_cubature(f_samples, grid: GridSpec, M, x, n) -> PotentialSample:
     if x.shape != (n,):
         raise ValueError(f"evaluation point must have {n} coordinates")
     if callable(f_samples):
-        total = _direct_radial(f_samples, grid, n, M, x)
-    else:
-        total = _direct_dense(np.asarray(f_samples, dtype=float), grid, n, M, x)
+        raise TypeError("direct_cubature takes an n-dimensional sample array, not a callable")
+    total = _direct_dense(np.asarray(f_samples, dtype=float), grid, n, M, x)
     prefactor = (grid.h * math.sqrt(grid.delta)) ** 4 / (math.pi * grid.delta) ** (0.5 * n)
     return PotentialSample(
         point=tuple(float(c) for c in x),

@@ -21,18 +21,22 @@ from biharm.cli import RunConfig, _verify_checks, run_table
 FLOOR = 1e-12
 
 # frozen reference errors and rates of the shipped defaults: n = 5 test
-# density at x = e_1, orders 1..4, reciprocal steps 10..160
+# density at x = e_1, orders 1..6, reciprocal steps 10..160
 SMALL_N_ERRS = {
     1: (2.6e-2, 6.8e-3, 1.7e-3, 4.3e-4, 1.1e-4),
     2: (7.4e-4, 4.9e-5, 3.1e-6, 2.0e-7, 1.2e-8),
     3: (3.0e-5, 5.3e-7, 8.6e-9, 1.3e-10, 2.1e-12),
     4: (1.5e-6, 7.0e-9, 2.9e-11, 1.5e-13, 3.8e-14),
+    5: (8.1e-8, 9.6e-11, 9.6e-14, 4.6e-15, 2.8e-15),
+    6: (4.2e-9, 1.3e-12, 2.7e-15, 4.4e-15, 2.7e-15),
 }
 SMALL_N_RATES = {
     1: (1.95, 1.99, 2.00, 2.00),
     2: (3.91, 3.98, 3.99, 4.00),
     3: (5.83, 5.96, 5.99, 5.97),
     4: (7.77, 7.94, 7.55, 2.02),
+    5: (9.71, 9.97, 4.40, 0.71),
+    6: (11.67, 8.90, -0.71, 0.74),
 }
 
 # n = 3 density at (1, 1, 1), same step schedule
@@ -66,12 +70,12 @@ def _series(rows, n, M):
 
 def test_c01_small_dimension_errors_and_rates():
     start = time.time()
-    cfg = RunConfig(table="custom", dims=(5,), orders=(1, 2, 3, 4),
+    cfg = RunConfig(table="custom", dims=(5,), orders=tuple(SMALL_N_ERRS),
                     steps=(10, 20, 40, 80, 160))
     rows = _rows(cfg)
     failures = []
     worst_ratio, worst_rate = 1.0, 0.0
-    for M in (1, 2, 3, 4):
+    for M in SMALL_N_ERRS:
         errs, rates = _series(rows, 5, M)
         for ref, got in zip(SMALL_N_ERRS[M], errs):
             if ref >= FLOOR:

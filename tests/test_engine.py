@@ -16,6 +16,7 @@ import threading
 import tracemalloc
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 from biharm import engine, quad
 from biharm.engine import (IsotropicGaussianPolyDensity, SeparatedDensity,
                            build_test_density, evaluate, evaluate_symmetric,
-                           saturation_epsilon0, tensor_weight)
+                           gaussian_potential_density, saturation_epsilon0,
+                           separated_expansion, tensor_weight)
 from biharm.errors import (QuadratureDivergence, RankBudgetExceeded,
                            SupportTruncated, UnsupportedDimension)
 from biharm.kernels import GridSpec, direct_cubature
@@ -387,7 +389,7 @@ def test_sigma_tables_built_once_per_offset(row_blocks):
     assert 130 + 20 < 2 * engine._BLOCK
     for grid, k1 in ((GridSpec(0.1), 10), (GridSpec(0.05), 20)):
         for n in (5, 50, 5000):
-            dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(n), n)
+            dens = gaussian_potential_density(n)
             for M in (2, 4):
                 evaluate_symmetric(dens, k1, grid, M, rule)
     assert sorted(row_blocks, key=repr) == sorted(
@@ -988,7 +990,7 @@ def test_clipped_window_is_refused(n, M, side, data):
 def test_symmetric_requires_five_dims():
     # the refusal names the dimension it got and the path that covers n = 3
     for n in (3, 4):
-        dens = IsotropicGaussianPolyDensity(60.0, -80.0, 16.0, n)
+        dens = gaussian_potential_density(n)
         with pytest.raises(UnsupportedDimension, match=f"n = {n};.*n = 3 goes through evaluate"):
             evaluate_symmetric(dens, 0, GridSpec(0.1), 1)
 
@@ -999,17 +1001,12 @@ def test_symmetric_refuses_fractional_dimension():
         evaluate_symmetric(IsotropicGaussianPolyDensity(1.0, 0.0, 0.0, 5.5), 3, GridSpec(0.1), 2)
 
 
-def _test_density_coeffs(n):
-    return 4.0 * n * (n + 2), -16.0 * (n + 2), 16.0
-
-
 def test_symmetric_matches_generic_path():
     h = 0.1
     grid = GridSpec(h)
     for n in (5, 6, 8):
         dens_rank = build_test_density(n, grid)
-        c0, c1, c2 = _test_density_coeffs(n)
-        dens_iso = IsotropicGaussianPolyDensity(c0, c1, c2, n)
+        dens_iso = gaussian_potential_density(n)
         for M in (2, 4):
             for k1 in (0, 10):
                 point = (k1,) + (0,) * (n - 1)
@@ -1022,23 +1019,12 @@ def test_symmetric_matches_generic_path():
 @given(n=st.integers(5, 8), M=st.integers(1, 4), k1=st.integers(-12, 12),
        coeffs=st.tuples(*[st.floats(0.1, 10.0)] * 3), sign=st.sampled_from((1.0, -1.0)))
 def test_symmetric_matches_generic_path_on_random_densities(n, M, k1, coeffs, sign):
-    # any isotropic e^{-|x|^2} (c0 + c1 |x|^2 + c2 |x|^4), expanded over the
-    # factors {e^{-x^2}, x^2 e^{-x^2}, x^4 e^{-x^2}}; one-signed coefficients
-    # keep the potential away from zero so the relative gate is meaningful
-    c0, c1, c2 = (sign * c for c in coeffs)
+    # any isotropic e^{-|x|^2} (c0 + c1 |x|^2 + c2 |x|^4) and its separated
+    # expansion; one-signed coefficients keep the potential away from zero so
+    # the relative gate is meaningful
     grid = GridSpec(0.2)
-    m_lo, g0, g2, g4 = engine._gaussian_factor_vectors(grid)
-    weights, factors = [c0], [(g0,) * n]
-    for j in range(n):
-        weights += [c1, c2]
-        factors += [tuple(g2 if l == j else g0 for l in range(n)),
-                    tuple(g4 if l == j else g0 for l in range(n))]
-        for i in range(j):
-            weights.append(2.0 * c2)
-            factors.append(tuple(g2 if l in (i, j) else g0 for l in range(n)))
-    dens = SeparatedDensity(tuple(weights), tuple(factors), m_lo)
-    want = evaluate(dens, [(k1,) + (0,) * (n - 1)], n, grid, M)[0].value
-    iso = IsotropicGaussianPolyDensity(c0, c1, c2, n)
+    iso = IsotropicGaussianPolyDensity(*(sign * c for c in coeffs), n)
+    want = evaluate(separated_expansion(iso, grid), [(k1,) + (0,) * (n - 1)], n, grid, M)[0].value
     got = evaluate_symmetric(iso, k1, grid, M).value
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -1051,8 +1037,7 @@ def test_symmetric_tables_shared_across_dimensions():
     dims = (5, 50, 10 ** 6)
 
     def value(n):
-        dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(n), n)
-        return evaluate_symmetric(dens, 20, grid, 3).value
+        return evaluate_symmetric(gaussian_potential_density(n), 20, grid, 3).value
 
     _empty_caches()
     shared = [value(n) for n in dims]
@@ -1069,7 +1054,7 @@ def test_symmetric_tables_shared_across_dimensions():
 
 def test_axis_vectors_are_built_once_per_grid(monkeypatch):
     # a sweep over M at one grid samples its factor vectors once, into
-    # read-only arrays; build_test_density still gets writable ones of its own
+    # read-only arrays; separated_expansion still gets writable ones of its own
     grid = GridSpec(0.1)
     calls = []
     real = engine._gaussian_factor_vectors
@@ -1080,7 +1065,7 @@ def test_axis_vectors_are_built_once_per_grid(monkeypatch):
 
     monkeypatch.setattr(engine, "_gaussian_factor_vectors", counted)
     _empty_caches()
-    dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(6), 6)
+    dens = gaussian_potential_density(6)
     for M in (1, 2, 3, 4):
         evaluate_symmetric(dens, 10, grid, M)
     assert calls == [grid]
@@ -1099,7 +1084,7 @@ def test_symmetric_offset_order_does_not_matter():
     # k1 = 20 they come from the table cache if k1 = 0 ran first: either
     # order of the two calls from empty caches gives the same bits
     grid = GridSpec(0.05)
-    dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(7), 7)
+    dens = gaussian_potential_density(7)
     values = []
     for ks in ((20, 0), (0, 20)):
         _empty_caches()
@@ -1132,11 +1117,10 @@ def test_symmetric_node_row_keeps_every_bit():
         grid = GridSpec(1.0 / steps)
         for M, k1, n in itertools.product((1, 2, 4), (0, steps, 4 * steps),
                                           (5, 6, 10 ** 4, 10 ** 4 + 1, 10 ** 8)):
-            for coeffs in (_test_density_coeffs(n), (1.0, -3.5, 0.25)):
-                dens = IsotropicGaussianPolyDensity(*coeffs, n)
+            for dens in (gaussian_potential_density(n), IsotropicGaussianPolyDensity(1.0, -3.5, 0.25, n)):
                 got = evaluate_symmetric(dens, k1, grid, M).value
                 want = _plain_symmetric(dens, k1, grid, M)
-                assert got.hex() == want.hex(), (steps, M, k1, n, coeffs)
+                assert got.hex() == want.hex(), (steps, M, k1, dens)
 
 
 @pytest.mark.parametrize("coeffs, error", [
@@ -1159,14 +1143,13 @@ def test_short_rule_is_refused():
         dens = build_test_density(n, grid)
         with pytest.raises(QuadratureDivergence):
             evaluate(dens, [point], n, grid, 4, short)
-    dens = IsotropicGaussianPolyDensity(*_test_density_coeffs(5), 5)
+    dens = gaussian_potential_density(5)
     with pytest.raises(QuadratureDivergence):
         evaluate_symmetric(dens, 20, grid, 4, short)
 
 
 def test_symmetric_sample_metadata():
-    c0, c1, c2 = _test_density_coeffs(6)
-    dens = IsotropicGaussianPolyDensity(c0, c1, c2, 6)
+    dens = gaussian_potential_density(6)
     out = evaluate_symmetric(dens, 4, GridSpec(0.25), 2)
     assert out.point == (4,)
     assert out.method == "symmetric"
@@ -1252,12 +1235,25 @@ def _point_value(dens, idx):
 
 
 def test_build_test_density_pointwise_values():
-    grid = GridSpec(0.25)
-    dens = build_test_density(5, grid)
-    # 4 e^{-1} (n(n+2) - 4(n+2) + 4) at |x| = 1 for n = 5
-    want = 4.0 * math.exp(-1.0) * (35.0 - 28.0 + 4.0)
-    assert _point_value(dens, (4, 0, 0, 0, 0)) == pytest.approx(want, rel=1e-12)
-    assert _point_value(dens, (0, 0, 0, 0, 0)) == pytest.approx(140.0, rel=1e-12)
+    # build_test_density, and separated_expansion of random isotropic
+    # densities, give e^{-|x|^2} (c0 + c1 |x|^2 + c2 |x|^4) at random lattice
+    # points x = h m, within 2 rank ulps of the sum of the terms' magnitudes
+    # e^{-|x|^2} (|c0| + |c1| |x|^2 + |c2| |x|^4); the worst seen is 0.24 of that
+    grid = GridSpec(0.1)
+    rng = np.random.default_rng(28)
+    for n in (3, 5, 8):
+        cases = [(build_test_density(n, grid), gaussian_potential_density(n))]
+        for _ in range(3):
+            iso = IsotropicGaussianPolyDensity(*rng.uniform(-10.0, 10.0, 3), n)
+            cases.append((separated_expansion(iso, grid), iso))
+        for dens, iso in cases:
+            for _ in range(40):
+                m = rng.integers(-30, 31, n)
+                r2 = mp.fsum(mp.mpf(grid.h * float(k)) ** 2 for k in m)
+                want = mp.e ** -r2 * (iso.c0 + iso.c1 * r2 + iso.c2 * r2 ** 2)
+                scale = mp.e ** -r2 * (abs(iso.c0) + abs(iso.c1) * r2 + abs(iso.c2) * r2 ** 2)
+                err = abs(_point_value(dens, m) - want)
+                assert err <= 2.0 * dens.rank * 2.0 ** -53 * scale, (iso, m.tolist())
 
 
 def test_build_test_density_rank_budget(monkeypatch):

@@ -1,5 +1,8 @@
 """Closed-form kernels and the direct lattice cubature.
 
+Radial densities are also summed shell by shell at axis points
+(_direct_radial), a second summation of direct_cubature's lattice sum.
+
 The primary oracle is a 40-digit mpmath transcription of the kernel profile.
 For dimensions where the confluent hypergeometric route exists the oracle is
 mpmath's hyp1f1; the n = 4 logarithmic profile has no such route, so its
@@ -22,7 +25,8 @@ import pytest
 import biharm
 from biharm import cli, kernels
 from biharm.errors import DimensionTooLarge
-from biharm.kernels import GridSpec, _shell_counts, direct_cubature, phi2, phi2M
+from biharm.engine import evaluate, gaussian_potential_density, separated_expansion
+from biharm.kernels import GridSpec, direct_cubature, phi2, phi2M
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -105,10 +109,11 @@ def test_phi2M_second_order_anchor():
 
 
 def test_phi2M_ladder_differences():
-    # consecutive orders differ by e^{-r^2} L_{M-2}^{(n/2-1)}(r^2) / (16 (M-1) M)
+    # consecutive orders differ by e^{-r^2} L_{M-2}^{(n/2-1)}(r^2) / (16 (M-1) M),
+    # up to order 8; the worst difference is 5.9e-17
     for n in (3, 5, 6, 10):
-        for M in (2, 3):
-            for r in (0.0, 0.5, 1.0, 2.0):
+        for M in range(2, 8):
+            for r in (0.0, 0.5, 1.0, 2.0, 4.0):
                 got = phi2M(n, M + 1, r) - phi2M(n, M, r)
                 want = float(
                     mp.e ** (-mp.mpf(r) ** 2)
@@ -163,33 +168,79 @@ def test_direct_cubature_single_sample():
     assert out.value == pytest.approx(pref * phi2(5, 0.0), rel=1e-15)
 
 
+def _shell_counts(dim, vmax):
+    """Number of lattice points of Z^dim with squared norm v, for v = 0..vmax.
+
+    Exact int64 counts, built by convolving dim times with the one-dimensional
+    counts (1 at v = 0, 2 at each nonzero square): one shifted add per square,
+    O(vmax^1.5) per dimension.
+    """
+    counts = np.zeros(vmax + 1, dtype=np.int64)
+    counts[0] = 1
+    for _ in range(dim):
+        nxt = counts.copy()
+        for root in range(1, math.isqrt(vmax) + 1):
+            sq = root * root
+            nxt[sq:] += 2 * counts[: vmax + 1 - sq]
+        counts = nxt
+    return counts
+
+
+def _direct_radial(profile, grid, n, M, x):
+    """direct_cubature's value for the radial density profile(|x|^2), taking
+    an array, at an axis point x, summed shell by shell over the lattice
+    ball |h m| <= grid.radius: per first-axis index m1, the other n - 1 axes
+    grouped by their squared norm v, with _shell_counts(n - 1, .) points each.
+    One partial sum per m1, and those summed exactly."""
+    x = np.asarray(x, dtype=float)
+    nonzero = np.flatnonzero(x)
+    assert len(nonzero) <= 1, "the shell sum needs an axis point"
+    x1 = float(x[nonzero[0]]) if len(nonzero) else 0.0
+    radius_idx = math.floor(grid.radius / grid.h)
+    vmax = radius_idx * radius_idx
+    counts = _shell_counts(n - 1, vmax)
+    h2 = grid.h * grid.h
+    scale = grid.h * math.sqrt(grid.delta)
+    partials = []
+    for m1 in range(-radius_idx, radius_idx + 1):
+        v = np.arange(vmax - m1 * m1 + 1)
+        dist2 = (x1 - grid.h * m1) ** 2 + h2 * v
+        terms = counts[: len(v)] * profile(h2 * (m1 * m1 + v)) * phi2M(n, M, np.sqrt(dist2) / scale)
+        partials.append(float(np.sum(terms)))
+    return scale ** 4 / (math.pi * grid.delta) ** (0.5 * n) * math.fsum(partials)
+
+
 def test_direct_cubature_radial_agrees_with_sparse():
-    # the axis-point shell path and the generic sample-array path are
-    # independent summation strategies and must land on the same value
+    # the axis-point shell sum and the sample-array path are independent
+    # summation strategies and must land on the same value
     grid = GridSpec(0.5)
     dense = direct_cubature(_gaussian_box(0.5, 13), grid, 2, (0.5, 0.0, 0.0), 3)
-    shell = direct_cubature(lambda r2: np.exp(-r2), grid, 2, (0.5, 0.0, 0.0), 3)
-    assert shell.value == pytest.approx(dense.value, rel=1e-13)
+    shell = _direct_radial(lambda r2: np.exp(-r2), grid, 3, 2, (0.5, 0.0, 0.0))
+    assert shell == pytest.approx(dense.value, rel=1e-13)
+
+
+def test_direct_cubature_refuses_a_callable():
+    # a radial profile is not a sample array: the shell sum above is test code
+    with pytest.raises(TypeError, match="sample array"):
+        direct_cubature(lambda r2: np.exp(-r2), GridSpec(0.5), 2, (0.5, 0.0, 0.0), 3)
 
 
 def test_direct_cubature_benchmark_density():
     # order-8 run on the shipped Gaussian test density whose potential is
     # exactly e^{-|x|^2}; also pins agreement with the tensor engine, which
     # computes the same sum through one-dimensional convolutions
-    from biharm.engine import build_test_density, evaluate
-
     grid = GridSpec(1.0 / 40.0)
+    dens = gaussian_potential_density(5)
 
     def profile(r2):
-        return 4.0 * np.exp(-r2) * (35.0 - 28.0 * r2 + 4.0 * r2 * r2)
+        return np.exp(-r2) * (dens.c0 + dens.c1 * r2 + dens.c2 * r2 * r2)
 
-    direct = direct_cubature(profile, grid, 4, (1.0, 0.0, 0.0, 0.0, 0.0), 5)
+    direct = _direct_radial(profile, grid, 5, 4, (1.0, 0.0, 0.0, 0.0, 0.0))
     exact = math.exp(-1.0)
-    assert abs(direct.value - exact) < 1e-9
+    assert abs(direct - exact) < 1e-9
 
-    dens = build_test_density(5, grid)
-    tensor = evaluate(dens, [(40, 0, 0, 0, 0)], 5, grid, 4)[0]
-    assert abs(direct.value - tensor.value) / exact < 1e-10
+    tensor = evaluate(separated_expansion(dens, grid), [(40, 0, 0, 0, 0)], 5, grid, 4)[0]
+    assert abs(direct - tensor.value) / exact < 1e-10
 
 
 def test_direct_cubature_radial_density_symmetries():

@@ -13,6 +13,7 @@ import itertools
 import math
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from biharm import cli, quad
 from biharm.cli import _printed_node_polys
-from biharm.engine import (IsotropicGaussianPolyDensity, build_test_density, evaluate,
-                           evaluate_symmetric, tensor_weight)
+from biharm.engine import (build_test_density, evaluate, evaluate_symmetric,
+                           gaussian_potential_density, tensor_weight)
 from biharm.errors import QuadratureDivergence, UnsupportedDimension
 from biharm.kernels import GridSpec, phi2
 from biharm.quad import DEQuadrature, integral_phi2, qm_poly, rm_poly
@@ -164,6 +165,32 @@ def test_rm_poly_matches_reference_forms():
         assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-14)) < 1e-12
 
 
+def test_node_polys_match_hermite_sums_to_order_12():
+    # Q_M and R_M against 40-digit sums of mpmath's Hermite polynomials, for
+    # |x| <= 20, the error taken relative to the sum of the terms' magnitudes
+    # (the values have roots).  The alternating sums lose more digits as M
+    # grows: the worst seen is 2.1e-15 for Q and 2.5e-15 for R, both at
+    # M = 11, and 0.64 of the bound (M + 1) 2^-51 at most (R, M = 4)
+    x = np.concatenate([np.linspace(0.0, 20.0, 41),
+                        np.random.default_rng(12).uniform(-20.0, 20.0, 20)])
+    for t in (0.0, 1.0, 100.0):
+        c = [mp.mpf(-1) ** k / (mp.factorial(k) * (4 * (1 + mp.mpf(t))) ** k) for k in range(12)]
+        q_terms, r_terms = [], []
+        for y in (mp.mpf(v) / mp.sqrt(1 + mp.mpf(t)) for v in x):
+            h = [mp.hermite(j, y) for j in range(23)]
+            q_terms.append([c[k] * h[2 * k] for k in range(12)])
+            # S_j = y^2 H_j - 2j y H_{j-1} + j (j-1) H_{j-2}, and S_0 = y^2
+            r_terms.append([c[0] * y * y] + [
+                c[k] * (y * y * h[2 * k] - 4 * k * y * h[2 * k - 1] + 2 * k * (2 * k - 1) * h[2 * k - 2])
+                for k in range(1, 12)])
+        for M in range(1, 13):
+            bound = (M + 1) * 2.0 ** -51
+            for got, terms in ((qm_poly(M, x, t), q_terms), (rm_poly(M, x, t), r_terms)):
+                for g, row in zip(got, terms):
+                    err = abs(g - mp.fsum(row[:M]))
+                    assert err <= bound * mp.fsum(abs(v) for v in row[:M]), (M, t)
+
+
 def _plain_node_polys(M, x, t, with_r):
     """The Hermite recurrence of quad._node_polys written as plain
     expressions, one fresh array per operation."""
@@ -235,7 +262,7 @@ def test_node_exponents_are_not_clamped():
     assert quad._exp_nodes(np.array([-800.0, -np.inf]), -1.0).tolist() == [0.0, 0.0]
     with pytest.raises(FloatingPointError):
         quad._exp_nodes(np.array([0.0, 710.0]))
-    dens = IsotropicGaussianPolyDensity(140.0, -112.0, 16.0, 5)
+    dens = gaussian_potential_density(5)
     with pytest.raises(ArithmeticError):
         evaluate_symmetric(dens, 0, GridSpec(0.1, delta=1e-300), 2)
 
@@ -476,7 +503,7 @@ def test_program_node_rows_are_certified(monkeypatch):
         grid = GridSpec(1.0 / steps)
         for M in (1, 2, 4):
             for n in (5, 10 ** 4, 10 ** 7):
-                dens = IsotropicGaussianPolyDensity(4.0 * n * (n + 2), -16.0 * (n + 2), 16.0, n)
+                dens = gaussian_potential_density(n)
                 for k in (0, steps, 4 * steps):
                     evaluate_symmetric(dens, k, grid, M)
     for n in (3, 5, 100):

@@ -1,6 +1,6 @@
 """Static checks on the library source: no import or private module-level
-name is left behind that nothing uses, and every name a module exports is
-bound in it."""
+name is left behind that nothing uses, every name a module exports is
+bound in it, and no module imports a package only the tests need."""
 
 import ast
 import pathlib
@@ -105,3 +105,15 @@ def test_only_quad_calls_fsum():
         calls += [f"{path.stem}: import {name}" for source, name, _ in _imports(tree)
                   if source == "math" and name == "fsum"]
     assert not calls
+
+
+def test_library_imports_no_test_package():
+    # pytest, hypothesis and mpmath are test dependencies only: the library
+    # depends on numpy alone
+    test_only = {"pytest", "hypothesis", "mpmath"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.stem}: {source or name}" for source, name, _ in _imports(tree)
+                  if (source or name).split(".")[0] in test_only]
+    assert not found
