@@ -206,7 +206,7 @@ def _verify_checks():
     A check that raises a BiharmError fails with the error's text, and the
     checks after it still run.
     """
-    for name, check in _invariants(quad.DEFAULT_RULE):
+    for name, check in _invariants():
         try:
             ok, detail = check()
         except BiharmError as exc:
@@ -214,9 +214,9 @@ def _verify_checks():
         yield name, ok, detail
 
 
-def _invariants(rule):
-    """Yield (name, check) for each invariant of the rule; check() gives
-    (ok, detail)."""
+def _invariants():
+    """Yield (name, check) for each invariant; check() gives (ok, detail).
+    The quadrature checks read quad.DEFAULT_RULE, the engine's rule."""
 
     def phi2_anchors():
         # closed-form values at r = 0 and r = 1, frozen from the explicit formulas
@@ -238,6 +238,7 @@ def _invariants(rule):
 
     yield "phi2 closed-form anchors", phi2_anchors
 
+    rule = quad.DEFAULT_RULE
     nodes = rule.arrays()
 
     def transform_anchor():
@@ -287,14 +288,14 @@ def _invariants(rule):
     for n in (5, 6):
         def lattice_weight(n=n):
             ref = 16.0 * (math.pi * 5.0) ** (-n / 2.0) * quad.integral_phi2(n, 0.0, rule)
-            return _within(_rel_dev(engine.tensor_weight((0,) * n, 1, 5.0, rule), ref), 1e-13)
+            return _within(_rel_dev(engine.tensor_weight((0,) * n, 1, 5.0), ref), 1e-13)
 
         yield f"lattice weight at zero offset, n={n}", lattice_weight
 
     def lattice_delta():
         samples = np.zeros(21)
         samples[10 + 3] = 1.0
-        [(table,)] = engine._sigma_tables([(samples, 3)], -10, 5.0, 1, rule)
+        [(table,)] = engine._sigma_tables([(samples, 3)], -10, 5.0, 1)
         ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + nodes.t[40]))
         return _within(_rel_dev(float(table[40]), ref), 1e-14)
 
@@ -335,7 +336,7 @@ def _invariants(rule):
         coords = np.floor(_spread(3 * 5, _SILVER, -3.0, 4.0)).astype(int).tolist()
         points = [tuple(coords[5 * i:5 * i + 5]) for i in range(3)]
         dev = 0.0
-        tensor = engine.evaluate(dens, points, 5, grid, 1, rule)
+        tensor = engine.evaluate(dens, points, 5, grid, 1)
         for sample, point in zip(tensor, points):
             direct = kernels.direct_cubature(box, grid, 1,
                                              np.asarray(point, dtype=float) * h, 5)
@@ -350,8 +351,8 @@ def _invariants(rule):
             grid = GridSpec(h=0.1, delta=5.0)
             dens = engine.gaussian_potential_density(n)
             full = engine.evaluate(engine.separated_expansion(dens, grid),
-                                   [(10,) + (0,) * (n - 1)], n, grid, 2, rule)[0].value
-            fast = engine.evaluate_symmetric(dens, 10, grid, 2, rule).value
+                                   [(10,) + (0,) * (n - 1)], n, grid, 2)[0].value
+            fast = engine.evaluate_symmetric(dens, 10, grid, 2).value
             dev = max(dev, abs(fast / full - 1.0))
         return _within(dev, 1e-12)
 

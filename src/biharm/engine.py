@@ -23,7 +23,7 @@ sums, and a repeated point takes its value.
 
 The convolution kernel e^{-d^2/(D(1+t))} Q_M(d/sqrt(D), t) depends on the
 lattice offset d = k - m alone, not on h, n or the density.  Its rows are
-built once per (D, M, rule) for |d| in blocks of _BLOCK and kept in one
+built once per (D, M) for |d| in blocks of _BLOCK and kept in one
 byte-bounded LRU.  Each block is built straight into its stored array in row
 pieces of at most quad._BUILD_VALUES values: the Gaussian rows are
 multiplied and exp'd in place, and quad._node_polys runs its recurrence
@@ -51,16 +51,15 @@ The columns a block drops are exact zeros of all its rows, and a zero term
 leaves a sum that is never -0 unchanged, so every table is the one-pass sum
 over all rows and columns, bit for bit.
 A support-checked sigma table depends only on its vector's samples, the
-first offset k - m_lo, D, M and the rule, so the same LRU keeps it across
-calls as its own entry, keyed by the exact sample bytes.
+first offset k - m_lo, D and M, so the same LRU keeps it across calls as
+its own entry, keyed by the exact sample bytes.
 evaluate_symmetric reads its node arrays, which do not depend on n, from one
-lru_cache per (grid, M, k1, rule), _axis_nodes: on a miss one _sigma_tables
-call forms the tables at offsets k1 and 0 from the grid's factor vectors,
-sampled once per grid (_axis_vectors), and the offset-0 ones come from the
-table LRU once any k1 has built them.  A warm call is then a few dozen ufunc
-calls on node-length arrays: it forms its node row in place, in four arrays
-made per call and inside one np.errstate block, and sums it with
-quad._one_row_sum.
+lru_cache per (grid, M, k1), _axis_nodes: on a miss one _sigma_tables call
+forms the tables at offsets k1 and 0 from the grid's factor vectors, and the
+offset-0 ones come from the table LRU once any k1 has built them.  A warm
+call is then a few dozen ufunc calls on node-length arrays: it forms its
+node row in place, in four arrays made per call and inside one np.errstate
+block, and sums it with quad._one_row_sum.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ import numpy as np
 
 from .errors import RankBudgetExceeded, SupportTruncated, UnsupportedDimension
 from .kernels import GridSpec, PotentialSample, dim_value, int_value, order_value
-from .quad import (DEFAULT_RULE, DEQuadrature, _node_polys, _node_sum, _point_sums,
-                   _row_pieces, _scratch, qm_poly)
+from .quad import (DEFAULT_RULE, _node_polys, _node_sum, _point_sums, _row_pieces,
+                   _scratch, qm_poly)
 
 __all__ = [
     "SeparatedDensity",
@@ -103,7 +102,7 @@ RANK_DIM_CAP = 64
 SATURATION_CUTOFF = 6
 
 # kernel rows are cached in blocks of _BLOCK consecutive |d| values, in one
-# least-recently-used cache shared by all (D, M, rule) with the sigma tables.
+# least-recently-used cache shared by all (D, M) with the sigma tables.
 # With banded blocks and no Q_1 blocks, 128 rows was the fastest of 32..512
 # on Table 2 from empty caches (48.7 ms; 51-66 ms for the others) and tied
 # with 64 on the tensor-batch benchmark's evaluate calls (55 ms; 60-69 ms for
@@ -164,6 +163,10 @@ class _ByteLRU:
 
 
 _ROW_BLOCKS = _ByteLRU()
+
+# the one quadrature rule of every node array the engine forms, so that no
+# cache key names a rule
+_RULE = DEFAULT_RULE
 
 # held for each write of a pad row of a cached Gaussian block and the einsum
 # that reads it (_sigma): the pads are scratch shared by every thread
@@ -229,11 +232,10 @@ def _padded(d: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], d, [0.0]))
 
 
-def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
+def _gauss_block(d: np.ndarray, D: float) -> np.ndarray:
     """The Gaussian rows e^{-d^2/(D(1+t_s))} of offsets d from the block's
     first live node column on: the first column nonzero in any row, read off
-    the values, so every column before it is an exact zero of every row on
-    any rule.
+    the values, so every column before it is an exact zero of every row.
 
     exp is exactly 0 below -745.14, and costs far more on such arguments
     than on others, so exp is taken only from the first column where the
@@ -245,7 +247,7 @@ def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
     The base is built in row pieces (quad._row_pieces), each multiplied and
     exp'd in place.
     """
-    inv = rule.arrays().inv1pt / D
+    inv = _RULE.arrays().inv1pt / D
     cols = len(inv)
     cap = max(cols - 2, 0)
     near = np.min(np.abs(d))
@@ -265,8 +267,7 @@ def _gauss_block(d: np.ndarray, D: float, rule: DEQuadrature) -> np.ndarray:
     return block[1:-1]
 
 
-def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool,
-               start: int = 0) -> tuple:
+def _poly_rows(d: np.ndarray, D: float, M: int, with_r: bool, start: int = 0) -> tuple:
     """(Q_M,), or (Q_M, R_M) when with_r, at x = d / sqrt(D) and the rule's
     nodes from column start on.
 
@@ -274,7 +275,7 @@ def _poly_rows(d: np.ndarray, D: float, M: int, rule: DEQuadrature, with_r: bool
     and last rows hold 1.0.  The recurrence runs over the base's rows, pads
     included, so the rows are its results, not copies of them.
     """
-    t = rule.arrays().t[None, start:]
+    t = _RULE.arrays().t[None, start:]
     x = _padded(d)[:, None] / math.sqrt(D)
     # Q alone goes through the public qm_poly, whose calls the benchmark's
     # tracer counts as kernel builds
@@ -308,8 +309,7 @@ def _block_offsets(b: int) -> np.ndarray:
     return b * _BLOCK + np.arange(_BLOCK, dtype=float)
 
 
-def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
-                 with_r: bool) -> list:
+def _kernel_runs(d0: int, L: int, D: float, M: int, with_r: bool) -> list:
     """The kernel rows d = d0, d0 - 1, ..., d0 - L + 1 as runs that each read
     one cached block: a list of (table row slice, the block's first live
     column c, Gaussian rows, poly rows), the rows holding the node columns
@@ -321,7 +321,7 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
     (module docstring).  Q_M rows have one key whether or not R_M is needed,
     so the n = 3 path and the n >= 5 paths share them.
     """
-    cols = rule.node_count
+    cols = _RULE.node_count
     runs = []
     i = 0
     while i < L:
@@ -336,12 +336,11 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, rule: DEQuadrature,
             n = min(_BLOCK - r, L - i)
             lo, hi = r, r + n
             rows = slice(lo, hi + 1)
-        [gauss] = _row_block((("gauss", D, rule, b),),
-                             lambda: (_gauss_block(_block_offsets(b), D, rule),))
+        [gauss] = _row_block((("gauss", D, b),), lambda: (_gauss_block(_block_offsets(b), D),))
         c = cols - gauss.shape[1]
         skip = M == 1
-        polys = _row_block((("Q", D, M, rule, b), ("R", D, M, rule, b))[skip:1 + with_r],
-                           lambda: _poly_rows(_block_offsets(b), D, M, rule, with_r, c)[skip:])
+        polys = _row_block((("Q", D, M, b), ("R", D, M, b))[skip:1 + with_r],
+                           lambda: _poly_rows(_block_offsets(b), D, M, with_r, c)[skip:])
         runs.append((slice(i, i + n), c, gauss.base[rows],
                      (None,) * skip + tuple(p.base[rows] for p in polys)))
         i += n
@@ -410,8 +409,7 @@ def _terms(weight, kernel: tuple, index) -> np.ndarray:
     return terms
 
 
-def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
-                  with_r: bool = False) -> list:
+def _sigma_tables(pairs, m_lo: int, D: float, M: int, with_r: bool = False) -> list:
     """Normalized per-dimension convolution sums for (vector, offset) pairs.
 
     All vectors have one length on the index range starting at m_lo.  Returns
@@ -424,7 +422,7 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
     offset, the vectors at one offset share one gather of them, and the
     gather and the normalization are made only if a table is not cached.
     A table that passes its support check is cached, read-only, as its own
-    entry keyed (Q or R, dtype, exact sample bytes, k - m_lo, D, M, rule): a
+    entry keyed (Q or R, dtype, exact sample bytes, k - m_lo, D, M): a
     byte-equal vector finds it, an edited one does not, and a vector of more
     than _VECTOR_BYTES keeps none.
     """
@@ -438,13 +436,13 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, rule: DEQuadrature,
         content = contents[id(vec)]
         found = []
         for which in range(1 + with_r):
-            table_key = ("QR"[which], vec.dtype.str, content, k - m_lo, D, M, rule)
+            table_key = ("QR"[which], vec.dtype.str, content, k - m_lo, D, M)
             table = _ROW_BLOCKS.get(table_key)
             if table is None:
                 if run_k != k:
-                    run_k, runs = k, _kernel_runs(k - m_lo, len(vec), D, M, rule, with_r)
+                    run_k, runs = k, _kernel_runs(k - m_lo, len(vec), D, M, with_r)
                 if norm is None:
-                    norm = np.exp(-0.5 * (math.log(math.pi * D) + rule.arrays().log1pt))
+                    norm = np.exp(-0.5 * (math.log(math.pi * D) + _RULE.arrays().log1pt))
                 table = np.empty(len(norm))
                 _sigma(vec, runs, which, norm, table)
                 table.flags.writeable = False
@@ -461,8 +459,7 @@ def _positions(keys) -> tuple:
     return np.array([first.setdefault(key, len(first)) for key in keys]), list(first)
 
 
-def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
-               rule: DEQuadrature) -> list:
+def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int) -> list:
     """(point, certified node sum) for each grid index vector, in order.
 
     The node sum is fsum_p weights[p] fsum_s c_ps with c_ps the n-fold product
@@ -487,7 +484,7 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     if not points:
         return []
     order, distinct = _positions(points)
-    nodes = rule.arrays()
+    nodes = _RULE.arrays()
     kpos, ks = _positions(k for point in distinct for k in point)
     # codes[i, j, p] = v K + k: term p reads the pair (vector v, offset k) in
     # dimension j at point i, v and k positions among the distinct vectors
@@ -499,7 +496,7 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     row_of[used] = np.arange(len(used))
     index = row_of[codes]
     pairs = [(density._vectors[c // len(ks)], ks[c % len(ks)]) for c in used.tolist()]
-    sigma = np.stack(_sigma_tables(pairs, density.m_lo, D, M, rule, n == 3), axis=1)
+    sigma = np.stack(_sigma_tables(pairs, density.m_lo, D, M, n == 3), axis=1)
     q = sigma[0]
     if n == 3:
         # the n = 3 bracket needs tau * Phi' and Phi separately
@@ -543,8 +540,7 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int,
     return [(point, totals[i]) for point, i in zip(points, order.tolist())]
 
 
-def evaluate(density: SeparatedDensity, points, n, grid: GridSpec, M,
-             rule: DEQuadrature = DEFAULT_RULE) -> list[PotentialSample]:
+def evaluate(density: SeparatedDensity, points, n, grid: GridSpec, M) -> list[PotentialSample]:
     """Potential of a separated density at the given grid index vectors.
 
     Covers n >= 5 and the special n = 3 assembly; n = 4 has no tensor path.
@@ -560,10 +556,10 @@ def evaluate(density: SeparatedDensity, points, n, grid: GridSpec, M,
         pref = -(grid.h ** 4) * grid.delta ** 2 / 8.0
     return [PotentialSample(point=point, value=pref * total, method="tensor",
                             M=M, h=grid.h, delta=grid.delta)
-            for point, total in _node_sums(density, points, n, grid.delta, M, rule)]
+            for point, total in _node_sums(density, points, n, grid.delta, M)]
 
 
-def tensor_weight(k, M, D: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
+def tensor_weight(k, M, D: float) -> float:
     """Cubature weight of the tensor-product basis at lattice offset k.
 
     a_k^(M) = (pi D)^{-n/2} tau sum_s Phi Phi' (1+t)^{-n/2}
@@ -581,7 +577,7 @@ def tensor_weight(k, M, D: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     # zero ends keep the one-sample support inside the window
     delta = np.array([0.0, 1.0, 0.0])
     density = SeparatedDensity(weights=(1.0,), factors=((delta,) * n,), m_lo=-1)
-    [(_, total)] = _node_sums(density, [k], n, D, order_value(M), rule)
+    [(_, total)] = _node_sums(density, [k], n, D, order_value(M))
     return total
 
 
@@ -631,19 +627,8 @@ def build_test_density(n, grid: GridSpec) -> SeparatedDensity:
     return separated_expansion(gaussian_potential_density(n), grid)
 
 
-@lru_cache(maxsize=16)
-def _axis_vectors(grid: GridSpec) -> tuple:
-    """(m_lo, g0, g2, g4) of _gaussian_factor_vectors, read-only and kept per
-    grid, so that every (M, k1) of a grid reads one set of samples;
-    separated_expansion makes its own writable ones."""
-    m_lo, *vecs = _gaussian_factor_vectors(grid)
-    for vec in vecs:
-        vec.flags.writeable = False
-    return m_lo, *vecs
-
-
 @lru_cache(maxsize=256)
-def _axis_nodes(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
+def _axis_nodes(grid: GridSpec, M: int, k: int) -> tuple:
     """The node arrays of evaluate_symmetric at the axis offset k, which do
     not depend on n, so a sweep over n forms them once: (a1, b1, c1, beta,
     chi, log_a0, sign_a0), all read-only.
@@ -655,9 +640,9 @@ def _axis_nodes(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
     where a0 = 0), log|a0| (-inf there) and the sign of a0 (-1.0 where
     a0 < 0, else 1.0).
     """
-    m_lo, *vecs = _axis_vectors(grid)
+    m_lo, *vecs = _gaussian_factor_vectors(grid)
     pairs = [(vec, offset) for offset in (k, 0) for vec in vecs]
-    (a1,), (b1,), (c1,), (a0,), (b0,), (c0,) = _sigma_tables(pairs, m_lo, grid.delta, M, rule)
+    (a1,), (b1,), (c1,), (a0,), (b0,), (c0,) = _sigma_tables(pairs, m_lo, grid.delta, M)
     live = a0 != 0.0
     beta = np.zeros_like(a0)
     chi = np.zeros_like(a0)
@@ -672,7 +657,7 @@ def _axis_nodes(grid: GridSpec, M: int, k: int, rule: DEQuadrature) -> tuple:
 
 
 def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
-                       grid: GridSpec, M, rule: DEQuadrature = DEFAULT_RULE) -> PotentialSample:
+                       grid: GridSpec, M) -> PotentialSample:
     """Potential of an isotropic density at the axis point k1 * h * e_1, in O(nodes * line)
     time independent of the separation rank.
 
@@ -690,9 +675,9 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
             "through evaluate, and n = 4 has no one-dimensional integral representation")
     M = order_value(M)
     k1 = int_value(k1, "axis index k1")
-    nodes = rule.arrays()
+    nodes = _RULE.arrays()
     D = grid.delta
-    a1, b1, c1v, beta, chi, log_a0, sign_a0 = _axis_nodes(grid, M, k1, rule)
+    a1, b1, c1v, beta, chi, log_a0, sign_a0 = _axis_nodes(grid, M, k1)
     big = float(n)  # n(n-1)-type coefficients round at ~1 ulp for n > 9e7
     n1 = big - 1.0
     # g = c0 a1 + c1 (b1 + (n-1) a1 beta)

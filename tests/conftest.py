@@ -11,7 +11,23 @@ import mpmath
 import numpy as np
 import pytest
 
+from biharm import engine, quad
+
 mpmath.mp.dps = 40
+
+
+@pytest.fixture(autouse=True)
+def _engine_rule_is_restored(request):
+    """Fail a test that leaves the engine on another rule than
+    quad.DEFAULT_RULE, and put the rule back: no cache key names the rule, so
+    the tests after it would read blocks and tables of the wrong one."""
+    yield
+    if engine._RULE is not quad.DEFAULT_RULE:
+        left = engine._RULE
+        engine._RULE = quad.DEFAULT_RULE
+        engine._ROW_BLOCKS.clear()
+        engine._axis_nodes.cache_clear()
+        pytest.fail(f"{request.node.nodeid} left the engine on {left!r}", pytrace=False)
 
 
 @pytest.fixture(scope="session")

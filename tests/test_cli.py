@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from biharm import cli
+from test_engine import on_rule
 
 
 def _parse(text):
@@ -234,12 +235,14 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
 
 
 def test_verify_reports_a_raising_check_as_failed(capsys, monkeypatch):
-    # on a rule cut to half its nodes every node sum raises
-    # QuadratureDivergence: each such check prints its FAIL line with the
-    # error text, the checks that sum no nodes still pass, and the summary
-    # counts them all
-    monkeypatch.setattr(cli.quad, "DEFAULT_RULE", cli.quad.DEQuadrature(s_end=150))
-    rc, out, _ = _run(capsys, ["--verify", "full"])
+    # on a rule cut to half its nodes, in the quadrature checks and the
+    # engine, every node sum raises QuadratureDivergence: each such check
+    # prints its FAIL line with the error text, the checks that sum no nodes
+    # still pass, and the summary counts them all
+    short = cli.quad.DEQuadrature(s_end=150)
+    monkeypatch.setattr(cli.quad, "DEFAULT_RULE", short)
+    with on_rule(monkeypatch, short):
+        rc, out, _ = _run(capsys, ["--verify", "full"])
     assert rc == 1
     lines = out.strip().splitlines()
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]

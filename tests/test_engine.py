@@ -9,6 +9,8 @@ validated through frozen accuracy anchors of the Gaussian test density and
 through internal path equivalence.
 """
 
+import contextlib
+import inspect
 import itertools
 import math
 import sys
@@ -54,17 +56,37 @@ def _dense_samples(dens):
     return total
 
 
+def _empty_caches():
+    """Empty the kernel row and sigma table cache and the axis node cache."""
+    engine._ROW_BLOCKS.clear()
+    engine._axis_nodes.cache_clear()
+
+
+@contextlib.contextmanager
+def on_rule(monkeypatch, rule):
+    """The engine evaluating on rule instead of quad.DEFAULT_RULE inside the
+    block.  No cache key names the rule, so the caches are emptied on entry
+    and on exit: no block or table of one rule is read on the other."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_RULE", rule)
+        _empty_caches()
+        try:
+            yield
+        finally:
+            _empty_caches()
+
+
 # --- 1-D convolutions ---
 
 
-def _conv(samples, k, m_lo, D, M, rule):
+def _conv(samples, k, m_lo, D, M):
     """The normalized convolution sum of one vector at offset k, per node."""
-    [(table,)] = engine._sigma_tables([(samples, k)], m_lo, D, M, rule)
+    [(table,)] = engine._sigma_tables([(samples, k)], m_lo, D, M)
     return table
 
 
-def test_conv1d_zero_samples(rule):
-    assert np.all(_conv(np.zeros(9), 0, -4, 5.0, 2, rule) == 0.0)
+def test_conv1d_zero_samples():
+    assert np.all(_conv(np.zeros(9), 0, -4, 5.0, 2) == 0.0)
 
 
 def test_conv1d_unit_sample(rule):
@@ -72,7 +94,7 @@ def test_conv1d_unit_sample(rule):
     samples = np.zeros(21)
     samples[10 + 3] = 1.0
     want = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + t))
-    assert _conv(samples, 3, -10, 5.0, 1, rule)[120] == pytest.approx(want, rel=1e-15)
+    assert _conv(samples, 3, -10, 5.0, 1)[120] == pytest.approx(want, rel=1e-15)
 
 
 def test_conv1d_matches_brute_force(rule):
@@ -80,7 +102,7 @@ def test_conv1d_matches_brute_force(rule):
     m = np.arange(-65, 66)
     samples = np.exp(-(h * m) ** 2)
     for M in (1, 3):
-        table = _conv(samples, k, -65, D, M, rule)
+        table = _conv(samples, k, -65, D, M)
         for s in (40, 120, 260):
             t = float(rule.arrays().t[s])
             brute = math.fsum(
@@ -90,22 +112,22 @@ def test_conv1d_matches_brute_force(rule):
             assert table[s] == pytest.approx(brute, rel=1e-14), (s, M)
 
 
-def test_conv1d_index_origin(rule):
+def test_conv1d_index_origin():
     # the table depends on the offset relative to the window start only
     samples = np.zeros(13)
     samples[3:10] = np.exp(-np.linspace(-1.5, 1.5, 7) ** 2)
-    centered = _conv(samples, 1, -6, 5.0, 2, rule)
+    centered = _conv(samples, 1, -6, 5.0, 2)
     # the table cache keys on k - m_lo, so empty it to build the second anew
     engine._ROW_BLOCKS.clear()
-    shifted = _conv(samples, 7, 0, 5.0, 2, rule)
+    shifted = _conv(samples, 7, 0, 5.0, 2)
     assert centered.tobytes() == shifted.tobytes()
 
 
-def test_conv1d_flags_truncated_support(rule):
+def test_conv1d_flags_truncated_support():
     # the window ends right at the kernel center, so the boundary term is
     # the largest one
     with pytest.raises(SupportTruncated):
-        _conv(np.ones(11), 5, -5, 5.0, 1, rule)
+        _conv(np.ones(11), 5, -5, 5.0, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,10 +137,8 @@ def test_kernel_rows_are_even_in_the_offset(d, D, M):
     # the row cache stores |d| only: the Gaussian, Q_M and R_M rows at -d must
     # be those at +d bit for bit
     d = np.array(d, dtype=float)
-    rule = DEQuadrature()
-    assert engine._gauss_block(d, D, rule).tobytes() == engine._gauss_block(-d, D, rule).tobytes()
-    for plus, minus in zip(engine._poly_rows(d, D, M, rule, True),
-                           engine._poly_rows(-d, D, M, rule, True)):
+    assert engine._gauss_block(d, D).tobytes() == engine._gauss_block(-d, D).tobytes()
+    for plus, minus in zip(engine._poly_rows(d, D, M, True), engine._poly_rows(-d, D, M, True)):
         assert plus.tobytes() == minus.tobytes()
 
 
@@ -249,7 +269,7 @@ def test_evaluate_permutation_and_sign_invariance():
     assert evaluate(dens_s, [pt_s], 5, grid, 2)[0].value == base
 
 
-def test_three_dims_long_rule_matches_default(rule):
+def test_three_dims_long_rule_matches_default(monkeypatch):
     # a 500-node rule runs t past the binary64 range at its far nodes; its
     # table ends before them, and the n = 3 bracket over the nodes it keeps
     # must agree with the default rule's
@@ -258,27 +278,29 @@ def test_three_dims_long_rule_matches_default(rule):
     grid = GridSpec(1.0 / 20)
     dens = build_test_density(3, grid)
     points = [(20, 20, 20), (0, 5, -10)]
-    want = evaluate(dens, points, 3, grid, 4, rule)
-    got = evaluate(dens, points, 3, grid, 4, long_rule)
+    want = evaluate(dens, points, 3, grid, 4)
+    with on_rule(monkeypatch, long_rule):
+        got = evaluate(dens, points, 3, grid, 4)
     for a, b in zip(got, want):
         assert a.value == pytest.approx(b.value, rel=1e-14)
 
 
-def test_long_rule_matches_default(rule):
+def test_long_rule_matches_default(monkeypatch):
     # the n >= 5 products over the long rule's kept nodes must agree with
     # the default rule's, and a batch must equal its one-point calls
     long_rule = DEQuadrature(s_end=500)
     grid = GridSpec(1.0 / 20)
     dens = build_test_density(5, grid)
     points = [(20, 20, 20, 0, -4), (0, 5, -10, 3, 3), (1, -1, 0, 2, 7)]
-    want = evaluate(dens, points, 5, grid, 4, rule)
-    got = evaluate(dens, points, 5, grid, 4, long_rule)
-    for point, a, b in zip(points, got, want):
-        assert a.value == pytest.approx(b.value, rel=1e-14)
-        assert a.value == evaluate(dens, [point], 5, grid, 4, long_rule)[0].value
+    want = evaluate(dens, points, 5, grid, 4)
+    with on_rule(monkeypatch, long_rule):
+        got = evaluate(dens, points, 5, grid, 4)
+        for point, a, b in zip(points, got, want):
+            assert a.value == pytest.approx(b.value, rel=1e-14)
+            assert a.value == evaluate(dens, [point], 5, grid, 4)[0].value
 
 
-def test_products_match_symmetric_path_at_large_n(rule):
+def test_products_match_symmetric_path_at_large_n():
     # every n >= 5 forms its per-node contributions as plain n-fold products;
     # on e^{-|x|^2} as a rank-1 product of e^{-x_j^2} factors they must agree
     # with the symmetric path's log-domain collapse far past n = 1000, where
@@ -287,9 +309,8 @@ def test_products_match_symmetric_path_at_large_n(rule):
     m_lo, g0, _, _ = engine._gaussian_factor_vectors(grid)
     for n, M in itertools.product((1001, 5000), (1, 4)):
         dens = SeparatedDensity((1.0,), ((g0,) * n,), m_lo)
-        [got] = evaluate(dens, [(10,) + (0,) * (n - 1)], n, grid, M, rule)
-        want = evaluate_symmetric(IsotropicGaussianPolyDensity(1.0, 0.0, 0.0, n),
-                                  10, grid, M, rule)
+        [got] = evaluate(dens, [(10,) + (0,) * (n - 1)], n, grid, M)
+        want = evaluate_symmetric(IsotropicGaussianPolyDensity(1.0, 0.0, 0.0, n), 10, grid, M)
         # relative: pytest.approx's default absolute tolerance of 1e-12
         # would pass any pair of values as small as these (down to 4.5e-62)
         assert abs(got.value / want.value - 1.0) < 1e-13
@@ -297,17 +318,9 @@ def test_products_match_symmetric_path_at_large_n(rule):
     n = 1001
     dens = SeparatedDensity((1.0,), ((g0,) * n,), m_lo)
     points = [(10,) + (0,) * (n - 1), (0,) * n, (3, -5) + (1,) * (n - 2)]
-    batch = evaluate(dens, points, n, grid, 2, rule)
+    batch = evaluate(dens, points, n, grid, 2)
     for point, sample in zip(points, batch):
-        assert sample.value == evaluate(dens, [point], n, grid, 2, rule)[0].value
-
-
-def _empty_caches():
-    """Empty the kernel row and sigma table cache and the axis node and
-    factor vector caches."""
-    engine._ROW_BLOCKS.clear()
-    engine._axis_nodes.cache_clear()
-    engine._axis_vectors.cache_clear()
+        assert sample.value == evaluate(dens, [point], n, grid, 2)[0].value
 
 
 def _check_banded(keys, blocks):
@@ -320,12 +333,11 @@ def _check_banded(keys, blocks):
     widths = set()
     for key, block in zip(keys, blocks):
         if key[0] == "gauss":
-            _, D, rule, b = key
-            full = _gauss_rows(b * engine._BLOCK + np.arange(engine._BLOCK, dtype=float),
-                               D, rule)
-            c0 = rule.node_count - block.shape[1]
+            _, D, b = key
+            full = _gauss_rows(b * engine._BLOCK + np.arange(engine._BLOCK, dtype=float), D)
+            c0 = engine._RULE.node_count - block.shape[1]
             assert not full[:, :c0].any()
-            assert full[:, c0].any() or c0 == rule.node_count - 2
+            assert full[:, c0].any() or c0 == engine._RULE.node_count - 2
             assert block.tobytes() == full[:, c0:].tobytes()
         else:
             assert np.all(block.base[[0, -1]] == 1.0)
@@ -377,7 +389,8 @@ def _held_bytes():
 
 def _is_table_key(key):
     """Whether a cache key is a sigma table's (Q or R, dtype, sample bytes,
-    k - m_lo, D, M, rule) rather than a kernel block's."""
+    k - m_lo, D, M) rather than a kernel block's ("gauss", D, b) or
+    (Q or R, D, M, b)."""
     return isinstance(key[2], bytes)
 
 
@@ -385,16 +398,15 @@ def test_sigma_tables_built_once_per_offset(row_blocks):
     # kernel row blocks do not depend on h, n, the offset or the call: a sweep
     # over two grids, two orders and three dimensions builds each block of
     # |d| <= 130 + 20 (blocks 0 and 1) once, the Gaussian ones shared by both orders
-    rule = DEQuadrature()
     assert 130 + 20 < 2 * engine._BLOCK
     for grid, k1 in ((GridSpec(0.1), 10), (GridSpec(0.05), 20)):
         for n in (5, 50, 5000):
             dens = gaussian_potential_density(n)
             for M in (2, 4):
-                evaluate_symmetric(dens, k1, grid, M, rule)
+                evaluate_symmetric(dens, k1, grid, M)
     assert sorted(row_blocks, key=repr) == sorted(
-        [("gauss", 5.0, rule, b) for b in (0, 1)]
-        + [("Q", 5.0, M, rule, b) for M in (2, 4) for b in (0, 1)], key=repr)
+        [("gauss", 5.0, b) for b in (0, 1)]
+        + [("Q", 5.0, M, b) for M in (2, 4) for b in (0, 1)], key=repr)
 
     # the n = 3 tensor path reads Q and R blocks; Q is the block the n >= 5
     # paths use, so two n = 3 calls after the sweep build one R block in all
@@ -402,19 +414,42 @@ def test_sigma_tables_built_once_per_offset(row_blocks):
     grid = GridSpec(0.1)
     points = [(10, 10, 0), (0, 10, 10), (3, -2, 10)]
     for _ in range(2):
-        evaluate(build_test_density(3, grid), points, 3, grid, 4, rule)
-    assert row_blocks == [("R", 5.0, 4, rule, 0)]
+        evaluate(build_test_density(3, grid), points, 3, grid, 4)
+    assert row_blocks == [("R", 5.0, 4, 0)]
     assert _held_bytes() <= engine._CACHE_BYTES
 
     # and the other way round: after an n = 3 call has stored Q and R, the
     # n = 5 path builds nothing
     _empty_caches()
     row_blocks.clear()
-    evaluate(build_test_density(3, grid), points, 3, grid, 4, rule)
+    evaluate(build_test_density(3, grid), points, 3, grid, 4)
     assert sorted(row_blocks, key=repr) == sorted(
-        [("gauss", 5.0, rule, 0), ("Q", 5.0, 4, rule, 0), ("R", 5.0, 4, rule, 0)], key=repr)
-    evaluate(build_test_density(5, grid), [(10, 0, 10, -3, 2)], 5, grid, 4, rule)
+        [("gauss", 5.0, 0), ("Q", 5.0, 4, 0), ("R", 5.0, 4, 0)], key=repr)
+    evaluate(build_test_density(5, grid), [(10, 0, 10, -3, 2)], 5, grid, 4)
     assert len(row_blocks) == 3
+
+
+def test_engine_evaluates_on_one_rule():
+    # no engine function takes a rule, and after a sweep of both paths and
+    # tensor_weight no cache key holds one: every node array is the default
+    # rule's
+    _empty_caches()
+    for grid in (GridSpec(0.1), GridSpec(0.2)):
+        for M in (2, 4):
+            evaluate_symmetric(gaussian_potential_density(6), 10, grid, M)
+    grid = GridSpec(0.2)
+    for n in (3, 5):
+        evaluate(build_test_density(n, grid), [(4,) + (0,) * (n - 1)], n, grid, 3)
+    tensor_weight((0, 1, 0, 2, 0), 2, 5.0)
+    keys = list(engine._ROW_BLOCKS._entries)
+    assert {key[0] for key in keys} == {"gauss", "Q", "R"}
+    assert not any(isinstance(part, DEQuadrature) for key in keys for part in key)
+    functions = [obj for obj in vars(engine).values()
+                 if inspect.isfunction(inspect.unwrap(obj)) and obj.__module__ == engine.__name__]
+    assert engine._axis_nodes in functions and evaluate in functions
+    for fn in functions:
+        assert "rule" not in inspect.signature(fn).parameters, fn.__name__
+    _empty_caches()
 
 
 @settings(max_examples=20, deadline=None)
@@ -424,10 +459,9 @@ def test_q_rows_do_not_depend_on_r(d, D):
     # the n = 3 path stores the Q rows of its Q-and-R pass under the Q-only
     # key, so they must equal the Q-only rows bit for bit
     d = np.array(d, dtype=float)
-    rule = DEQuadrature()
     for M in (1, 2, 3, 4):
-        q, _ = engine._poly_rows(d, D, M, rule, True)
-        (q_only,) = engine._poly_rows(d, D, M, rule, False)
+        q, _ = engine._poly_rows(d, D, M, True)
+        (q_only,) = engine._poly_rows(d, D, M, False)
         assert q.tobytes() == q_only.tobytes(), M
 
 
@@ -446,23 +480,22 @@ def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
     # room for the batch's 10 distinct sigma tables, each counted with the
     # samples of its vector (65), the cache evicts, stays within the bound,
     # and the batch still gives the values of one-point calls
-    rule = DEQuadrature()
-    block_bytes = engine._BLOCK * rule.node_count * 8
-    table_bytes = 10 * (rule.node_count + 65) * 8
+    block_bytes = engine._BLOCK * DEFAULT_RULE.node_count * 8
+    table_bytes = 10 * (DEFAULT_RULE.node_count + 65) * 8
     monkeypatch.setattr(engine, "_CACHE_BYTES", 3 * block_bytes + table_bytes)
     grid = GridSpec(0.2)
     # at n = 6 the rule still resolves the far-field potential
     dens = _positive_density(6, grid)
     points = [(0, 3, -2, 0, 1, 0), (10 ** 5, 10 ** 5 + 7, 0, 0, 10 ** 5 - 5, 0)]
-    batch = evaluate(dens, points, 6, grid, 3, rule)
+    batch = evaluate(dens, points, 6, grid, 3)
     # |d| <= 32 + 7 and 10^5 - 5 - 32 <= |d| <= 10^5 + 7 + 32: blocks 0, 780, 781
     assert sorted(row_blocks, key=repr) == sorted(
-        [("gauss", 5.0, rule, b) for b in (0, 780, 781)]
-        + [("Q", 5.0, 3, rule, b) for b in (0, 780, 781)], key=repr)
+        [("gauss", 5.0, b) for b in (0, 780, 781)]
+        + [("Q", 5.0, 3, b) for b in (0, 780, 781)], key=repr)
     assert not all(key in engine._ROW_BLOCKS._entries for key in row_blocks)
     assert _held_bytes() <= engine._CACHE_BYTES
     for point, sample in zip(points, batch):
-        assert sample.value == evaluate(dens, [point], 6, grid, 3, rule)[0].value
+        assert sample.value == evaluate(dens, [point], 6, grid, 3)[0].value
         assert _held_bytes() <= engine._CACHE_BYTES
 
 
@@ -534,19 +567,18 @@ def test_table_cache_stays_within_its_bound(sigma_calls, monkeypatch):
     # tables, repeated calls over many offsets evict tables and build them again,
     # the running total stays within the bound after every call, and the
     # values are those of an unbounded cache
-    rule = DEQuadrature()
     grid = GridSpec(0.1)
     dens = build_test_density(5, grid)
     points = [(k, -k, k // 2, 0, 1) for k in range(-20, 21, 4)]
-    want = [evaluate(dens, [point], 5, grid, 4, rule)[0].value for point in points]
-    table_bytes = (rule.node_count + len(dens.factors[0][0])) * 8
+    want = [evaluate(dens, [point], 5, grid, 4)[0].value for point in points]
+    table_bytes = (DEFAULT_RULE.node_count + len(dens.factors[0][0])) * 8
     _empty_caches()
     monkeypatch.setattr(engine, "_CACHE_BYTES",
-                        2 * engine._BLOCK * rule.node_count * 8 + 20 * table_bytes)
+                        2 * engine._BLOCK * DEFAULT_RULE.node_count * 8 + 20 * table_bytes)
     for _ in range(2):
         sigma_calls.clear()
         for point, value in zip(points, want):
-            assert evaluate(dens, [point], 5, grid, 4, rule)[0].value == value
+            assert evaluate(dens, [point], 5, grid, 4)[0].value == value
             assert _held_bytes() <= engine._CACHE_BYTES
         assert sigma_calls
 
@@ -600,7 +632,7 @@ def test_block_builds_hold_one_piece_of_temporaries():
     tracemalloc.start()
     try:
         build = threading.Thread(target=engine._kernel_runs,
-                                 args=(0, 1, 5.0, 4, DEFAULT_RULE, True))
+                                 args=(0, 1, 5.0, 4, True))
         build.start()
         build.join(timeout=60)
         peak = tracemalloc.get_traced_memory()[1]
@@ -666,10 +698,10 @@ def test_lazy_support_check_matches_eager_rule(L, D, M, which, shape, data):
     # "cancel" vector lies under a centred envelope that ends at 1e-28..1e-15
     # of its peak and is made orthogonal to one node's kernel column, so that
     # node's sum cancels below its boundary term while the peak stays large
-    rule = DEQuadrature()
+    node_count = DEFAULT_RULE.node_count
     d0 = data.draw(st.integers(-40, L + 40))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    runs = engine._kernel_runs(d0, L, D, M, rule, True)
+    runs = engine._kernel_runs(d0, L, D, M, True)
     m = np.arange(L)
     if shape == "noise":
         vec = rng.normal(size=L)
@@ -680,16 +712,16 @@ def test_lazy_support_check_matches_eager_rule(L, D, M, which, shape, data):
         half = max(L - 1, 1) / 2.0
         decades = data.draw(st.floats(15.0, 28.0))
         envelope = np.exp(-decades * math.log(10.0) * ((m - half) / half) ** 2)
-        kernel = _full_width_terms(np.ones(L), runs, which, rule.node_count)
-        column = kernel[:, data.draw(st.integers(0, rule.node_count - 1))]
+        kernel = _full_width_terms(np.ones(L), runs, which, node_count)
+        column = kernel[:, data.draw(st.integers(0, node_count - 1))]
         vec = envelope * rng.normal(size=L)
         basis = envelope * envelope
         if basis @ column != 0.0:
             vec -= (vec @ column) / (basis @ column) * basis
-    refused, sums = _eager_support_refusal(vec, runs, which, rule.node_count)
-    out = np.empty(rule.node_count)
+    refused, sums = _eager_support_refusal(vec, runs, which, node_count)
+    out = np.empty(node_count)
     try:
-        engine._sigma(vec, runs, which, np.ones(rule.node_count), out)
+        engine._sigma(vec, runs, which, np.ones(node_count), out)
     except SupportTruncated:
         assert refused
     else:
@@ -697,24 +729,25 @@ def test_lazy_support_check_matches_eager_rule(L, D, M, which, shape, data):
         assert out.tobytes() == sums.tobytes()
 
 
-def _gauss_rows(d, D, rule):
-    """e^{-d^2/(D(1+t_s))} for offsets d at every node of the rule."""
-    inv = np.exp(-rule.arrays().log1pt) / D
+def _gauss_rows(d, D):
+    """e^{-d^2/(D(1+t_s))} for offsets d at every node of the engine's rule."""
+    inv = np.exp(-engine._RULE.arrays().log1pt) / D
     return np.exp(-(d * d)[:, None] * inv[None, :])
 
 
-def _full_width_table(vec, k, m_lo, D, M, rule, which):
+def _full_width_table(vec, k, m_lo, D, M, which):
     """sigma_Q (which = 0) or sigma_R of one vector with no cache and no
     banding: the row-order sum of vec[m] gauss[m] poly[m] over all node
-    columns, from kernel rows built at d = k - m directly."""
+    columns of the engine's rule, from kernel rows built at d = k - m
+    directly."""
     d = (k - m_lo - np.arange(len(vec))).astype(float)
-    terms = vec[:, None] * _gauss_rows(d, D, rule)
-    terms *= engine._poly_rows(d, D, M, rule, True)[which]
-    norm = np.exp(-0.5 * (math.log(math.pi * D) + rule.arrays().log1pt))
+    terms = vec[:, None] * _gauss_rows(d, D)
+    terms *= engine._poly_rows(d, D, M, True)[which]
+    norm = np.exp(-0.5 * (math.log(math.pi * D) + engine._RULE.arrays().log1pt))
     return norm * np.sum(terms, axis=0)
 
 
-def test_banded_tables_keep_every_bit(rule):
+def test_banded_tables_keep_every_bit():
     # banded blocks skip only exact zeros, so every table equals the
     # full-width sum bit for bit, signed zeros included: the h = 1/160 factor
     # vectors at offsets inside the window (runs across many blocks, d of
@@ -736,39 +769,39 @@ def test_banded_tables_keep_every_bit(rule):
     # smallest |d| and is still zero in the block's first live column: those
     # runs sum zero columns before their own rows' first live one
     for k, run in ((1500, -1), (-2000, 0)):
-        _, _, gauss, _ = engine._kernel_runs(k - m_lo, len(vecs[0]), D, 1, rule, False)[run]
+        _, _, gauss, _ = engine._kernel_runs(k - m_lo, len(vecs[0]), D, 1, False)[run]
         assert not gauss[1:, 0].any()
     for M in (1, 2, 3, 4):
         for vec, k, lo in cases:
             _empty_caches()
-            [tables] = engine._sigma_tables([(vec, k)], lo, D, M, rule, True)
+            [tables] = engine._sigma_tables([(vec, k)], lo, D, M, True)
             for which, table in enumerate(tables):
-                want = _full_width_table(vec, k, lo, D, M, rule, which)
+                want = _full_width_table(vec, k, lo, D, M, which)
                 assert table.tobytes() == want.tobytes(), (M, k, which)
     _empty_caches()
 
 
-def test_banded_tables_keep_every_bit_when_one_column_is_live():
+def test_banded_tables_keep_every_bit_when_one_column_is_live(monkeypatch):
     # on a 180-node rule the last node column is the first live one of the
     # rows |d| = 288..324, and numpy sums a one-column stack pairwise, not
     # row by row; terms of one magnitude and random sign make the two orders
     # round differently, so only a band of two columns keeps the table's bits
-    short = DEQuadrature(s_end=180)
     d = np.arange(330.0, 287.0, -1.0)
-    last = _gauss_rows(d, 5.0, short)[:, -1]
-    assert np.count_nonzero(last) == 37
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        # zero ends keep the boundary terms inside the support check
-        vec = np.zeros(len(d))
-        vec[1:-1] = np.where(last[1:-1] > 1e-300,
-                             rng.normal(size=len(d) - 2) / np.maximum(last[1:-1], 1e-300), 0.0)
-        _empty_caches()
-        [tables] = engine._sigma_tables([(vec, 330)], 0, 5.0, 2, short, True)
-        for which, table in enumerate(tables):
-            want = _full_width_table(vec, 330, 0, 5.0, 2, short, which)
-            assert table.tobytes() == want.tobytes(), (seed, which)
-    _empty_caches()
+    with on_rule(monkeypatch, DEQuadrature(s_end=180)):
+        last = _gauss_rows(d, 5.0)[:, -1]
+        assert np.count_nonzero(last) == 37
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            # zero ends keep the boundary terms inside the support check
+            vec = np.zeros(len(d))
+            vec[1:-1] = np.where(last[1:-1] > 1e-300,
+                                 rng.normal(size=len(d) - 2) / np.maximum(last[1:-1], 1e-300),
+                                 0.0)
+            _empty_caches()
+            [tables] = engine._sigma_tables([(vec, 330)], 0, 5.0, 2, True)
+            for which, table in enumerate(tables):
+                want = _full_width_table(vec, 330, 0, 5.0, 2, which)
+                assert table.tobytes() == want.tobytes(), (seed, which)
 
 
 @settings(max_examples=200, deadline=None)
@@ -858,7 +891,7 @@ def test_concurrent_evaluate_calls_match_serial_ones(monkeypatch):
 
 
 @pytest.mark.parametrize("side", ("first", "last"))
-def test_window_cut_inside_a_live_column_is_refused(side, rule):
+def test_window_cut_inside_a_live_column_is_refused(side):
     # the window of e^{-x^2} at h = 1/160 is cut on one side at |x| = 1.875,
     # where the sample is 3% of the peak, and ends at |x| = 6.5 on the other;
     # the cut row lies in a run whose first live column is well past 0, and
@@ -867,11 +900,11 @@ def test_window_cut_inside_a_live_column_is_refused(side, rule):
     m_lo, g0, _, _ = engine._gaussian_factor_vectors(grid)
     lo, hi = (-300, -m_lo) if side == "first" else (m_lo, 300)
     vec = g0[lo - m_lo:hi - m_lo + 1]
-    runs = engine._kernel_runs(-lo, len(vec), grid.delta, 4, rule, False)
+    runs = engine._kernel_runs(-lo, len(vec), grid.delta, 4, False)
     assert runs[0 if side == "first" else -1][1] > 100
     _empty_caches()
     with pytest.raises(SupportTruncated):
-        engine._sigma_tables([(vec, 0)], lo, grid.delta, 4, rule)
+        engine._sigma_tables([(vec, 0)], lo, grid.delta, 4)
     _empty_caches()
 
 
@@ -910,7 +943,7 @@ def test_chunked_batch_matches_one_point_calls(n, per_chunk):
     distinct = [tuple((3 * i + 5 * j) % 11 - 5 for j in range(n)) for i in range(7)]
     batch = distinct[:4] + distinct[1::2] + distinct[3:] + distinct[:1]
     want = [evaluate(dens, [point], n, grid, 3)[0].value for point in batch]
-    chunk = per_chunk * dens.rank * DEQuadrature().node_count
+    chunk = per_chunk * dens.rank * DEFAULT_RULE.node_count
     with mock.patch.object(engine, "_CHUNK_VALUES", chunk), \
             mock.patch.object(engine, "_point_sums", wraps=engine._point_sums) as sums:
         got = evaluate(dens, batch, n, grid, 3)
@@ -921,21 +954,21 @@ def test_chunked_batch_matches_one_point_calls(n, per_chunk):
 
 
 @pytest.mark.parametrize("n, s_end", ((3, 250), (5, 230)))
-def test_batch_with_one_divergent_point_is_refused(n, s_end):
+def test_batch_with_one_divergent_point_is_refused(n, s_end, monkeypatch):
     # the rule has decayed at the near points but not at the far one: the
     # whole call is refused, whichever chunk the far point falls in
-    short = DEQuadrature(s_end=s_end)
     grid = GridSpec(1.0 / 20)
     dens = build_test_density(n, grid)
     near = [(c,) + (0,) * (n - 1) for c in (0, 5, 10)]
     far = (30,) + (0,) * (n - 1)
-    evaluate(dens, near, n, grid, 4, short)
-    with pytest.raises(QuadratureDivergence):
-        evaluate(dens, [far], n, grid, 4, short)
-    for chunk in (1, engine._CHUNK_VALUES):
-        with mock.patch.object(engine, "_CHUNK_VALUES", chunk), \
-                pytest.raises(QuadratureDivergence):
-            evaluate(dens, near[:2] + [far] + near[2:], n, grid, 4, short)
+    with on_rule(monkeypatch, DEQuadrature(s_end=s_end)):
+        evaluate(dens, near, n, grid, 4)
+        with pytest.raises(QuadratureDivergence):
+            evaluate(dens, [far], n, grid, 4)
+        for chunk in (1, engine._CHUNK_VALUES):
+            with mock.patch.object(engine, "_CHUNK_VALUES", chunk), \
+                    pytest.raises(QuadratureDivergence):
+                evaluate(dens, near[:2] + [far] + near[2:], n, grid, 4)
 
 
 @settings(max_examples=20, deadline=None)
@@ -1047,36 +1080,14 @@ def test_symmetric_tables_shared_across_dimensions():
         _empty_caches()
         fresh.append(value(n))
     assert [v.hex() for v in shared] == [v.hex() for v in fresh]
-    arrays = engine._axis_nodes(grid, 3, 20, DEQuadrature())
+    arrays = engine._axis_nodes(grid, 3, 20)
     assert len(arrays) == 7
     assert not any(array.flags.writeable for array in arrays)
-
-
-def test_axis_vectors_are_built_once_per_grid(monkeypatch):
-    # a sweep over M at one grid samples its factor vectors once, into
-    # read-only arrays; separated_expansion still gets writable ones of its own
-    grid = GridSpec(0.1)
-    calls = []
-    real = engine._gaussian_factor_vectors
-
-    def counted(grid):
-        calls.append(grid)
-        return real(grid)
-
-    monkeypatch.setattr(engine, "_gaussian_factor_vectors", counted)
-    _empty_caches()
-    dens = gaussian_potential_density(6)
-    for M in (1, 2, 3, 4):
-        evaluate_symmetric(dens, 10, grid, M)
-    assert calls == [grid]
-    m_lo, *vecs = engine._axis_vectors(grid)
-    assert not any(vec.flags.writeable for vec in vecs)
+    # separated_expansion samples writable vectors of its own, on the window
+    # of the axis tables
     density = build_test_density(5, grid)
-    assert density.m_lo == m_lo
+    assert density.m_lo == engine._gaussian_factor_vectors(grid)[0] == -130
     assert all(vec.flags.writeable for term in density.factors for vec in term)
-    assert not any(vec is cached for term in density.factors for vec in term
-                   for cached in vecs)
-    _empty_caches()
 
 
 def test_symmetric_offset_order_does_not_matter():
@@ -1097,7 +1108,7 @@ def _plain_symmetric(density, k1, grid, M):
     expressions."""
     nodes = DEFAULT_RULE.arrays()
     n = density.n
-    a1, b1, c1v, beta, chi, log_a0, sign_a0 = engine._axis_nodes(grid, M, k1, DEFAULT_RULE)
+    a1, b1, c1v, beta, chi, log_a0, sign_a0 = engine._axis_nodes(grid, M, k1)
     big = float(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (density.c0 * a1
@@ -1134,18 +1145,18 @@ def test_symmetric_overflow_is_refused(coeffs, error):
         evaluate_symmetric(dens, 10, GridSpec(0.1), 2)
 
 
-def test_short_rule_is_refused():
+def test_short_rule_is_refused(monkeypatch):
     # half the default node range stops while the integrand is still large:
     # the values would be ~100% wrong, so neither path may return them
-    short = DEQuadrature(s_end=150)
     grid = GridSpec(1.0 / 20)
-    for n, point in ((3, (20, 20, 20)), (5, (20, 0, 0, 0, 0))):
-        dens = build_test_density(n, grid)
+    with on_rule(monkeypatch, DEQuadrature(s_end=150)):
+        for n, point in ((3, (20, 20, 20)), (5, (20, 0, 0, 0, 0))):
+            dens = build_test_density(n, grid)
+            with pytest.raises(QuadratureDivergence):
+                evaluate(dens, [point], n, grid, 4)
+        dens = gaussian_potential_density(5)
         with pytest.raises(QuadratureDivergence):
-            evaluate(dens, [point], n, grid, 4, short)
-    dens = gaussian_potential_density(5)
-    with pytest.raises(QuadratureDivergence):
-        evaluate_symmetric(dens, 20, grid, 4, short)
+            evaluate_symmetric(dens, 20, grid, 4)
 
 
 def test_symmetric_sample_metadata():

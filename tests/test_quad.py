@@ -26,6 +26,7 @@ from biharm.engine import (build_test_density, evaluate, evaluate_symmetric,
 from biharm.errors import QuadratureDivergence, UnsupportedDimension
 from biharm.kernels import GridSpec, phi2
 from biharm.quad import DEQuadrature, integral_phi2, qm_poly, rm_poly
+from test_engine import on_rule
 
 
 def _transform(u, a, b):
@@ -91,14 +92,15 @@ def test_rule_validation():
         rm_poly(2.7, 0.5, 0.25)
 
 
-def test_rule_without_a_live_node_is_refused():
+def test_rule_without_a_live_node_is_refused(monkeypatch):
     # at a = 1e10 the weights jump from below the binary64 range to past it
     # between two nodes; every node sum of such a rule read 0
     for a in (1e10, 1e100):
         with pytest.raises(ValueError, match="no node with a positive finite weight"):
             integral_phi2(5, 0.0, DEQuadrature(a=a))
-        with pytest.raises(ValueError, match="no node with a positive finite weight"):
-            tensor_weight((0,) * 5, 1, 5.0, DEQuadrature(a=a))
+        with on_rule(monkeypatch, DEQuadrature(a=a)), \
+                pytest.raises(ValueError, match="no node with a positive finite weight"):
+            tensor_weight((0,) * 5, 1, 5.0)
 
 
 def _log_uniform(lo: float, hi: float):
@@ -325,10 +327,10 @@ def test_integral_values_keep_their_bits():
         assert tuple(integral_phi2(n, r).hex() for r in (0.0, 0.5, 1.0, 4.0)) == values
 
 
-def test_tensor_weight_symmetries(rule):
-    base = tensor_weight((2, -1, 3, 0, 1), 4, 5.0, rule)
-    assert tensor_weight((2, 1, 3, 0, -1), 4, 5.0, rule) == base
-    assert tensor_weight((0, 3, 1, 2, -1), 4, 5.0, rule) == base
+def test_tensor_weight_symmetries():
+    base = tensor_weight((2, -1, 3, 0, 1), 4, 5.0)
+    assert tensor_weight((2, 1, 3, 0, -1), 4, 5.0) == base
+    assert tensor_weight((0, 3, 1, 2, -1), 4, 5.0) == base
 
 
 # --- exact node-row sums ---
