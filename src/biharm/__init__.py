@@ -10,7 +10,7 @@ from .errors import (BiharmError, DimensionTooLarge, NonConvergence,
                      QuadratureDivergence, RankBudgetExceeded, SupportTruncated,
                      UnsupportedDimension)
 from .kernels import GridSpec, PotentialSample, direct_cubature, phi2, phi2M
-from .quad import DEFAULT_RULE, DEQuadrature, integral_phi2, qm_poly, rm_poly
+from .quad import DEFAULT_RULE, integral_phi2, qm_poly, rm_poly
 from .engine import (IsotropicGaussianPolyDensity, SeparatedDensity, build_test_density,
                      evaluate, evaluate_symmetric, gaussian_potential_density,
                      saturation_epsilon0, separated_expansion, tensor_weight)
@@ -23,7 +23,7 @@ __all__ = [
     "RankBudgetExceeded", "SupportTruncated", "UnsupportedDimension",
     "GridSpec", "PotentialSample",
     "direct_cubature", "phi2", "phi2M",
-    "DEFAULT_RULE", "DEQuadrature", "integral_phi2", "qm_poly", "rm_poly",
+    "DEFAULT_RULE", "integral_phi2", "qm_poly", "rm_poly",
     "IsotropicGaussianPolyDensity", "SeparatedDensity", "build_test_density",
     "gaussian_potential_density", "separated_expansion",
     "evaluate", "evaluate_symmetric", "saturation_epsilon0",

@@ -215,8 +215,7 @@ def _verify_checks():
 
 
 def _invariants():
-    """Yield (name, check) for each invariant; check() gives (ok, detail).
-    The quadrature checks read quad.DEFAULT_RULE, the engine's rule."""
+    """Yield (name, check) for each invariant; check() gives (ok, detail)."""
 
     def phi2_anchors():
         # closed-form values at r = 0 and r = 1, frozen from the explicit formulas
@@ -238,8 +237,7 @@ def _invariants():
 
     yield "phi2 closed-form anchors", phi2_anchors
 
-    rule = quad.DEFAULT_RULE
-    nodes = rule.arrays()
+    nodes = quad.DEFAULT_RULE.arrays()
 
     def transform_anchor():
         # node u = 0 of the default rule (a = 6, b = 5): Phi and Phi'/Phi,
@@ -247,15 +245,14 @@ def _invariants():
         t0 = nodes.t[0]
         ref_t0 = math.exp(-30.0 + 6.0 * math.exp(-5.0))
         ref_ratio = 60.0 * (1.0 + math.exp(-5.0))
-        return _within(max(abs(t0 / ref_t0 - 1.0),
-                           abs(nodes.weight[0] / (rule.tau * t0 * t0) / ref_ratio - 1.0)),
-                       1e-13)
+        ratio = nodes.weight[0] / (quad.DEFAULT_RULE.tau * t0 * t0)
+        return _within(max(abs(t0 / ref_t0 - 1.0), abs(ratio / ref_ratio - 1.0)), 1e-13)
 
     yield "double-exponential transform anchor", transform_anchor
 
     for n in (3, 5, 6, 10, 100):
         def integral(n=n):
-            return _within(max(_rel_dev(quad.integral_phi2(n, r, rule), kernels.phi2(n, r))
+            return _within(max(_rel_dev(quad.integral_phi2(n, r), kernels.phi2(n, r))
                                for r in (0.0, 0.5, 1.0, 2.0, 4.0)), 1e-11)
 
         yield f"node-sum integral vs closed form, n={n}", integral
@@ -271,8 +268,8 @@ def _invariants():
         yield f"Hermite-sum vs printed polynomial, order {m}", hermite
 
     def spacing():
-        half = quad.DEQuadrature(a=6.0, b=5.0, tau=0.0015, s_begin=0, s_end=600)
-        return _within(max(_rel_dev(quad.integral_phi2(n, r, half), quad.integral_phi2(n, r, rule))
+        half = quad.DEQuadrature(a=6.0, b=5.0, tau=0.0015, s_begin=0, s_end=600).arrays()
+        return _within(max(_rel_dev(quad._phi2_integral(n, r, half), quad.integral_phi2(n, r))
                            for n in (5, 10, 100) for r in (0.0, 1.0, 2.0)), 1e-12)
 
     yield "node-spacing self-consistency", spacing
@@ -280,14 +277,14 @@ def _invariants():
     def tail():
         for n in (3, 5, 10, 100):
             for r in (0.0, 2.0):
-                quad.integral_phi2(n, r, rule)
+                quad.integral_phi2(n, r)
         return True, "last-node share below 1e-16"
 
     yield "node-sum tail certification", tail
 
     for n in (5, 6):
         def lattice_weight(n=n):
-            ref = 16.0 * (math.pi * 5.0) ** (-n / 2.0) * quad.integral_phi2(n, 0.0, rule)
+            ref = 16.0 * (math.pi * 5.0) ** (-n / 2.0) * quad.integral_phi2(n, 0.0)
             return _within(_rel_dev(engine.tensor_weight((0,) * n, 1, 5.0), ref), 1e-13)
 
         yield f"lattice weight at zero offset, n={n}", lattice_weight

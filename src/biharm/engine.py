@@ -72,10 +72,12 @@ from functools import lru_cache
 
 import numpy as np
 
+# every node array is quad.DEFAULT_RULE's, read at call time; no cache key
+# names the rule
+from . import quad
 from .errors import RankBudgetExceeded, SupportTruncated, UnsupportedDimension
 from .kernels import GridSpec, PotentialSample, dim_value, int_value, order_value
-from .quad import (DEFAULT_RULE, _node_polys, _node_sum, _point_sums, _row_pieces,
-                   _scratch, qm_poly)
+from .quad import _node_polys, _node_sum, _point_sums, _row_pieces, _scratch, qm_poly
 
 __all__ = [
     "SeparatedDensity",
@@ -164,10 +166,6 @@ class _ByteLRU:
 
 _ROW_BLOCKS = _ByteLRU()
 
-# the one quadrature rule of every node array the engine forms, so that no
-# cache key names a rule
-_RULE = DEFAULT_RULE
-
 # held for each write of a pad row of a cached Gaussian block and the einsum
 # that reads it (_sigma): the pads are scratch shared by every thread
 _PAD_LOCK = threading.Lock()
@@ -247,7 +245,7 @@ def _gauss_block(d: np.ndarray, D: float) -> np.ndarray:
     The base is built in row pieces (quad._row_pieces), each multiplied and
     exp'd in place.
     """
-    inv = _RULE.arrays().inv1pt / D
+    inv = quad.DEFAULT_RULE.arrays().inv1pt / D
     cols = len(inv)
     cap = max(cols - 2, 0)
     near = np.min(np.abs(d))
@@ -275,7 +273,7 @@ def _poly_rows(d: np.ndarray, D: float, M: int, with_r: bool, start: int = 0) ->
     and last rows hold 1.0.  The recurrence runs over the base's rows, pads
     included, so the rows are its results, not copies of them.
     """
-    t = _RULE.arrays().t[None, start:]
+    t = quad.DEFAULT_RULE.arrays().t[None, start:]
     x = _padded(d)[:, None] / math.sqrt(D)
     # Q alone goes through the public qm_poly, whose calls the benchmark's
     # tracer counts as kernel builds
@@ -321,7 +319,7 @@ def _kernel_runs(d0: int, L: int, D: float, M: int, with_r: bool) -> list:
     (module docstring).  Q_M rows have one key whether or not R_M is needed,
     so the n = 3 path and the n >= 5 paths share them.
     """
-    cols = _RULE.node_count
+    cols = quad.DEFAULT_RULE.node_count
     runs = []
     i = 0
     while i < L:
@@ -442,7 +440,7 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, with_r: bool = False) -> l
                 if run_k != k:
                     run_k, runs = k, _kernel_runs(k - m_lo, len(vec), D, M, with_r)
                 if norm is None:
-                    norm = np.exp(-0.5 * (math.log(math.pi * D) + _RULE.arrays().log1pt))
+                    norm = np.exp(-0.5 * (math.log(math.pi * D) + quad.DEFAULT_RULE.arrays().log1pt))
                 table = np.empty(len(norm))
                 _sigma(vec, runs, which, norm, table)
                 table.flags.writeable = False
@@ -484,7 +482,7 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int) -> l
     if not points:
         return []
     order, distinct = _positions(points)
-    nodes = _RULE.arrays()
+    nodes = quad.DEFAULT_RULE.arrays()
     kpos, ks = _positions(k for point in distinct for k in point)
     # codes[i, j, p] = v K + k: term p reads the pair (vector v, offset k) in
     # dimension j at point i, v and k positions among the distinct vectors
@@ -675,7 +673,7 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
             "through evaluate, and n = 4 has no one-dimensional integral representation")
     M = order_value(M)
     k1 = int_value(k1, "axis index k1")
-    nodes = _RULE.arrays()
+    nodes = quad.DEFAULT_RULE.arrays()
     D = grid.delta
     a1, b1, c1v, beta, chi, log_a0, sign_a0 = _axis_nodes(grid, M, k1)
     big = float(n)  # n(n-1)-type coefficients round at ~1 ulp for n > 9e7

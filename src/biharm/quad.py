@@ -34,8 +34,6 @@ from .errors import QuadratureDivergence, UnsupportedDimension
 from .kernels import dim_value, order_value
 
 __all__ = [
-    "DEQuadrature",
-    "NodeTable",
     "qm_poly",
     "rm_poly",
     "integral_phi2",
@@ -100,9 +98,11 @@ class NodeTable(NamedTuple):
 class DEQuadrature:
     """Trapezoidal rule of step tau at nodes u_s = tau * s, s_begin <= s < s_end.
 
-    The node table ends just before the first node whose t or weight
-    overflows binary64: past it the integrands have long decayed, and the
-    tail check of every node sum still covers the last node kept.
+    Every value of the library is formed on one instance, DEFAULT_RULE, read
+    at call time; no public callable takes a rule.  The node table ends just
+    before the first node whose t or weight overflows binary64: past it the
+    integrands have long decayed, and the tail check of every node sum still
+    covers the last node kept.
     """
 
     a: float = 6.0
@@ -458,9 +458,8 @@ def _checked(total: float, tail: float) -> float:
     otherwise the integrand has not decayed by the end of the node range."""
     if abs(tail) > _TAIL_TOL * abs(total):
         raise QuadratureDivergence(
-            f"final-node contribution {tail:.3e} exceeds {_TAIL_TOL:.0e} of the "
-            f"accumulated value {total:.3e}; extend the node range"
-        )
+            f"node sum refused: its final-node contribution {tail:.3e} exceeds "
+            f"{_TAIL_TOL:.0e} of the accumulated value {total:.3e}")
     return total
 
 
@@ -486,9 +485,9 @@ def _node_sum(row) -> float:
     return _checked(_one_row_sum(row), float(row[-1]))
 
 
-def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
+def integral_phi2(n, r: float) -> float:
     """Potential of the unit Gaussian at radius r via the one-dimensional
-    integral representation, evaluated with the given quadrature rule.
+    integral representation, evaluated on DEFAULT_RULE.
 
     For n >= 5 this is (1/16) int_0^inf e^{-r^2/(1+t)} (1+t)^{-n/2} t dt;
     for n = 3 the two-term counterpart with an extra t r^2 (1+t)^{-5/2} piece.
@@ -504,13 +503,17 @@ def integral_phi2(n, r: float, rule: DEQuadrature = DEFAULT_RULE) -> float:
     r = float(r)
     if r < 0.0:
         raise ValueError("radius must be nonnegative")
-    nodes = rule.arrays()
+    nodes = DEFAULT_RULE.arrays()
+    if r * r > 1.0 + float(nodes.t[-1]):
+        raise QuadratureDivergence(
+            f"radius {r:.3e} refused: past the node range (last node t = {nodes.t[-1]:.3e})")
+    return _phi2_integral(n, r, nodes)
+
+
+def _phi2_integral(n: int, r: float, nodes: NodeTable) -> float:
+    """integral_phi2's node sum on a node table, for n = 3 or n >= 5 and r >= 0."""
     log1pt = nodes.log1pt
     r2 = r * r
-    if r2 > 1.0 + float(nodes.t[-1]):
-        raise QuadratureDivergence(
-            f"radius {r:.3e} lies past the node range (last node t = {nodes.t[-1]:.3e}); "
-            f"extend the node range")
     if n >= 5:
         # tau * Phi * Phi' * e^{-r^2/(1+t)} (1+t)^{-n/2}, all in log form
         expo = nodes.log_weight - r2 * nodes.inv1pt - 0.5 * n * log1pt

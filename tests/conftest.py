@@ -16,25 +16,26 @@ from biharm import engine, quad
 mpmath.mp.dps = 40
 
 
+_RULE = quad.DEFAULT_RULE
+
+
 @pytest.fixture(autouse=True)
-def _engine_rule_is_restored(request):
-    """Fail a test that leaves the engine on another rule than
-    quad.DEFAULT_RULE, and put the rule back: no cache key names the rule, so
-    the tests after it would read blocks and tables of the wrong one."""
+def _default_rule_is_restored(request):
+    """Fail a test that leaves quad.DEFAULT_RULE on another rule, and put the
+    rule back: no engine cache key names the rule, so the tests after it
+    would read blocks and tables of the wrong one."""
     yield
-    if engine._RULE is not quad.DEFAULT_RULE:
-        left = engine._RULE
-        engine._RULE = quad.DEFAULT_RULE
+    if quad.DEFAULT_RULE is not _RULE:
+        left = quad.DEFAULT_RULE
+        quad.DEFAULT_RULE = _RULE
         engine._ROW_BLOCKS.clear()
         engine._axis_nodes.cache_clear()
-        pytest.fail(f"{request.node.nodeid} left the engine on {left!r}", pytrace=False)
+        pytest.fail(f"{request.node.nodeid} left quad.DEFAULT_RULE on {left!r}", pytrace=False)
 
 
 @pytest.fixture(scope="session")
 def rule():
-    from biharm.quad import DEFAULT_RULE
-
-    return DEFAULT_RULE
+    return _RULE
 
 
 def _agrees_for_every_type(fn, values):

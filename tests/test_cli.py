@@ -239,9 +239,7 @@ def test_verify_reports_a_raising_check_as_failed(capsys, monkeypatch):
     # engine, every node sum raises QuadratureDivergence: each such check
     # prints its FAIL line with the error text, the checks that sum no nodes
     # still pass, and the summary counts them all
-    short = cli.quad.DEQuadrature(s_end=150)
-    monkeypatch.setattr(cli.quad, "DEFAULT_RULE", short)
-    with on_rule(monkeypatch, short):
+    with on_rule(monkeypatch, cli.quad.DEQuadrature(s_end=150)):
         rc, out, _ = _run(capsys, ["--verify", "full"])
     assert rc == 1
     lines = out.strip().splitlines()
@@ -249,7 +247,7 @@ def test_verify_reports_a_raising_check_as_failed(capsys, monkeypatch):
     failed = [l for l in checks if l.startswith("FAIL")]
     assert len(checks) == 24 and len(lines) == 25
     assert any("node-sum tail certification" in l for l in failed)
-    assert all("extend the node range" in l for l in failed)
+    assert all("node sum refused: its final-node contribution" in l for l in failed)
     assert lines[-1] == f"full verification: {24 - len(failed)}/24 checks passed"
     assert 0 < len(failed) < 24
 

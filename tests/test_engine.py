@@ -64,11 +64,11 @@ def _empty_caches():
 
 @contextlib.contextmanager
 def on_rule(monkeypatch, rule):
-    """The engine evaluating on rule instead of quad.DEFAULT_RULE inside the
+    """The library evaluating on rule instead of quad.DEFAULT_RULE inside the
     block.  No cache key names the rule, so the caches are emptied on entry
     and on exit: no block or table of one rule is read on the other."""
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "_RULE", rule)
+        patch.setattr(quad, "DEFAULT_RULE", rule)
         _empty_caches()
         try:
             yield
@@ -335,9 +335,9 @@ def _check_banded(keys, blocks):
         if key[0] == "gauss":
             _, D, b = key
             full = _gauss_rows(b * engine._BLOCK + np.arange(engine._BLOCK, dtype=float), D)
-            c0 = engine._RULE.node_count - block.shape[1]
+            c0 = quad.DEFAULT_RULE.node_count - block.shape[1]
             assert not full[:, :c0].any()
-            assert full[:, c0].any() or c0 == engine._RULE.node_count - 2
+            assert full[:, c0].any() or c0 == quad.DEFAULT_RULE.node_count - 2
             assert block.tobytes() == full[:, c0:].tobytes()
         else:
             assert np.all(block.base[[0, -1]] == 1.0)
@@ -731,7 +731,7 @@ def test_lazy_support_check_matches_eager_rule(L, D, M, which, shape, data):
 
 def _gauss_rows(d, D):
     """e^{-d^2/(D(1+t_s))} for offsets d at every node of the engine's rule."""
-    inv = np.exp(-engine._RULE.arrays().log1pt) / D
+    inv = np.exp(-quad.DEFAULT_RULE.arrays().log1pt) / D
     return np.exp(-(d * d)[:, None] * inv[None, :])
 
 
@@ -743,7 +743,7 @@ def _full_width_table(vec, k, m_lo, D, M, which):
     d = (k - m_lo - np.arange(len(vec))).astype(float)
     terms = vec[:, None] * _gauss_rows(d, D)
     terms *= engine._poly_rows(d, D, M, True)[which]
-    norm = np.exp(-0.5 * (math.log(math.pi * D) + engine._RULE.arrays().log1pt))
+    norm = np.exp(-0.5 * (math.log(math.pi * D) + quad.DEFAULT_RULE.arrays().log1pt))
     return norm * np.sum(terms, axis=0)
 
 

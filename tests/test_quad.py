@@ -9,8 +9,11 @@ zero-offset lattice weight) are asserted through it in test_acceptance.
 """
 
 import contextlib
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 from unittest import mock
 
 import mpmath as mp
@@ -19,7 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biharm import cli, quad
+import biharm
+from biharm import cli, engine, quad
 from biharm.cli import _printed_node_polys
 from biharm.engine import (build_test_density, evaluate, evaluate_symmetric,
                            gaussian_potential_density, tensor_weight)
@@ -96,11 +100,10 @@ def test_rule_without_a_live_node_is_refused(monkeypatch):
     # at a = 1e10 the weights jump from below the binary64 range to past it
     # between two nodes; every node sum of such a rule read 0
     for a in (1e10, 1e100):
-        with pytest.raises(ValueError, match="no node with a positive finite weight"):
-            integral_phi2(5, 0.0, DEQuadrature(a=a))
-        with on_rule(monkeypatch, DEQuadrature(a=a)), \
-                pytest.raises(ValueError, match="no node with a positive finite weight"):
-            tensor_weight((0,) * 5, 1, 5.0)
+        with on_rule(monkeypatch, DEQuadrature(a=a)):
+            for fn in (lambda: integral_phi2(5, 0.0), lambda: tensor_weight((0,) * 5, 1, 5.0)):
+                with pytest.raises(ValueError, match="no node with a positive finite weight"):
+                    fn()
 
 
 def _log_uniform(lo: float, hi: float):
@@ -269,38 +272,39 @@ def test_node_exponents_are_not_clamped():
         evaluate_symmetric(dens, 0, GridSpec(0.1, delta=1e-300), 2)
 
 
-def test_integral_three_dim_form(rule):
+def test_integral_three_dim_form():
     for r in (0.5, 2.0):
-        assert integral_phi2(3, r, rule) == pytest.approx(phi2(3, r), rel=1e-12)
+        assert integral_phi2(3, r) == pytest.approx(phi2(3, r), rel=1e-12)
 
 
-def test_integral_six_dim_at_zero(rule):
-    assert integral_phi2(6, 0.0, rule) == pytest.approx(1.0 / 32.0, rel=1e-12)
+def test_integral_six_dim_at_zero():
+    assert integral_phi2(6, 0.0) == pytest.approx(1.0 / 32.0, rel=1e-12)
 
 
-def test_integral_rejects_four_dims(rule):
+def test_integral_rejects_four_dims():
     with pytest.raises(ValueError):
-        integral_phi2(4, 1.0, rule)
+        integral_phi2(4, 1.0)
     with pytest.raises(UnsupportedDimension):
-        integral_phi2(4, 1.0, rule)
+        integral_phi2(4, 1.0)
     with pytest.raises(ValueError):
-        integral_phi2(5.9, 1.0, rule)
+        integral_phi2(5.9, 1.0)
 
 
-def test_integral_refuses_negative_radius(rule):
+def test_integral_refuses_negative_radius():
     # as phi2 and phi2M do; it gave the value at |r| before
     for n in (3, 5):
         for fn in (integral_phi2, phi2):
             with pytest.raises(ValueError, match="^radius must be nonnegative$"):
                 fn(n, -1.0)
-    assert integral_phi2(5, -0.0, rule) == integral_phi2(5, 0.0, rule)
+    assert integral_phi2(5, -0.0) == integral_phi2(5, 0.0)
 
 
-def test_integral_detects_short_rule():
+def test_integral_detects_short_rule(monkeypatch):
     # cutting the node range in half leaves a non-negligible tail
-    with pytest.raises(QuadratureDivergence, match=r"^final-node contribution \S+ exceeds 1e-16 "
-                       r"of the accumulated value \S+; extend the node range$"):
-        integral_phi2(5, 0.0, DEQuadrature(s_end=150))
+    with on_rule(monkeypatch, DEQuadrature(s_end=150)), \
+            pytest.raises(QuadratureDivergence, match=r"^node sum refused: its final-node "
+                          r"contribution \S+ exceeds 1e-16 of the accumulated value \S+$"):
+        integral_phi2(5, 0.0)
 
 
 def test_integral_refuses_radius_past_the_node_range():
@@ -308,9 +312,34 @@ def test_integral_refuses_radius_past_the_node_range():
     # alone passed the row of zeros as 0.0 or -0.0
     for n in (3, 5, 8):
         for r in (1e20, 1e30, math.inf):
-            with pytest.raises(QuadratureDivergence, match=r"^radius \S+ lies past the node range "
-                               r"\(last node t = 2\.826e\+36\); extend the node range$"):
+            with pytest.raises(QuadratureDivergence, match=r"^radius \S+ refused: past the "
+                               r"node range \(last node t = 2\.826e\+36\)$"):
                 integral_phi2(n, r)
+
+
+def test_no_public_callable_takes_a_rule():
+    # the library runs one quadrature rule, quad.DEFAULT_RULE: no module
+    # exports the rule types, no exported callable takes a rule, and the
+    # engine reads quad.DEFAULT_RULE, not a rule name of its own
+    rule_types = (DEQuadrature, quad.NodeTable)
+    modules = [biharm] + [importlib.import_module(f"biharm.{info.name}")
+                          for info in pkgutil.iter_modules(biharm.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            assert obj not in rule_types, (module.__name__, name)
+            try:
+                params = inspect.signature(obj).parameters.values() if callable(obj) else ()
+            except ValueError:
+                params = ()
+            for p in params:
+                assert not isinstance(p.default, rule_types), (module.__name__, name, p.name)
+                assert not any(t.__name__ in str(p.annotation) for t in rule_types), \
+                    (module.__name__, name, p.name)
+    with pytest.raises(TypeError):
+        integral_phi2(5, 1.0, quad.DEFAULT_RULE)
+    assert not [name for name, value in vars(engine).items()
+                if name.endswith("RULE") or isinstance(value, rule_types)]
 
 
 def test_integral_values_keep_their_bits():
