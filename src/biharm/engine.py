@@ -237,13 +237,14 @@ def _gauss_block(d: np.ndarray, D: float) -> np.ndarray:
 
     exp is exactly 0 below -745.14, and costs far more on such arguments
     than on others, so exp is taken only from the first column where the
-    exponent of the smallest |d|, the largest of the column, reaches -746.
-    The column is capped two before the end, so that no run has one column:
-    numpy does not promise to add a one-column stack row by row (np.sum adds
-    it pairwise).  The rows are a view of the rows 1..len(d) of a base whose
-    first and last rows are scratch pads for the carried sums of _sigma.
-    The base is built in row pieces (quad._row_pieces), each multiplied and
-    exp'd in place.
+    exponent of the smallest |d|, the largest of the column, reaches -746,
+    and from there on only where the exponent reaches -746: the base starts
+    as zeros.  The column is capped two before the end, so that no run has
+    one column: numpy does not promise to add a one-column stack row by row
+    (np.sum adds it pairwise).  The rows are a view of the rows 1..len(d) of
+    a base whose first and last rows are scratch pads for the carried sums
+    of _sigma.  The base is built in row pieces (quad._row_pieces), each
+    piece's exponents formed in one thread scratch buffer (quad._scratch).
     """
     inv = quad.DEFAULT_RULE.arrays().inv1pt / D
     cols = len(inv)
@@ -253,10 +254,13 @@ def _gauss_block(d: np.ndarray, D: float) -> np.ndarray:
     start = min(int(reach.argmax()) if reach.any() else cols, cap)
     padded = _padded(d)
     neg = -(padded * padded)
-    block = np.empty((len(padded), cols - start))
-    for rows in _row_pieces(block.shape):
-        piece = np.multiply(neg[rows, None], inv[start:], out=block[rows])
-        np.exp(piece, out=piece)
+    block = np.zeros((len(padded), cols - start))
+    pieces = _row_pieces(block.shape)
+    [buf] = _scratch(1, block[pieces[0]].shape)
+    for rows in pieces:
+        piece = block[rows]
+        expo = np.multiply(neg[rows, None], inv[start:], out=buf[:len(piece)])
+        np.exp(expo, out=piece, where=expo >= -746.0)
     block[0] = block[-1] = 0.0
     live = block[1:-1].any(axis=0)
     c0 = min(start + int(live.argmax()) if live.any() else cols, cap)
@@ -407,6 +411,26 @@ def _terms(weight, kernel: tuple, index) -> np.ndarray:
     return terms
 
 
+def _sample_bytes(vec: np.ndarray):
+    """The cache's one bytes object of vec's samples, stored on first sight
+    as its own entry ("samples", dtype, bytes) and counted as its length;
+    None for a vector of more than _VECTOR_BYTES.
+
+    Each call looks the entry up before its tables, so the LRU evicts it
+    after every table of the earlier calls; the tables of its last call
+    outlive it and hold the bytes uncounted until they are evicted next.
+    """
+    if vec.nbytes > _VECTOR_BYTES:
+        return None
+    raw = vec.tobytes()
+    key = ("samples", vec.dtype.str, raw)
+    held = _ROW_BLOCKS.get(key)
+    if held is None:
+        _ROW_BLOCKS.put(key, raw, len(raw))
+        held = raw
+    return held
+
+
 def _sigma_tables(pairs, m_lo: int, D: float, M: int, with_r: bool = False) -> list:
     """Normalized per-dimension convolution sums for (vector, offset) pairs.
 
@@ -422,7 +446,9 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, with_r: bool = False) -> l
     A table that passes its support check is cached, read-only, as its own
     entry keyed (Q or R, dtype, exact sample bytes, k - m_lo, D, M): a
     byte-equal vector finds it, an edited one does not, and a vector of more
-    than _VECTOR_BYTES keeps none.
+    than _VECTOR_BYTES keeps none.  The sample bytes are the one object of
+    their content that the cache holds (_sample_bytes), so every table of a
+    content shares it and it is counted once.
     """
     contents: dict = {}
     norm = run_k = None
@@ -430,7 +456,7 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, with_r: bool = False) -> l
     for i in sorted(range(len(pairs)), key=lambda i: pairs[i][1]):
         vec, k = pairs[i]
         if id(vec) not in contents:
-            contents[id(vec)] = vec.tobytes() if vec.nbytes <= _VECTOR_BYTES else None
+            contents[id(vec)] = _sample_bytes(vec)
         content = contents[id(vec)]
         found = []
         for which in range(1 + with_r):
@@ -445,7 +471,7 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, with_r: bool = False) -> l
                 _sigma(vec, runs, which, norm, table)
                 table.flags.writeable = False
                 if content is not None:
-                    _ROW_BLOCKS.put(table_key, table, table.nbytes + len(content))
+                    _ROW_BLOCKS.put(table_key, table, table.nbytes)
             found.append(table)
         tables[i] = tuple(found)
     return tables

@@ -374,14 +374,18 @@ def row_blocks(monkeypatch):
 
 
 def _held_bytes():
-    """The cache's running byte total, checked against its entries: each
-    holds one read-only array, counted as the bytes of the array its view
-    fills (a kernel block's padded base) plus, for a sigma table, the sample
-    bytes in its key."""
+    """The cache's running byte total, checked against its entries: a
+    ("samples", dtype, bytes) entry holds its own key's bytes object,
+    counted as its length, and every other entry one read-only array,
+    counted as the bytes of the array its view fills (a kernel block's
+    padded base)."""
     cache = engine._ROW_BLOCKS
     for key, (value, size) in cache._entries.items():
+        if key[0] == "samples":
+            assert value is key[2] and size == len(value)
+            continue
         owner = value if value.base is None else value.base
-        assert size == owner.nbytes + (len(key[2]) if _is_table_key(key) else 0)
+        assert size == owner.nbytes
         assert not value.flags.writeable
     assert cache.nbytes == sum(size for _, size in cache._entries.values())
     return cache.nbytes
@@ -390,8 +394,8 @@ def _held_bytes():
 def _is_table_key(key):
     """Whether a cache key is a sigma table's (Q or R, dtype, sample bytes,
     k - m_lo, D, M) rather than a kernel block's ("gauss", D, b) or
-    (Q or R, D, M, b)."""
-    return isinstance(key[2], bytes)
+    (Q or R, D, M, b) or a samples entry's ("samples", dtype, bytes)."""
+    return len(key) == 6
 
 
 def test_sigma_tables_built_once_per_offset(row_blocks):
@@ -442,7 +446,7 @@ def test_engine_evaluates_on_one_rule():
         evaluate(build_test_density(n, grid), [(4,) + (0,) * (n - 1)], n, grid, 3)
     tensor_weight((0, 1, 0, 2, 0), 2, 5.0)
     keys = list(engine._ROW_BLOCKS._entries)
-    assert {key[0] for key in keys} == {"gauss", "Q", "R"}
+    assert {key[0] for key in keys} == {"gauss", "Q", "R", "samples"}
     assert not any(isinstance(part, DEQuadrature) for key in keys for part in key)
     functions = [obj for obj in vars(engine).values()
                  if inspect.isfunction(inspect.unwrap(obj)) and obj.__module__ == engine.__name__]
@@ -477,9 +481,9 @@ def test_far_apart_batch_keeps_tables_small(row_blocks, monkeypatch):
     # offsets 10^5 apart read only the blocks around |d| = 0 and 10^5, each
     # of _BLOCK rows, those near 10^5 only from their first live node column
     # on (past column 200); under a bound of three full-width blocks, plus
-    # room for the batch's 10 distinct sigma tables, each counted with the
-    # samples of its vector (65), the cache evicts, stays within the bound,
-    # and the batch still gives the values of one-point calls
+    # room for the batch's 10 distinct sigma tables and as many sample
+    # vectors (65 values), the cache evicts, stays within the bound, and the
+    # batch still gives the values of one-point calls
     block_bytes = engine._BLOCK * DEFAULT_RULE.node_count * 8
     table_bytes = 10 * (DEFAULT_RULE.node_count + 65) * 8
     monkeypatch.setattr(engine, "_CACHE_BYTES", 3 * block_bytes + table_bytes)
@@ -533,6 +537,25 @@ def test_repeat_calls_read_cached_tables(n, row_blocks, sigma_calls):
         assert _held_bytes() <= engine._CACHE_BYTES
 
 
+def test_tables_share_one_bytes_object_per_sample_content():
+    # two calls on byte-equal copies of the same vectors, at points whose
+    # offsets differ, store tables under one bytes object per distinct
+    # content, held and counted once by its samples entry
+    _empty_caches()
+    grid = GridSpec(0.2)
+    dens = build_test_density(5, grid)
+    copy = SeparatedDensity(dens.weights, tuple(tuple(v.copy() for v in term)
+                                                for term in dens.factors), dens.m_lo)
+    evaluate(dens, [(0, 0, 0, 0, 0)], 5, grid, 3)
+    evaluate(copy, [(3, 1, 2, 4, 5)], 5, grid, 3)
+    keys = list(engine._ROW_BLOCKS._entries)
+    held = [key[2] for key in keys if _is_table_key(key) or key[0] == "samples"]
+    assert len({id(raw) for raw in held}) == len(set(held)) == 3
+    assert sum(key[0] == "samples" for key in keys) == 3
+    _held_bytes()
+    _empty_caches()
+
+
 def test_edited_samples_miss_the_table_cache(row_blocks, sigma_calls):
     # an in-place edit of a sample array changes the key of its tables: the
     # next call builds them again and gives the value of a cold call
@@ -563,8 +586,9 @@ def test_refused_tables_are_not_cached(row_blocks, sigma_calls):
 
 
 def test_table_cache_stays_within_its_bound(sigma_calls, monkeypatch):
-    # under a bound of two kernel blocks and room for 20 of the 54 distinct
-    # tables, repeated calls over many offsets evict tables and build them again,
+    # under a bound of two kernel blocks and room for 20 tables and as many
+    # sample vectors, fewer than the 54 distinct tables, repeated calls over
+    # many offsets evict tables and build them again,
     # the running total stays within the bound after every call, and the
     # values are those of an unbounded cache
     grid = GridSpec(0.1)
@@ -745,6 +769,21 @@ def _full_width_table(vec, k, m_lo, D, M, which):
     terms *= engine._poly_rows(d, D, M, True)[which]
     norm = np.exp(-0.5 * (math.log(math.pi * D) + quad.DEFAULT_RULE.arrays().log1pt))
     return norm * np.sum(terms, axis=0)
+
+
+@pytest.mark.parametrize("D", (0.05, 0.5, 5.0, 50.0, 1e4))
+def test_masked_gauss_blocks_keep_every_bit(D):
+    # _gauss_block takes exp only where the exponent reaches -746 and leaves
+    # zeros elsewhere: blocks 0-5 equal the plain exp of all their rows from
+    # the first column nonzero in any row on (capped two before the end)
+    cols = quad.DEFAULT_RULE.node_count
+    for b in range(6):
+        d = engine._block_offsets(b)
+        full = _gauss_rows(d, D)
+        live = np.flatnonzero(full.any(axis=0))
+        want = full[:, min(live[0] if live.size else cols, cols - 2):]
+        got = engine._gauss_block(d, D)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), b
 
 
 def test_banded_tables_keep_every_bit():

@@ -307,13 +307,20 @@ def test_integral_detects_short_rule(monkeypatch):
         integral_phi2(5, 0.0)
 
 
-def test_integral_refuses_radius_past_the_node_range():
-    # past r^2 = 1 + t_last every node term underflows, and the tail check
-    # alone passed the row of zeros as 0.0 or -0.0
+def test_integral_refuses_unresolved_radius():
+    # up to RESOLVED_RADIUS the rule gives phi2 within 1e-12 for every n;
+    # just past it, at n = 63, it does not.  Every larger radius, inf and NaN
+    # included, is refused; before, radii up to 1.7e18 were summed, 0.18 off
+    # at n = 663, r = 32
+    for n in (3, 5, 8, 63, 100, 10 ** 4, 10 ** 7):
+        for r in np.geomspace(0.01, quad.RESOLVED_RADIUS, 25):
+            assert integral_phi2(n, r) == pytest.approx(phi2(n, r), rel=1e-12, abs=0.0), (n, r)
+    assert abs(quad._phi2_integral(63, 7.59, quad.DEFAULT_RULE.arrays()) / phi2(63, 7.59) - 1.0) \
+        > 1e-12
     for n in (3, 5, 8):
-        for r in (1e20, 1e30, math.inf):
-            with pytest.raises(QuadratureDivergence, match=r"^radius \S+ refused: past the "
-                               r"node range \(last node t = 2\.826e\+36\)$"):
+        for r in (math.nextafter(quad.RESOLVED_RADIUS, math.inf), 16.0, 1e20, math.inf, math.nan):
+            with pytest.raises(QuadratureDivergence, match=r"^radius \S+ refused: the quadrature "
+                               r"rule resolves the integral to 1e-12 only up to r = 7\.4$"):
                 integral_phi2(n, r)
 
 
