@@ -238,13 +238,13 @@ def _gauss_block(d: np.ndarray, D: float) -> np.ndarray:
     exp is exactly 0 below -745.14, and costs far more on such arguments
     than on others, so exp is taken only from the first column where the
     exponent of the smallest |d|, the largest of the column, reaches -746,
-    and from there on only where the exponent reaches -746: the base starts
-    as zeros.  The column is capped two before the end, so that no run has
+    and from there on only where the exponent reaches -746; the others are
+    set to 0.  The column is capped two before the end, so that no run has
     one column: numpy does not promise to add a one-column stack row by row
     (np.sum adds it pairwise).  The rows are a view of the rows 1..len(d) of
     a base whose first and last rows are scratch pads for the carried sums
     of _sigma.  The base is built in row pieces (quad._row_pieces), each
-    piece's exponents formed in one thread scratch buffer (quad._scratch).
+    multiplied and exp'd in place.
     """
     inv = quad.DEFAULT_RULE.arrays().inv1pt / D
     cols = len(inv)
@@ -254,13 +254,12 @@ def _gauss_block(d: np.ndarray, D: float) -> np.ndarray:
     start = min(int(reach.argmax()) if reach.any() else cols, cap)
     padded = _padded(d)
     neg = -(padded * padded)
-    block = np.zeros((len(padded), cols - start))
-    pieces = _row_pieces(block.shape)
-    [buf] = _scratch(1, block[pieces[0]].shape)
-    for rows in pieces:
-        piece = block[rows]
-        expo = np.multiply(neg[rows, None], inv[start:], out=buf[:len(piece)])
-        np.exp(expo, out=piece, where=expo >= -746.0)
+    block = np.empty((len(padded), cols - start))
+    for rows in _row_pieces(block.shape):
+        piece = np.multiply(neg[rows, None], inv[start:], out=block[rows])
+        dead = piece < -746.0
+        np.exp(piece, out=piece, where=~dead)
+        piece[dead] = 0.0
     block[0] = block[-1] = 0.0
     live = block[1:-1].any(axis=0)
     c0 = min(start + int(live.argmax()) if live.any() else cols, cap)
@@ -466,7 +465,8 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, with_r: bool = False) -> l
                 if run_k != k:
                     run_k, runs = k, _kernel_runs(k - m_lo, len(vec), D, M, with_r)
                 if norm is None:
-                    norm = np.exp(-0.5 * (math.log(math.pi * D) + quad.DEFAULT_RULE.arrays().log1pt))
+                    log1pt = quad.DEFAULT_RULE.arrays().log1pt
+                    norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
                 table = np.empty(len(norm))
                 _sigma(vec, runs, which, norm, table)
                 table.flags.writeable = False

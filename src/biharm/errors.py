@@ -22,7 +22,7 @@ class UnsupportedDimension(BiharmError, ValueError):
 
 
 class QuadratureDivergence(BiharmError):
-    """The quadrature rule is too short for the requested accuracy."""
+    """A node sum or radius that the quadrature rule does not resolve."""
 
 
 class SupportTruncated(BiharmError):
