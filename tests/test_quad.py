@@ -309,9 +309,8 @@ def test_integral_detects_short_rule(monkeypatch):
 
 def test_integral_refuses_unresolved_radius():
     # up to RESOLVED_RADIUS the rule gives phi2 within 1e-12 for every n;
-    # just past it, at n = 63, it does not.  Every larger radius, inf and NaN
-    # included, is refused; before, radii up to 1.7e18 were summed, 0.18 off
-    # at n = 663, r = 32
+    # just past it, at n = 63, it does not, and at r = 32 it is 0.18 off
+    # (n = 663).  Every larger radius, inf and NaN included, is refused
     for n in (3, 5, 8, 63, 100, 10 ** 4, 10 ** 7):
         for r in np.geomspace(0.01, quad.RESOLVED_RADIUS, 25):
             assert integral_phi2(n, r) == pytest.approx(phi2(n, r), rel=1e-12, abs=0.0), (n, r)
