@@ -17,7 +17,7 @@ from . import engine, kernels, quad, specfun
 from .errors import BiharmError
 from .kernels import GridSpec, dim_value, int_value, order_value
 
-__all__ = ["RunConfig", "RateRow", "run_table", "run_verify", "main"]
+__all__ = ["RunConfig", "run_table", "run_verify", "main"]
 
 _CSV_HEADER = "n,M,h,x1,exact,approx,abs_err,rel_err,rate"
 
@@ -68,21 +68,6 @@ def _count(value) -> int:
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "table")
 
 
-@dataclasses.dataclass(frozen=True)
-class RateRow:
-    """One benchmark measurement; rate is blank on the coarsest grid."""
-
-    n: int
-    M: int
-    h: float
-    x1: float
-    exact: float
-    approx: float
-    abs_err: float
-    rel_err: float
-    rate: float | None
-
-
 def _fmt(x: float) -> str:
     return f"{x:.15e}"
 
@@ -105,7 +90,9 @@ def _compute_rows(cfg: RunConfig) -> list:
     """Potential of the Gaussian test density along the refinement schedule.
 
     Points are x1 * e1 for n >= 5 (fast symmetric path) and x1 * (1,1,1) for
-    n = 3 (general tensor path); the exact potential is e^{-|x|^2}.
+    n = 3 (general tensor path); the exact potential is e^{-|x|^2}.  One
+    tuple (n, M, h, x1, exact, approx, abs_err, rel_err, rate) per row, the
+    rate None on the coarsest grid.
     """
     x1_list = _TABLE1_X1 if cfg.table == "1" else (1.0,)
     rows = []
@@ -121,19 +108,16 @@ def _compute_rows(cfg: RunConfig) -> list:
                     rate = None
                     if prev is not None and prev > 0.0 and abs_err > 0.0:
                         rate = math.log2(prev / abs_err)
-                    rows.append(RateRow(n=n, M=M, h=1.0 / h_inv, x1=x1, exact=exact,
-                                        approx=approx, abs_err=abs_err,
-                                        rel_err=rel_err, rate=rate))
+                    rows.append((n, M, 1.0 / h_inv, x1, exact, approx, abs_err, rel_err, rate))
                     prev = abs_err
     return rows
 
 
 def _format_csv(rows: list) -> str:
     lines = [_CSV_HEADER]
-    for r in rows:
-        rate = "" if r.rate is None else _fmt(r.rate)
-        lines.append(",".join([str(r.n), str(r.M), _fmt(r.h), _fmt(r.x1), _fmt(r.exact),
-                               _fmt(r.approx), _fmt(r.abs_err), _fmt(r.rel_err), rate]))
+    for n, M, *values, rate in rows:
+        lines.append(",".join([str(n), str(M), *map(_fmt, values),
+                               "" if rate is None else _fmt(rate)]))
     return "\n".join(lines) + "\n"
 
 
@@ -206,16 +190,12 @@ def _verify_checks():
     A check that raises a BiharmError fails with the error's text, and the
     checks after it still run.
     """
-    for name, check in _invariants():
+
+    def run(name, check):
         try:
-            ok, detail = check()
+            return (name, *check())
         except BiharmError as exc:
-            ok, detail = False, str(exc)
-        yield name, ok, detail
-
-
-def _invariants():
-    """Yield (name, check) for each invariant; check() gives (ok, detail)."""
+            return name, False, str(exc)
 
     def phi2_anchors():
         # closed-form values at r = 0 and r = 1, frozen from the explicit formulas
@@ -235,7 +215,7 @@ def _invariants():
         ]
         return _within(max(_rel_dev(a, b) for a, b in anchors), 1e-13)
 
-    yield "phi2 closed-form anchors", phi2_anchors
+    yield run("phi2 closed-form anchors", phi2_anchors)
 
     nodes = quad.DEFAULT_RULE.arrays()
 
@@ -248,14 +228,14 @@ def _invariants():
         ratio = nodes.weight[0] / (quad.DEFAULT_RULE.tau * t0 * t0)
         return _within(max(abs(t0 / ref_t0 - 1.0), abs(ratio / ref_ratio - 1.0)), 1e-13)
 
-    yield "double-exponential transform anchor", transform_anchor
+    yield run("double-exponential transform anchor", transform_anchor)
 
     for n in (3, 5, 6, 10, 100):
         def integral(n=n):
             return _within(max(_rel_dev(quad.integral_phi2(n, r), kernels.phi2(n, r))
                                for r in (0.0, 0.5, 1.0, 2.0, 4.0)), 1e-11)
 
-        yield f"node-sum integral vs closed form, n={n}", integral
+        yield run(f"node-sum integral vs closed form, n={n}", integral)
 
     xs = _spread(100, _GOLDEN, -3.0, 3.0)
     ts = _spread(100, _SILVER, 0.0, 10.0)
@@ -265,14 +245,14 @@ def _invariants():
             return _within(max(_rel_dev(quad.qm_poly(m, xs, ts), q_ref),
                                _rel_dev(quad.rm_poly(m, xs, ts), r_ref)), 1e-12)
 
-        yield f"Hermite-sum vs printed polynomial, order {m}", hermite
+        yield run(f"Hermite-sum vs printed polynomial, order {m}", hermite)
 
     def spacing():
         half = quad.DEQuadrature(a=6.0, b=5.0, tau=0.0015, s_begin=0, s_end=600).arrays()
         return _within(max(_rel_dev(quad._phi2_integral(n, r, half), quad.integral_phi2(n, r))
                            for n in (5, 10, 100) for r in (0.0, 1.0, 2.0)), 1e-12)
 
-    yield "node-spacing self-consistency", spacing
+    yield run("node-spacing self-consistency", spacing)
 
     def tail():
         for n in (3, 5, 10, 100):
@@ -280,14 +260,14 @@ def _invariants():
                 quad.integral_phi2(n, r)
         return True, "last-node share below 1e-16"
 
-    yield "node-sum tail certification", tail
+    yield run("node-sum tail certification", tail)
 
     for n in (5, 6):
         def lattice_weight(n=n):
             ref = 16.0 * (math.pi * 5.0) ** (-n / 2.0) * quad.integral_phi2(n, 0.0)
             return _within(_rel_dev(engine.tensor_weight((0,) * n, 1, 5.0), ref), 1e-13)
 
-        yield f"lattice weight at zero offset, n={n}", lattice_weight
+        yield run(f"lattice weight at zero offset, n={n}", lattice_weight)
 
     def lattice_delta():
         samples = np.zeros(21)
@@ -296,7 +276,7 @@ def _invariants():
         ref = 1.0 / math.sqrt(math.pi * 5.0 * (1.0 + nodes.t[40]))
         return _within(_rel_dev(float(table[40]), ref), 1e-14)
 
-    yield "convolution of a lattice delta", lattice_delta
+    yield run("convolution of a lattice delta", lattice_delta)
 
     def ladder():
         dev = 0.0
@@ -310,13 +290,13 @@ def _invariants():
                 dev = max(dev, float(np.max(np.abs(diff - step))))
         return _within(dev, 1e-13, "max_abs")
 
-    yield "order-increment ladder identity", ladder
+    yield run("order-increment ladder identity", ladder)
 
     def saturation():
         eps0 = engine.saturation_epsilon0(1, 5.0, 5)
         return eps0 < 1e-19, f"eps0={eps0:.2e} tol=1e-19"
 
-    yield "saturation error floor", saturation
+    yield run("saturation error floor", saturation)
 
     def direct_oracle():
         # direct summation oracle on a compactly supported rank-1 density
@@ -340,7 +320,7 @@ def _invariants():
             dev = max(dev, abs(sample.value / direct.value - 1.0))
         return _within(dev, 1e-10)
 
-    yield "tensor path vs direct summation", direct_oracle
+    yield run("tensor path vs direct summation", direct_oracle)
 
     def symmetric():
         dev = 0.0
@@ -353,7 +333,7 @@ def _invariants():
             dev = max(dev, abs(fast / full - 1.0))
         return _within(dev, 1e-12)
 
-    yield "symmetric path vs tensor path", symmetric
+    yield run("symmetric path vs tensor path", symmetric)
 
     for name, n, h_inv, x1, label, expected in _ANCHORS:
         def anchor(n=n, h_inv=h_inv, x1=x1, label=label, expected=expected):
@@ -361,7 +341,7 @@ def _invariants():
             ref = float(expected)
             return ref / 2 <= err <= 2 * ref, f"{label}={err:.2e} expected~{expected}"
 
-        yield name, anchor
+        yield run(name, anchor)
 
 
 def run_verify():

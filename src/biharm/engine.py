@@ -30,9 +30,10 @@ multiplied and exp'd in place, and quad._node_polys runs its recurrence
 through piece-sized buffers that each thread keeps, so a cold build holds no
 full-size temporary.  At small t the Gaussian of a large |d| is exactly 0 in
 binary64, so the blocks are banded: each holds its rows from the block's
-first live node column on, the first column that is nonzero in any of its
-Gaussian rows.  Each block also has one pad row at each end: 1.0 in the Q_M
-and R_M blocks, scratch in the Gaussian blocks.
+first node column on, the first where the exponent of its smallest |d|
+reaches -746; before it every Gaussian row is exactly 0.  Each block also
+has one pad row at each end: 1.0 in the Q_M and R_M blocks, scratch in the
+Gaussian blocks.
 A sigma table reads its rows by |d| in runs, one per block: rows with
 d >= 1 downwards in |d|, rows with d <= 0 upwards, so that every run after
 the first starts at the top or the bottom of its block, next to a pad.  Each
@@ -232,39 +233,32 @@ def _padded(d: np.ndarray) -> np.ndarray:
 
 def _gauss_block(d: np.ndarray, D: float) -> np.ndarray:
     """The Gaussian rows e^{-d^2/(D(1+t_s))} of offsets d from the block's
-    first live node column on: the first column nonzero in any row, read off
-    the values, so every column before it is an exact zero of every row.
+    first node column on: the number of columns where the exponent of the
+    smallest |d|, the largest of the column, is below -746.  exp is exactly
+    0 there in every row, and 1/(1+t) falls from column to column, so these
+    are the leading columns.
 
-    exp is exactly 0 below -745.14, and costs far more on such arguments
-    than on others, so exp is taken only from the first column where the
-    exponent of the smallest |d|, the largest of the column, reaches -746,
-    and from there on only where the exponent reaches -746; the others are
-    set to 0.  The column is capped two before the end, so that no run has
-    one column: numpy does not promise to add a one-column stack row by row
-    (np.sum adds it pairwise).  The rows are a view of the rows 1..len(d) of
-    a base whose first and last rows are scratch pads for the carried sums
-    of _sigma.  The base is built in row pieces (quad._row_pieces), each
+    exp also costs far more on such arguments than on others, so it is
+    taken only where the exponent reaches -746; the others are set to 0.
+    The column is capped two before the end, so that no run has one column:
+    numpy does not promise to add a one-column stack row by row (np.sum
+    adds it pairwise).  The rows are a view of the rows 1..len(d) of a base
+    whose first and last rows are scratch pads for the carried sums of
+    _sigma.  The base is built in row pieces (quad._row_pieces), each
     multiplied and exp'd in place.
     """
     inv = quad.DEFAULT_RULE.arrays().inv1pt / D
-    cols = len(inv)
-    cap = max(cols - 2, 0)
     near = np.min(np.abs(d))
-    reach = -(near * near) * inv >= -746.0
-    start = min(int(reach.argmax()) if reach.any() else cols, cap)
+    start = min(np.count_nonzero(-(near * near) * inv < -746.0), max(len(inv) - 2, 0))
     padded = _padded(d)
     neg = -(padded * padded)
-    block = np.empty((len(padded), cols - start))
+    block = np.empty((len(padded), len(inv) - start))
     for rows in _row_pieces(block.shape):
         piece = np.multiply(neg[rows, None], inv[start:], out=block[rows])
         dead = piece < -746.0
         np.exp(piece, out=piece, where=~dead)
         piece[dead] = 0.0
     block[0] = block[-1] = 0.0
-    live = block[1:-1].any(axis=0)
-    c0 = min(start + int(live.argmax()) if live.any() else cols, cap)
-    if c0 > start:
-        block = block[:, c0 - start:].copy()
     return block[1:-1]
 
 
@@ -312,7 +306,7 @@ def _block_offsets(b: int) -> np.ndarray:
 
 def _kernel_runs(d0: int, L: int, D: float, M: int, with_r: bool) -> list:
     """The kernel rows d = d0, d0 - 1, ..., d0 - L + 1 as runs that each read
-    one cached block: a list of (table row slice, the block's first live
+    one cached block: a list of (table row slice, the block's first node
     column c, Gaussian rows, poly rows), the rows holding the node columns
     c.. only, each led by the block row read just before the run's first.
     At M = 1 the Q rows are None: Q_1 = 1 has no block.
@@ -410,19 +404,19 @@ def _terms(weight, kernel: tuple, index) -> np.ndarray:
     return terms
 
 
-def _sample_bytes(vec: np.ndarray):
-    """The cache's one bytes object of vec's samples, stored on first sight
-    as its own entry ("samples", dtype, bytes) and counted as its length;
-    None for a vector of more than _VECTOR_BYTES.
+def _sample_bytes(dtype: str, raw):
+    """The cache's one bytes object of the samples raw, stored on first
+    sight as its own entry ("samples", dtype, bytes) and counted as its
+    length, and now the most recently used entry; None for raw None.
 
-    Each call looks the entry up before its tables, so the LRU evicts it
-    after every table of the earlier calls; the tables of its last call
-    outlive it and hold the bytes uncounted until they are evicted next.
+    _sigma_tables calls it again after its tables with the object it got,
+    which stores that object again if the tables evicted it, so the entry
+    ends every call newer than each table whose key holds its bytes: the
+    LRU evicts those tables first, and no table holds uncounted bytes.
     """
-    if vec.nbytes > _VECTOR_BYTES:
+    if raw is None:
         return None
-    raw = vec.tobytes()
-    key = ("samples", vec.dtype.str, raw)
+    key = ("samples", dtype, raw)
     held = _ROW_BLOCKS.get(key)
     if held is None:
         _ROW_BLOCKS.put(key, raw, len(raw))
@@ -452,28 +446,34 @@ def _sigma_tables(pairs, m_lo: int, D: float, M: int, with_r: bool = False) -> l
     contents: dict = {}
     norm = run_k = None
     tables = [None] * len(pairs)
-    for i in sorted(range(len(pairs)), key=lambda i: pairs[i][1]):
-        vec, k = pairs[i]
-        if id(vec) not in contents:
-            contents[id(vec)] = _sample_bytes(vec)
-        content = contents[id(vec)]
-        found = []
-        for which in range(1 + with_r):
-            table_key = ("QR"[which], vec.dtype.str, content, k - m_lo, D, M)
-            table = _ROW_BLOCKS.get(table_key)
-            if table is None:
-                if run_k != k:
-                    run_k, runs = k, _kernel_runs(k - m_lo, len(vec), D, M, with_r)
-                if norm is None:
-                    log1pt = quad.DEFAULT_RULE.arrays().log1pt
-                    norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
-                table = np.empty(len(norm))
-                _sigma(vec, runs, which, norm, table)
-                table.flags.writeable = False
-                if content is not None:
-                    _ROW_BLOCKS.put(table_key, table, table.nbytes)
-            found.append(table)
-        tables[i] = tuple(found)
+    try:
+        for i in sorted(range(len(pairs)), key=lambda i: pairs[i][1]):
+            vec, k = pairs[i]
+            if id(vec) not in contents:
+                raw = vec.tobytes() if vec.nbytes <= _VECTOR_BYTES else None
+                contents[id(vec)] = (vec.dtype.str, _sample_bytes(vec.dtype.str, raw))
+            dtype, content = contents[id(vec)]
+            found = []
+            for which in range(1 + with_r):
+                table_key = ("QR"[which], dtype, content, k - m_lo, D, M)
+                table = _ROW_BLOCKS.get(table_key)
+                if table is None:
+                    if run_k != k:
+                        run_k, runs = k, _kernel_runs(k - m_lo, len(vec), D, M, with_r)
+                    if norm is None:
+                        log1pt = quad.DEFAULT_RULE.arrays().log1pt
+                        norm = np.exp(-0.5 * (math.log(math.pi * D) + log1pt))
+                    table = np.empty(len(norm))
+                    _sigma(vec, runs, which, norm, table)
+                    table.flags.writeable = False
+                    if content is not None:
+                        _ROW_BLOCKS.put(table_key, table, table.nbytes)
+                found.append(table)
+            tables[i] = tuple(found)
+    finally:
+        # a refused call too leaves its contents newer than the tables it stored
+        for dtype, content in contents.values():
+            _sample_bytes(dtype, content)
     return tables
 
 
@@ -696,7 +696,7 @@ def evaluate_symmetric(density: IsotropicGaussianPolyDensity, k1: int,
     if n < 5:
         raise UnsupportedDimension(
             f"the symmetric fast path requires n >= 5, got n = {n}; n = 3 goes "
-            "through evaluate, and n = 4 has no one-dimensional integral representation")
+            "through evaluate, and the library has no n = 4 path")
     M = order_value(M)
     k1 = int_value(k1, "axis index k1")
     nodes = quad.DEFAULT_RULE.arrays()

@@ -504,7 +504,7 @@ def integral_phi2(n, r: float) -> float:
     """
     n = dim_value(n)
     if n == 4:
-        raise UnsupportedDimension("the integral representation covers n = 3 and n >= 5 only")
+        raise UnsupportedDimension("the library has no n = 4 path")
     r = float(r)
     if r < 0.0:
         raise ValueError("radius must be nonnegative")

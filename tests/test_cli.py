@@ -79,13 +79,16 @@ def test_output_is_deterministic(tmp_path, capsys):
     ("2", "85e08c60b31812c2db382469297f61ad96bdf50f0dff0488e25895ad745b4132"),
     ("3", "e7df125c9689bfb647ea959b0a8f4dd178275143f27e8ef92d411dfdc3a3c779"),
     ("4", "eba3b9689cf50d66a45697dfc12e5266d1d378e727b2eba036bca68c8df6d85f"),
+    ("verify", "a62dc6a64d178712ecf59a11bf2ab6054cbcd3b22db90fb4926c371d1fd1570f"),
 ])
 def test_table_bytes_are_frozen(capsys, table, digest):
     # the output contract: Tables 1-4 byte for byte, Table 4 the one that
-    # runs the n = 3 tensor path.  The digests are those of the numpy 2.4.6
-    # build the reference CSVs were made with; a different libm or SIMD exp
-    # may change the last bits of a value
-    rc, out, _ = _run(capsys, ["--table", table])
+    # runs the n = 3 tensor path, and the --verify full report, its 24
+    # checks in order.  The digests are those of the numpy 2.4.6 build the
+    # reference CSVs were made with, under its AVX-512 loops; a different
+    # libm or SIMD exp may change the last bits of a value
+    argv = ["--verify", "full"] if table == "verify" else ["--table", table]
+    rc, out, _ = _run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -326,18 +326,18 @@ def test_products_match_symmetric_path_at_large_n():
 def _check_banded(keys, blocks):
     """Check one build's blocks: _BLOCK rows each, all of one width, each
     the rows 1.._BLOCK of a base with one pad row at each end.  A Gaussian
-    block holds the block's rows from its first live column on: every row is
-    exactly zero before it and, unless it is capped two columns before the
-    end, some row is nonzero at it; its pads are scratch.  Q_M and R_M pads
-    hold 1.0 and their bases are read-only."""
+    block holds the block's rows from its first column (_first_column) on,
+    and every row is exactly zero before it; its pads are scratch.  Q_M and
+    R_M pads hold 1.0 and their bases are read-only."""
     widths = set()
     for key, block in zip(keys, blocks):
         if key[0] == "gauss":
             _, D, b = key
-            full = _gauss_rows(b * engine._BLOCK + np.arange(engine._BLOCK, dtype=float), D)
+            d = engine._block_offsets(b)
+            full = _gauss_rows(d, D)
             c0 = quad.DEFAULT_RULE.node_count - block.shape[1]
+            assert c0 == _first_column(d, D)
             assert not full[:, :c0].any()
-            assert full[:, c0].any() or c0 == quad.DEFAULT_RULE.node_count - 2
             assert block.tobytes() == full[:, c0:].tobytes()
         else:
             assert np.all(block.base[[0, -1]] == 1.0)
@@ -378,12 +378,15 @@ def _held_bytes():
     ("samples", dtype, bytes) entry holds its own key's bytes object,
     counted as its length, and every other entry one read-only array,
     counted as the bytes of the array its view fills (a kernel block's
-    padded base)."""
+    padded base).  The bytes in a sigma table's key are the very object of
+    a live samples entry, so the table holds no bytes the total leaves out."""
     cache = engine._ROW_BLOCKS
     for key, (value, size) in cache._entries.items():
         if key[0] == "samples":
             assert value is key[2] and size == len(value)
             continue
+        if _is_table_key(key):
+            assert cache._entries[("samples",) + key[1:3]][0] is key[2]
         owner = value if value.base is None else value.base
         assert size == owner.nbytes
         assert not value.flags.writeable
@@ -759,6 +762,16 @@ def _gauss_rows(d, D):
     return np.exp(-(d * d)[:, None] * inv[None, :])
 
 
+def _first_column(d, D):
+    """The first node column of the Gaussian block of offsets d: the first
+    where the exponent of the smallest |d| reaches -746, at most two columns
+    before the end."""
+    cols = quad.DEFAULT_RULE.node_count
+    near = np.min(np.abs(d))
+    reach = np.flatnonzero(-(near * near) * (quad.DEFAULT_RULE.arrays().inv1pt / D) >= -746.0)
+    return min(int(reach[0]) if reach.size else cols, cols - 2)
+
+
 def _full_width_table(vec, k, m_lo, D, M, which):
     """sigma_Q (which = 0) or sigma_R of one vector with no cache and no
     banding: the row-order sum of vec[m] gauss[m] poly[m] over all node
@@ -775,15 +788,36 @@ def _full_width_table(vec, k, m_lo, D, M, which):
 def test_masked_gauss_blocks_keep_every_bit(D):
     # _gauss_block takes exp only where the exponent reaches -746 and leaves
     # zeros elsewhere: blocks 0-5 equal the plain exp of all their rows from
-    # the first column nonzero in any row on (capped two before the end)
-    cols = quad.DEFAULT_RULE.node_count
+    # their first column (_first_column) on
     for b in range(6):
         d = engine._block_offsets(b)
-        full = _gauss_rows(d, D)
-        live = np.flatnonzero(full.any(axis=0))
-        want = full[:, min(live[0] if live.size else cols, cols - 2):]
+        want = _gauss_rows(d, D)[:, _first_column(d, D):]
         got = engine._gauss_block(d, D)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), b
+
+
+@pytest.mark.parametrize("D, b", ((2.4, 5), (1.05, 9)))
+def test_blocks_keep_a_leading_zero_column(D, b):
+    # the first column of these blocks by the exponent of their smallest |d|
+    # is an exact zero of every row, one column before the first nonzero
+    # one: the block keeps it, and the Q and R tables that read the block
+    # downwards and upwards equal the full-width sums bit for bit
+    d = engine._block_offsets(b)
+    first = _first_column(d, D)
+    full = _gauss_rows(d, D)
+    assert not full[:, first].any() and full[:, first + 1].any()
+    assert engine._gauss_block(d, D).shape[1] == quad.DEFAULT_RULE.node_count - first
+    # zero ends keep the boundary terms inside the support check
+    vec = np.ones(engine._BLOCK)
+    vec[[0, -1]] = 0.0
+    for k in (int(d[-1]), -int(d[0])):
+        for M in (1, 2, 3, 4):
+            _empty_caches()
+            [tables] = engine._sigma_tables([(vec, k)], 0, D, M, True)
+            for which, table in enumerate(tables):
+                want = _full_width_table(vec, k, 0, D, M, which)
+                assert table.any() and table.tobytes() == want.tobytes(), (k, M, which)
+    _empty_caches()
 
 
 def test_banded_tables_keep_every_bit():
@@ -805,8 +839,8 @@ def test_banded_tables_keep_every_bit():
     cases += [(ends[i % 3], k, m_lo) for i, k in enumerate(offsets)]
     cases += [(delta, k, -1) for k in (0, 3, 127, 128, -128, -256, 3000, -3000)]
     # at k = 1500 the last run, at k = -2000 the first, lacks its block's
-    # smallest |d| and is still zero in the block's first live column: those
-    # runs sum zero columns before their own rows' first live one
+    # smallest |d| and is still zero in the block's first column: those runs
+    # sum zero columns before their own rows' first nonzero one
     for k, run in ((1500, -1), (-2000, 0)):
         _, _, gauss, _ = engine._kernel_runs(k - m_lo, len(vecs[0]), D, 1, False)[run]
         assert not gauss[1:, 0].any()
