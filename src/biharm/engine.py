@@ -2,8 +2,9 @@
 cubature from one-dimensional discrete convolutions.
 
 Every per-dimension convolution sum carries its own (pi D (1+t))^{-1/2}
-normalization, so the n-fold per-node products stay O(1): evaluate forms
-them as plain products, with relative error near n u (u = 2^-53), and only
+normalization, so the n-fold per-node products of O(1) factors stay O(1):
+evaluate forms them as plain products, with relative error near n u
+(u = 2^-53; one that overflows raises FloatingPointError), and only
 evaluate_symmetric, whose power a0^(n-1) leaves binary64 at large n, forms
 its node values as exp of a log sum.  Node row sums are
 correctly rounded, equal to math.fsum's bit for bit: a vectorised error-free
@@ -489,11 +490,13 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int) -> l
     The node sum is fsum_p weights[p] fsum_s c_ps with c_ps the n-fold product
     of the factor tables times the node weight for n >= 5, and the two-term
     n = 3 bracket times tau * Phi'; every node's t and weight is finite
-    (DEQuadrature.arrays), and the normalized factors stay O(1), so the
-    plain product serves every n, where a log sum would lose accuracy as n
-    grows.  The points are validated and the tables of the call built up
-    front, each (vector, offset) pair of a dimension once; a table reads only
-    its own offset's kernel rows, so values do not depend on the rest of the
+    (DEQuadrature.arrays).  The plain product, where a log sum would lose
+    accuracy as n grows, serves every n while its partial products stay in
+    binary64, as those of O(1) normalized factors do: one that overflows
+    raises FloatingPointError, one that underflows is summed as it is.  The
+    points are validated and the tables of the call built up front, each
+    (vector, offset) pair of a dimension once; a table reads only its own
+    offset's kernel rows, so values do not depend on the rest of the
     batch.  Each distinct point is assembled once, and a repeat takes its
     value.  The distinct points go in chunks of at most _CHUNK_VALUES
     (point, term, node) values, or one point where a point alone holds more:
@@ -529,38 +532,39 @@ def _node_sums(density: SeparatedDensity, points, n: int, D: float, M: int) -> l
 
     chunk = max(1, _CHUNK_VALUES // (density.rank * q.shape[1]))
     totals = []
-    for at in (index[i:i + chunk] for i in range(0, len(distinct), chunk)):
-        # the chunk's stacks are this thread's scratch buffers; take's "clip"
-        # mode writes straight into them ("raise" would copy through a
-        # temporary), and every index is in range
-        stacks = _scratch(6 if n == 3 else 2, at[:, 0].shape + q.shape[1:])
-        if n == 3:
-            # tau_phiprime * (q0 q1 q2 + t (r0 q1 q2 + q0 r1 q2 + q0 q1 r2)),
-            # each product and sum of the plain expression in its order
-            q0, q1, q2, contrib, r_sum, rows = stacks
-            for j, out in enumerate((q0, q1, q2)):
-                q.take(at[:, j], axis=0, out=out, mode="clip")
-            np.multiply(q0, q1, out=contrib)
-            r.take(at[:, 0], axis=0, out=r_sum, mode="clip")
-            r_sum *= q1
-            r_sum *= q2
-            np.multiply(q0, r.take(at[:, 1], axis=0, out=rows, mode="clip"), out=rows)
-            rows *= q2
-            r_sum += rows
-            rows = r.take(at[:, 2], axis=0, out=rows, mode="clip")
-            rows *= contrib
-            r_sum += rows
-            r_sum *= nodes.t
-            contrib *= q2
-            contrib += r_sum
-            contrib *= tau_phiprime
-        else:
-            contrib, rows = stacks
-            q.take(at[:, 0], axis=0, out=contrib, mode="clip")
-            for j in range(1, n):
-                contrib *= q.take(at[:, j], axis=0, out=rows, mode="clip")
-            contrib *= nodes.weight
-        totals += _point_sums(contrib, density.weights)
+    with np.errstate(over="raise"):
+        for at in (index[i:i + chunk] for i in range(0, len(distinct), chunk)):
+            # the chunk's stacks are this thread's scratch buffers; take's "clip"
+            # mode writes straight into them ("raise" would copy through a
+            # temporary), and every index is in range
+            stacks = _scratch(6 if n == 3 else 2, at[:, 0].shape + q.shape[1:])
+            if n == 3:
+                # tau_phiprime * (q0 q1 q2 + t (r0 q1 q2 + q0 r1 q2 + q0 q1 r2)),
+                # each product and sum of the plain expression in its order
+                q0, q1, q2, contrib, r_sum, rows = stacks
+                for j, out in enumerate((q0, q1, q2)):
+                    q.take(at[:, j], axis=0, out=out, mode="clip")
+                np.multiply(q0, q1, out=contrib)
+                r.take(at[:, 0], axis=0, out=r_sum, mode="clip")
+                r_sum *= q1
+                r_sum *= q2
+                np.multiply(q0, r.take(at[:, 1], axis=0, out=rows, mode="clip"), out=rows)
+                rows *= q2
+                r_sum += rows
+                rows = r.take(at[:, 2], axis=0, out=rows, mode="clip")
+                rows *= contrib
+                r_sum += rows
+                r_sum *= nodes.t
+                contrib *= q2
+                contrib += r_sum
+                contrib *= tau_phiprime
+            else:
+                contrib, rows = stacks
+                q.take(at[:, 0], axis=0, out=contrib, mode="clip")
+                for j in range(1, n):
+                    contrib *= q.take(at[:, j], axis=0, out=rows, mode="clip")
+                contrib *= nodes.weight
+            totals += _point_sums(contrib, density.weights)
     return [(point, totals[i]) for point, i in zip(points, order.tolist())]
 
 

@@ -291,17 +291,36 @@ def _direct_dense(samples: np.ndarray, grid: GridSpec, n: int, M: int,
         if axis < n - 1:
             index = pair_index[index[..., None], step_index]
     # row j holds the kernel at every last-axis sample from leading distance
-    # j; at a lattice point the table is small and the terms are the one
-    # full-size array
+    # j: leading sample i's terms are table[index[i]] times its samples,
+    # formed in runs of samples in one buffer and summed as they come under
+    # a bound on every |term| (rounding is monotone), and formed whole only
+    # for a sum that bound leaves unproven
+    from . import quad
+
     kernel = phi2M(n, M, np.sqrt(dist2) / (grid.h * math.sqrt(grid.delta)))
     table = kernel[pair_index[:, step_index]]
-    terms = np.take(table, index.ravel(), axis=0)
-    terms *= samples.reshape(terms.shape)
+    leading = index.ravel()
+    values = samples.reshape(len(leading), -1)
+    bound = float(np.max(np.abs(table))) * max(float(values.max()), -float(values.min()))
+    rows = max(1, quad._PIECE_VALUES // values.shape[1])
+    buf = quad._scratch(1, (min(rows, len(leading)), values.shape[1]))[0]
+
+    def slabs():
+        for start in range(0, len(leading), rows):
+            at = leading[start:start + rows]
+            # "clip" writes straight into the slab; every index is in range
+            slab = table.take(at, axis=0, out=buf[:len(at)], mode="clip")
+            slab *= values[start:start + rows]
+            yield slab
+
     # exactly rounded, so independent of the term order: bitwise invariant
     # under permutations and sign flips of the coordinates
-    from .quad import _one_row_sum
-
-    return _one_row_sum(terms.ravel())
+    total = quad._slab_sum(slabs(), bound, samples.size)
+    if total is None:
+        terms = np.take(table, leading, axis=0)
+        terms *= values
+        total = quad._one_row_sum(terms.ravel())
+    return total
 
 
 def direct_cubature(f_samples, grid: GridSpec, M, x, n) -> PotentialSample:

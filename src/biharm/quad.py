@@ -11,12 +11,14 @@ whose power a0^(n-1) leaves binary64 at large n.
 Every exact sum of the package, here, in the engine and in the oracles, is
 math.fsum's result bit for bit, from one certified split (no other module
 calls math.fsum, but for specfun's short E1 series): _row_sums splits any
-number of node rows at once, _one_row_sum one row with scalar bookkeeping.
-A row is certified in up to three stages: a static bound from the split's
-scale sigma alone (for a stack, one sigma from the largest value of all its
-rows), then, for a row it leaves, the row's own sigma and a bound measured
-from its low parts, then math.fsum.  Each node sum is then _checked: a rule
-whose last node still carries weight is refused.
+number of node rows at once, _one_row_sum one row with scalar bookkeeping
+and _slab_sum one row formed slab by slab, as the direct lattice sum forms
+its terms.  A row is certified in up to three stages: a static bound from
+the split's scale sigma alone (for a stack, one sigma from the largest value
+of all its rows; for slabs, from a bound on every value), then, for a row it
+leaves, the row's own sigma and a bound measured from its low parts, then
+math.fsum.  Each node sum is then _checked: a rule whose last node still
+carries weight is refused.
 _point_sums does this for the terms of many points, _node_sum for one row.
 """
 
@@ -56,10 +58,12 @@ RESOLVED_RADIUS = 7.4
 # _row_sums splits its rows into column pieces of at most this many values
 # (_one_row_sum hands it every longer row), so its temporaries stay within
 # 256 KiB; an engine stack (at most engine._CHUNK_VALUES = 2^15 values) is
-# one piece.  The --verify check "tensor path vs direct summation" (three
-# sums over 11^5 samples) took 12.6 ms and 2,201 minor page faults with each
-# row in one piece against 9.3 ms and 1,157 in pieces of 2^15 (medians of 9
-# fresh processes, x86 Xeon, numpy 2.4)
+# one piece, and so is a slab of the direct lattice sum's terms.  The
+# --verify check "tensor path vs direct summation" (three sums over 11^5
+# samples) took 11.8 ms in slabs against 14.0 ms with full term rows, and
+# 490 minor page faults against 1,047; the three checks after it, with no
+# freed rows to reuse, 266 against 29 (medians of 18 processes each, x86
+# Xeon, numpy 2.4.6)
 _PIECE_VALUES = 1 << 15
 
 # _node_polys and engine._gauss_block build a kernel block in row pieces of
@@ -361,8 +365,9 @@ def _one_row_sum(row: np.ndarray) -> float:
     sigma, hi, lo, r and h are Python floats and one buffer takes |x_i|,
     q_i, p_i and |p_i|: on a node row of 300 values, numpy scalars or the
     array steps of a stack would cost more than the split itself.  A row of
-    more than _PIECE_VALUES values, such as the direct lattice sum's, goes
-    to _row_sums as a stack of one, which splits it in pieces.
+    more than _PIECE_VALUES values, such as a direct lattice sum that
+    _slab_sum leaves unproven, goes to _row_sums as a stack of one, which
+    splits it in pieces.
 
     math.fsum sums the rows neither bound certifies, and raises what it
     raises: rows holding inf or NaN, rows too large for a finite sigma (a
@@ -380,11 +385,9 @@ def _row_split(row: np.ndarray) -> float:
     cols = row.size
     # one buffer takes |x|, then q, p and |p|
     q = np.empty(cols)
-    mu = float(np.maximum.reduce(np.abs(row, out=q)))
-    e = math.frexp(mu)[1] + math.ceil(math.log2(cols + 2))
-    if not (math.isfinite(mu) and e <= 1023):
+    sigma = _sigma(float(np.maximum.reduce(np.abs(row, out=q))), cols)
+    if sigma is None:
         return math.fsum(memoryview(row))
-    sigma = math.ldexp(1.0, e)
     np.add(row, sigma, out=q)
     q -= sigma
     hi = float(np.add.reduce(q))
@@ -419,12 +422,12 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     list of floats math.fsum would take.
 
     Rows of 2^26 or more values are summed by math.fsum directly.
-    Otherwise the split runs over column pieces of at most _PIECE_VALUES
-    values in all, one row included, so that a long row keeps one
-    piece-sized buffer for |x_i|, q_i and p_i and adds up hi and lo piece by
-    piece.  The pieces change no bit of the result: hi is exact under any
-    grouping of the q_i, and the bound on lo holds for any order of the
-    additions.
+    Otherwise the split (_split) runs over column pieces of at most
+    _PIECE_VALUES values in all, one row included, so that a long row keeps
+    one piece-sized buffer for |x_i|, q_i and p_i and adds up hi and lo
+    piece by piece.  The pieces change no bit of the result: hi is exact
+    under any grouping of the q_i, and the bound on lo holds for any order
+    of the additions.
     """
     count, cols = rows.shape
     if cols >= 2 ** 26:
@@ -437,10 +440,28 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
               for start in range(0, cols, width)] if cols > width else [(rows, buf)]
     mu = float(functools.reduce(np.maximum, [np.maximum.reduce(np.abs(piece, out=q), axis=None)
                                              for piece, q in pieces]))
-    e = math.frexp(mu)[1] + math.ceil(math.log2(cols + 2))
-    if not (math.isfinite(mu) and e <= 1023):
+    sigma = _sigma(mu, cols)
+    if sigma is None:
         return np.array([_row_split(row) for row in rows])
-    sigma = math.ldexp(1.0, e)
+    sums, unproven = _split(pieces, sigma, cols)
+    for i in unproven:
+        sums[i] = _row_split(rows[i])
+    return sums
+
+
+def _sigma(mu: float, cols: int):
+    """The split's sigma for cols values of magnitude at most mu; None where
+    it is not finite or cols >= 2^26, where the static bound cannot hold."""
+    e = math.frexp(mu)[1] + math.ceil(math.log2(cols + 2))
+    if not (math.isfinite(mu) and e <= 1023 and cols < 2 ** 26):
+        return None
+    return math.ldexp(1.0, e)
+
+
+def _split(pieces, sigma: float, cols: int) -> tuple:
+    """(hi + lo of each row, the rows the static bound leaves unproven) of
+    rows of cols values split under sigma, from pieces: pairs of a block of
+    the rows' columns and a buffer of its shape, which takes q_i, then p_i."""
     # -0.0 is the identity of IEEE addition, signed zeros included
     hi = lo = -0.0
     for piece, q in pieces:
@@ -456,9 +477,20 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     mag = np.abs(sums)
     half = mag - np.nextafter(mag, 0.0)
     half *= 0.5
-    for i in np.flatnonzero(~(slack < half)).tolist():
-        sums[i] = _row_split(rows[i])
-    return sums
+    return sums, np.flatnonzero(~(slack < half)).tolist()
+
+
+def _slab_sum(slabs, bound: float, cols: int):
+    """math.fsum of one row of cols values, bit for bit, from the arrays
+    slabs yields, each formed when asked for, none above bound in magnitude:
+    its sigma is at least the row's own, so each slab is split once.  None,
+    with no math.fsum, where that sigma is None or the sum is unproven."""
+    sigma = _sigma(bound, cols)
+    if sigma is None:
+        return None
+    sums, unproven = _split(((slab.reshape(1, -1), _scratch(1, (1, slab.size), _ROWS_BUFFER)[0])
+                             for slab in slabs), sigma, cols)
+    return None if unproven else float(sums[0])
 
 
 def _checked(total: float, tail: float) -> float:

@@ -323,6 +323,21 @@ def test_products_match_symmetric_path_at_large_n():
         assert sample.value == evaluate(dens, [point], n, grid, 2)[0].value
 
 
+def test_products_past_the_binary64_range_raise():
+    # e^{-|x|^2} at n = 1100 as a rank-1 product of 4 e^{-x_j^2} in
+    # dimensions 0-549 and e^{-x_j^2}/4 in the rest: the partial products
+    # reach about 4^550 and overflow.  That raises FloatingPointError where
+    # it happens, not a ValueError for the non-finite value at the end.
+    # (The amplitudes the other way round underflow and give 0.0 with no
+    # error, a limit of the plain product.)
+    grid = GridSpec(0.1)
+    m_lo, g0, _, _ = engine._gaussian_factor_vectors(grid)
+    n = 1100
+    dens = SeparatedDensity((1.0,), ((4.0 * g0,) * 550 + (g0 / 4.0,) * 550,), m_lo)
+    with pytest.raises(FloatingPointError):
+        evaluate(dens, [(0,) * n], n, grid, 2)
+
+
 def _check_banded(keys, blocks):
     """Check one build's blocks: _BLOCK rows each, all of one width, each
     the rows 1.._BLOCK of a base with one pad row at each end.  A Gaussian

@@ -17,13 +17,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import biharm
-from biharm import cli, kernels
+from biharm import cli, kernels, quad
 from biharm.errors import DimensionTooLarge
 from biharm.engine import evaluate, gaussian_potential_density, separated_expansion
 from biharm.kernels import GridSpec, direct_cubature, phi2, phi2M
@@ -298,10 +299,22 @@ def _direct_by_sample(samples, grid, n, M, x):
     return math.fsum((samples * phi2M(n, M, scaled)).ravel())
 
 
+def _sum_spy():
+    """quad._one_row_sum, patched to record the size of each row it sums in
+    the list this returns with the patch."""
+    sizes = []
+    one_row_sum = quad._one_row_sum
+    patch = mock.patch.object(quad, "_one_row_sum",
+                              lambda row: sizes.append(row.size) or one_row_sum(row))
+    return patch, sizes
+
+
 def test_direct_sum_over_distinct_distances_is_exact():
     # one kernel value per distinct squared distance and the certified row
     # sum give the per-sample sum bit for bit, on and off the lattice, also
-    # where the leading axes or the last axis hold a single sample
+    # where the leading axes or the last axis hold a single sample, and in
+    # slabs of at most 7 values, or of one leading sample's row where that
+    # holds more
     rng = np.random.default_rng(11)
     grid = GridSpec(0.25)
     for n, shape, M, x in ((3, (7, 5, 9), 2, (0.25, -0.5, 1.0)),
@@ -314,13 +327,35 @@ def test_direct_sum_over_distinct_distances_is_exact():
                            (6, (3, 5, 3, 5, 1, 5), 2, (0.05, -0.3, 0.2, 0.1, 0.45, -0.15))):
         samples = rng.uniform(-1.0, 1.0, shape)
         x = np.asarray(x)
-        got = kernels._direct_dense(samples, grid, n, M, x)
-        assert got == _direct_by_sample(samples, grid, n, M, x), (n, shape, M)
+        want = _direct_by_sample(samples, grid, n, M, x)
+        for piece in (quad._PIECE_VALUES, 7):
+            with mock.patch.object(quad, "_PIECE_VALUES", piece):
+                got = kernels._direct_dense(samples, grid, n, M, x)
+            assert got == want, (n, shape, M, piece)
+    # rows of more than 2^15 terms: positive samples at a lattice point are
+    # summed slab by slab, with no full-size row; samples odd in the first
+    # axis about the point's plane, plus 2^-40 noise, cancel below the
+    # static bound, and the row is formed and summed by _one_row_sum
+    x = np.array([0.25, -0.5, 1.0])
+    samples = rng.uniform(0.5, 1.5, (41, 41, 41))
+    patch, sizes = _sum_spy()
+    with patch:
+        got = kernels._direct_dense(samples, grid, 3, 2, x)
+    assert got == _direct_by_sample(samples, grid, 3, 2, x)
+    assert sizes == []
+    x = np.array([0.0, 0.1, -0.2, 0.3, 0.05])
+    odd = rng.uniform(-1.0, 1.0, (9,) * 5)
+    samples = odd - odd[::-1] + 2.0 ** -40 * rng.uniform(-1.0, 1.0, odd.shape)
+    with patch:
+        got = kernels._direct_dense(samples, grid, 5, 3, x)
+    assert got == _direct_by_sample(samples, grid, 5, 3, x)
+    assert sizes == [9 ** 5]
 
 
-def test_direct_sum_memory_stays_below_two_sample_boxes():
+def test_direct_sum_memory_stays_below_one_sample_box():
     # the --verify oracle's box of 11^5 samples at a lattice point: the terms
-    # are the one full-size array, and the row sum runs in bounded pieces
+    # are formed and summed in slabs of at most 2^15 values, and no
+    # full-size array is made beside the box
     inner = cli._spread(11, cli._GOLDEN, 0.5, 1.5)
     box = functools.reduce(np.multiply.outer, (inner,) * 5)
     x = np.array([0.2, 0.4, -0.6, 0.0, 0.2])
@@ -330,7 +365,7 @@ def test_direct_sum_memory_stays_below_two_sample_boxes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * box.nbytes, peak / box.nbytes
+    assert peak < box.nbytes, peak / box.nbytes
 
 
 @pytest.mark.parametrize("n", [7, 10, 100])

@@ -588,11 +588,22 @@ def test_program_stacks_certify_at_the_first_stage(tmp_path):
     # every stack row of the engine's own workloads is certified by the
     # stack-wide sigma and the static bound, so none takes its own split or
     # math.fsum: a batch of permuted points on each tensor path, Table 4
-    # (n = 3) and --verify full, whose oracle row of 161,051 values is one
-    # stack of one
+    # (n = 3) and --verify full.  The --verify oracle's three rows of
+    # 161,051 terms are summed slab by slab, and the static bound under
+    # the sigma of their term bound certifies each one: none is formed in
+    # full for _one_row_sum, and none calls math.fsum
     bases = {3: (10, -5, 2), 5: (20, -10, 5, 2, 0), 8: (15, -10, 6, 4, -2, 1, 0, 0)}
     stacks = []
+    streams = []
     row_sums = quad._row_sums
+    slab_sum = quad._slab_sum
+
+    def streamed(slabs, bound, cols):
+        with _fsum_spy() as summed:
+            total = slab_sum(slabs, bound, cols)
+        streams.append((cols, total is not None, summed))
+        return total
+
     with mock.patch.object(quad, "_row_sums",
                            lambda rows: stacks.append(rows.copy()) or row_sums(rows)):
         for n, base in bases.items():
@@ -602,9 +613,11 @@ def test_program_stacks_certify_at_the_first_stage(tmp_path):
                           for perm in itertools.islice(itertools.permutations(base), 0, 40, 5)]
                 evaluate(build_test_density(n, grid), points, n, grid, 4)
         assert cli.main(["--table", "4", "--out", str(tmp_path / "table4.csv")]) == 0
-        ok, _ = cli.run_verify()
+        with mock.patch.object(quad, "_slab_sum", streamed):
+            ok, _ = cli.run_verify()
     assert ok
-    assert max(stack.size for stack in stacks) == 11 ** 5
+    assert streams == [(11 ** 5, True, [])] * 3
+    assert max(stack.size for stack in stacks) <= quad._PIECE_VALUES
     with mock.patch.object(quad, "_row_split", wraps=quad._row_split) as split, \
             _fsum_spy() as summed:
         got = [quad._row_sums(stack) for stack in stacks]
